@@ -23,5 +23,4 @@ from .rand import (DEFAULT_SEED, RandomStream, haar_unitary, random_phases_diago
 from .spectral import (Histogram, SpectralData, eigendecompose, ks_statistic,
                        phase_uniformity, poisson_pdf, reference_cdf, spacings,
                        wigner_pdf)
-from .tensor import (DEFAULT_DIM_CAP, evolution_unitary, global_index, kron,
-                     layer_unitary, lift, multi_index)
+from .tensor import DEFAULT_DIM_CAP, evolution_unitary, layer_unitary

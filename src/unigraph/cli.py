@@ -293,7 +293,9 @@ def _cmd_run(args) -> int:
         for key in ("mean", "mean_entropy", "variance", "ks_wigner", "ks_poisson",
                     "p_value", "mean_purity"):
             if key in result:
-                if key in entropy_keys:
+                if result[key] is None:  # e.g. chi-square skipped on too few phases
+                    summary.append(f"{key}=n/a")
+                elif key in entropy_keys:
                     summary.append(f"{key}={_display(result[key], args.bits)}")
                 else:
                     summary.append(f"{key}={result[key]:.6g}")

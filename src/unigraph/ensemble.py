@@ -245,18 +245,6 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
 # Batched eigenvector statistics
 # ---------------------------------------------------------------------------
 
-def _batched_reduced(states: np.ndarray, dims, keep0) -> np.ndarray:
-    """Reduced density matrices of a stack of pure states (states[j] is one
-    state); same contraction as entropy.partial_trace, vectorized."""
-    rest0 = [p for p in range(len(dims)) if p not in keep0]
-    dim_a = prod(dims[p] for p in keep0)
-    psi = states.reshape((states.shape[0],) + tuple(dims))
-    psi = np.transpose(psi, (0,) + tuple(p + 1 for p in keep0)
-                       + tuple(p + 1 for p in rest0))
-    m = psi.reshape(states.shape[0], dim_a, -1)
-    return m @ np.conj(np.transpose(m, (0, 2, 1)))
-
-
 def _entropies_of_reduced(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs = np.clip(np.linalg.eigvalsh(sigmas), 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -270,7 +258,7 @@ def _entanglement_stats(vectors: np.ndarray, dims, keep) -> tuple[float, float]:
     """Mean entanglement entropy and purity of all eigenvector columns for
     the bipartition ``keep`` versus the rest."""
     keep0 = sorted(p - 1 for p in keep)
-    sigmas = _batched_reduced(vectors.T, dims, keep0)
+    sigmas = ent.reduced_states(vectors.T, dims, keep0)
     entropies, purities = _entropies_of_reduced(sigmas)
     return float(entropies.mean()), float(purities.mean())
 
@@ -292,7 +280,7 @@ def _projection_stats(vectors: np.ndarray, dims, particle: int,
     skipped = int((~valid).sum())
     normed = slices[valid] / np.sqrt(weights[valid])[:, None]
 
-    sigmas = _batched_reduced(normed, rest_dims, [0])
+    sigmas = ent.reduced_states(normed, rest_dims, [0])
     entropies, purities = _entropies_of_reduced(sigmas)
     if weighted:
         w = weights[valid]

@@ -7,7 +7,7 @@ the log base everywhere. Conversion to bits is a display concern.
 
 from __future__ import annotations
 
-from math import log
+from math import log, prod
 from typing import Sequence
 
 import numpy as np
@@ -125,14 +125,21 @@ def partial_trace(state: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise NormViolation(f"state norm {norm} is not 1")
 
-    kept0 = [p - 1 for p in keep]
-    rest0 = [p for p in range(len(dims)) if p not in kept0]
-    psi = state.reshape(dims)
-    psi = np.transpose(psi, kept0 + rest0)
-    dim_a = int(np.prod([dims[p] for p in kept0]))
-    m = psi.reshape(dim_a, -1)
-    sigma = m @ m.conj().T
+    sigma = reduced_states(state[None, :], dims, [p - 1 for p in keep])[0]
     return (sigma + sigma.conj().T) / 2.0
+
+
+def reduced_states(states: np.ndarray, dims: Sequence[int], keep0) -> np.ndarray:
+    """Reduced density matrices of a stack of pure states (states[j] is one
+    state) over the sorted 0-based particles ``keep0``; rows/columns follow
+    the multi-index order of the kept particles. No input checks."""
+    rest0 = [p for p in range(len(dims)) if p not in keep0]
+    dim_a = prod(dims[p] for p in keep0)
+    psi = states.reshape((states.shape[0],) + tuple(dims))
+    psi = np.transpose(psi, (0,) + tuple(p + 1 for p in keep0)
+                       + tuple(p + 1 for p in rest0))
+    m = psi.reshape(states.shape[0], dim_a, -1)
+    return m @ np.conj(np.transpose(m, (0, 2, 1)))
 
 
 def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:

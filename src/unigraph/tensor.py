@@ -1,36 +1,32 @@
-"""Multi-index arithmetic and assembly of layer/evolution unitaries.
+"""Assembly of layer and evolution unitaries by contraction on tensor legs.
 
-Index convention: particle 1 is the most significant digit of the global
-index (row-major over the per-particle dims). Blocks are placed on their
-tensor legs by integer index maps; no permutation matrices are ever
-multiplied in.
+Index convention: the global basis index is row-major over the per-particle
+dims, with particle 1 the most significant digit. Reshaping the N = prod(dims)
+rows of an operand to ``dims`` therefore gives one axis (leg) per particle.
+
+A block on a clique acts on the clique's legs in increasing particle order and
+as identity on every other leg. ``apply_block`` moves the clique's legs next
+to each other (``np.moveaxis``), which copies nothing when they are already
+adjacent, and multiplies the block into them as one batched ``np.matmul``
+over the legs in front, at O(N * M * b) for an N x M operand and a block of
+order b. Layers are applied to the running operator clique by clique, so
+neither a lifted block nor a layer matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import Clique, InteractionGraph, Layer
+from .graph import InteractionGraph, Layer
 from .rand import RandomStream, haar_unitary, require_unitary
 
 DEFAULT_DIM_CAP = 4096
 
-# numpy array dimensions are bounded by the platform's signed pointer size
-_MAX_DIM = np.iinfo(np.intp).max
-
-
-class OutOfRange(ValueError):
-    pass
-
 
 class BlockDimMismatch(ValueError):
-    pass
-
-
-class OverflowOnDim(OverflowError):
     pass
 
 
@@ -43,120 +39,38 @@ class DimensionCapExceeded(RuntimeError):
             "raise the cap to proceed")
 
 
-def strides(dims: Sequence[int]) -> tuple[int, ...]:
-    """Per-particle strides of the global index (particle 1 most significant)."""
-    out = [1] * len(dims)
-    for j in range(len(dims) - 2, -1, -1):
-        out[j] = out[j + 1] * dims[j + 1]
-    return tuple(out)
+def apply_block(block: np.ndarray, clique: Iterable[int], dims: Sequence[int],
+                operand: np.ndarray) -> np.ndarray:
+    """(``block`` on the clique's legs, identity elsewhere) @ ``operand``.
 
-
-def global_index(digits: Sequence[int], dims: Sequence[int]) -> int:
-    if len(digits) != len(dims):
-        raise OutOfRange(f"expected {len(dims)} digits, got {len(digits)}")
-    for d, n in zip(digits, dims):
-        if not 0 <= d < n:
-            raise OutOfRange(f"digit {d} outside [0, {n})")
-    s = strides(dims)
-    return sum(d * st for d, st in zip(digits, s))
-
-
-def multi_index(g: int, dims: Sequence[int]) -> tuple[int, ...]:
-    total = prod(dims)
-    if not 0 <= g < total:
-        raise OutOfRange(f"global index {g} outside [0, {total})")
-    digits = []
-    for st in strides(dims):
-        digits.append(g // st)
-        g %= st
-    return tuple(digits)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[0] * b.shape[0] > _MAX_DIM:
-        raise OverflowOnDim(f"kron dimension {a.shape[0]} * {b.shape[0]} overflows")
-    return np.kron(a, b)
-
-
-def _particles0(clique) -> tuple[int, ...]:
-    # accept a Clique or any iterable of 1-based indices
-    parts = tuple(clique) if not isinstance(clique, Clique) else clique.particles
-    return tuple(sorted(p - 1 for p in parts))
-
-
-def _group_offsets(particles0: Sequence[int], dims: Sequence[int],
-                   stride: Sequence[int]) -> np.ndarray:
-    """Global-index contribution of each joint configuration of the group,
-    enumerated with the lowest particle index as the most significant digit."""
-    off = np.zeros(1, dtype=np.intp)
-    for p in particles0:
-        step = np.arange(dims[p], dtype=np.intp) * stride[p]
-        off = (off[:, None] + step[None, :]).ravel()
-    return off
-
-
-def lift(block: np.ndarray, clique, dims: Sequence[int]) -> np.ndarray:
-    """Embed ``block`` so it acts on the clique's tensor legs (in increasing
-    particle order) and as identity on every other particle."""
-    dims = tuple(dims)
-    parts = _particles0(clique)
-    block_dim = prod(dims[p] for p in parts)
+    ``clique`` holds 1-based particle indices; ``operand`` is a vector or a
+    matrix with prod(dims) rows.
+    """
+    legs = sorted(p - 1 for p in clique)
+    block_dim = prod(dims[p] for p in legs)
     if block.shape != (block_dim, block_dim):
         raise BlockDimMismatch(
             f"block of shape {block.shape} does not fit clique dims {block_dim}")
-    rest = [p for p in range(len(dims)) if p not in parts]
-    st = strides(dims)
-    clique_off = _group_offsets(parts, dims, st)
-    rest_off = _group_offsets(rest, dims, st)
-    total = prod(dims)
-    ginds = clique_off[:, None] + rest_off[None, :]          # (block_dim, rest_dim)
-    out = np.zeros((total, total), dtype=complex)
-    out[ginds[:, None, :], ginds[None, :, :]] = np.asarray(block, dtype=complex)[:, :, None]
-    return out
+    first = legs[0]
+    together = range(first, first + len(legs))
+    tensor = np.moveaxis(operand.reshape(tuple(dims) + operand.shape[1:]), legs, together)
+    out = np.matmul(block, tensor.reshape(prod(dims[:first]), block_dim, -1))
+    return np.moveaxis(out.reshape(tensor.shape), together, legs).reshape(operand.shape)
 
 
-def _clique_major_map(cliques: Sequence[Clique], dims: Sequence[int]) -> np.ndarray:
-    """phi[g] = index of basis state g in the clique-major (kron-chain) layout."""
-    total = prod(dims)
-    st = strides(dims)
-    arr = np.arange(total, dtype=np.intp)
-    group_values = []
-    group_dims = []
-    for clique in cliques:
-        parts = _particles0(clique)
-        value = np.zeros(total, dtype=np.intp)
-        inner = 1
-        for p in reversed(parts):
-            value += ((arr // st[p]) % dims[p]) * inner
-            inner *= dims[p]
-        group_values.append(value)
-        group_dims.append(inner)
-    phi = np.zeros(total, dtype=np.intp)
-    for value, gdim in zip(group_values, group_dims):
-        phi = phi * gdim + value
-    return phi
+def layer_unitary(layer: Layer, dims: Sequence[int], stream: RandomStream,
+                  operand: np.ndarray) -> np.ndarray:
+    """Sample one block per clique and return (layer unitary) @ ``operand``.
 
-
-def layer_unitary(layer: Layer, dims: Sequence[int], stream: RandomStream) -> np.ndarray:
-    """Sample one block per clique and assemble the layer unitary.
-
-    Equals the product of lifted blocks over the layer's (disjoint) cliques;
-    built as a kron chain in canonical clique order followed by one index
-    gather. Clique c draws from stream.substream(c).
+    The cliques are disjoint, so their blocks commute; clique c draws from
+    stream.substream(c). Identity singletons are skipped.
     """
-    dims = tuple(dims)
-    blocks = []
     for c, clique in enumerate(layer.cliques):
-        block_dim = prod(dims[p] for p in _particles0(clique))
         if len(clique) == 1 and layer.singletons == "identity":
-            blocks.append(np.eye(block_dim, dtype=complex))
-        else:
-            blocks.append(haar_unitary(block_dim, stream.substream(c)))
-    chain = blocks[0]
-    for b in blocks[1:]:
-        chain = kron(chain, b)
-    phi = _clique_major_map(layer.cliques, dims)
-    return chain[np.ix_(phi, phi)]
+            continue
+        block = haar_unitary(prod(dims[p - 1] for p in clique), stream.substream(c))
+        operand = apply_block(block, clique, dims, operand)
+    return operand
 
 
 def evolution_unitary(graph: InteractionGraph, stream: RandomStream,
@@ -166,7 +80,7 @@ def evolution_unitary(graph: InteractionGraph, stream: RandomStream,
     total = graph.total_dim
     if dim_cap is not None and total > dim_cap:
         raise DimensionCapExceeded(total, dim_cap)
-    u = layer_unitary(graph.layers[0], graph.dims, stream.substream(0))
-    for i, layer in enumerate(graph.layers[1:], start=1):
-        u = layer_unitary(layer, graph.dims, stream.substream(i)) @ u
+    u = np.eye(total, dtype=complex)
+    for i, layer in enumerate(graph.layers):
+        u = layer_unitary(layer, graph.dims, stream.substream(i), u)
     return require_unitary(u)

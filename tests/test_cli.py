@@ -112,6 +112,16 @@ class TestRun:
         assert doc["analyses"]["projection"]["particle"] == 2
         assert doc["draws"] == 10
 
+    def test_phase_density_without_chi_square(self, tmp_path, capsys):
+        # 2 draws x 16 phases are too few for the chi-square test
+        out = tmp_path / "r"
+        assert main(["run", "--ring", "4", "--n", "2", "--draws", "2", "--analyses",
+                     "phase_density", "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads(read(out / "report.json"))
+        assert doc["analyses"]["phase_density"]["p_value"] is None
+        assert doc["analyses"]["phase_density"]["count"] == 32
+        assert "p_value=n/a" in capsys.readouterr().out
+
     def test_reports_reproduce_modulo_timing(self, tmp_path):
         args = ["run", "--square", "--n", "2", "--draws", "4", "--analyses",
                 "spacing,element_entropy", "--seed", "6"]

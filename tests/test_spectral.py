@@ -4,7 +4,6 @@ import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from unigraph.rand import RandomStream, haar_unitary
 from unigraph.spectral import (DEFAULT_SPACING_EDGES, EmptySample,
@@ -14,13 +13,6 @@ from unigraph.spectral import (DEFAULT_SPACING_EDGES, EmptySample,
                                spacings, wigner_pdf)
 
 TWO_PI = 2 * np.pi
-
-
-def wigner_cdf_closed(s):
-    # integral of (32/pi^2) t^2 exp(-4t^2/pi): independent oracle for the
-    # quadrature-based implementation
-    s = np.asarray(s, dtype=float)
-    return erf(2 * s / np.sqrt(np.pi)) - (4 * s / np.pi) * np.exp(-4 * s**2 / np.pi)
 
 
 class TestEigendecompose:
@@ -139,9 +131,14 @@ class TestReferenceLaws:
         assert abs(reference_cdf("poisson", np.log(2)) - 0.5) < 1e-12
 
     def test_cdf_against_closed_form(self):
+        # the closed form against an independent quadrature of the pdf,
+        # to the documented 1e-10, for arrays and for scalars
         points = np.array([0.1, 0.5, 1.0, 1.7, 2.9])
-        got = reference_cdf("wigner", points)
-        assert np.abs(got - wigner_cdf_closed(points)).max() < 1e-9
+        oracle = np.array([scipy.integrate.quad(wigner_pdf, 0.0, s, epsabs=1e-14)[0]
+                           for s in points])
+        assert np.abs(reference_cdf("wigner", points) - oracle).max() < 1e-10
+        for s, expected in zip(points, oracle):
+            assert abs(reference_cdf("wigner", float(s)) - expected) < 1e-10
 
     def test_cdf_against_scaled_chi(self):
         # the surmise is a chi(3) law scaled by sqrt(pi/8)
