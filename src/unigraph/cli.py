@@ -175,6 +175,15 @@ def _source_flags(args) -> list[str]:
     raise AssertionError("no source selected")
 
 
+def _replay_flags(args, seed: int) -> list[str]:
+    """--seed, and --dim-cap when it was given, so the command replays under
+    any UNIGRAPH_DIM_CAP."""
+    flags = ["--seed", str(seed)]
+    if args.dim_cap is not None:
+        flags += ["--dim-cap", str(args.dim_cap)]
+    return flags
+
+
 def _provenance(args, command: list[str], seed: int, spec_hash: str) -> dict:
     return {
         "command": " ".join(command),
@@ -205,7 +214,7 @@ def _cmd_gen(args) -> int:
     u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=cap)
 
     command = (["unigraph", "gen"] + _source_flags(args)
-               + ["--seed", str(seed), "--format", args.format])
+               + _replay_flags(args, seed) + ["--format", args.format])
     prov = _provenance(args, command, seed, graph_hash(graph))
     os.makedirs(args.out, exist_ok=True)
 
@@ -261,7 +270,7 @@ def _cmd_run(args) -> int:
 
     command = (["unigraph", "run"] + _source_flags(args)
                + ["--draws", str(args.draws), "--analyses", args.analyses,
-                  "--seed", str(seed), "--format", args.format])
+                  *_replay_flags(args, seed), "--format", args.format])
     if args.strict_paper_spacing:
         command.append("--strict-paper-spacing")
     if args.unweighted_projection:
@@ -317,7 +326,7 @@ def _cmd_bench(args) -> int:
     _print_bench_table(result, len(graph.layers))
 
     command = (["unigraph", "bench"] + _source_flags(args)
-               + ["--draws", str(args.draws), "--seed", str(seed)])
+               + ["--draws", str(args.draws)] + _replay_flags(args, seed))
     prov = _provenance(args, command, seed, graph_hash(graph))
     if args.out != ".":
         os.makedirs(args.out, exist_ok=True)

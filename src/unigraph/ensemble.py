@@ -193,12 +193,12 @@ def random_graph_state(graph: InteractionGraph, stream: RandomStream,
 
 
 def trace_moments(u: np.ndarray, max_power: int) -> np.ndarray:
-    """Tr(U^m) for m = 1..max_power, summed from the eigenvalues instead of
-    repeated matrix multiplication."""
+    """Tr(U^m) for m = 1..max_power, summed from the checked eigenphases of
+    spectral.eigendecompose instead of repeated matrix multiplication."""
     if max_power < 1:
         raise ValueError(f"max power must be >= 1, got {max_power}")
-    eigvals = np.linalg.eigvals(np.asarray(u))
-    return _moments_from_eigvals(eigvals, max_power)
+    phases = spectral.eigendecompose(np.asarray(u)).phases
+    return _moments_from_eigvals(np.exp(1j * phases), max_power)
 
 
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:

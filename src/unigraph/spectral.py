@@ -1,9 +1,11 @@
 """Eigenphases, level spacings, reference spacing laws, and distances.
 
-Unitary matrices are normal, so the complex Schur form is diagonal and the
-Schur vectors are an orthonormal eigenbasis; that is what eigendecompose
-relies on. Phases live in [0, 2pi) and spacings are scaled by N/(2pi) so
-the mean spacing is one.
+Unitary matrices are normal, so the Cayley transform of a rotated unitary
+W = e^{i alpha} U, H = i (I + W)^{-1} (I - W), is Hermitian with the same
+eigenvectors and eigenvalues tan((theta + alpha)/2); eigendecompose solves
+H with a Hermitian eigensolver and falls back to the complex Schur form,
+which is diagonal for a normal matrix. Phases live in [0, 2pi) and spacings
+are scaled by N/(2pi) so the mean spacing is one.
 """
 
 from __future__ import annotations
@@ -56,21 +58,87 @@ class SpectralData:
 
 
 def eigendecompose(u: np.ndarray, residual_tol: float = 1e-9) -> SpectralData:
-    """Full eigensystem of a unitary matrix via the complex Schur form.
+    """Full eigensystem of a unitary matrix via its Cayley transform.
 
-    Raises ConvergenceFailure if the solver fails or the residual
-    ||U v_j - e^{i theta_j} v_j|| exceeds residual_tol * N for any column.
+    The first attempt takes alpha = 0. It is retried once if I + W is
+    singular, if some |tan((theta + alpha)/2)| exceeds 4N (an eigenvalue
+    close to the pole -e^{-i alpha}), or if a check below fails; the retry
+    puts the pole in the middle of the widest gap between the phases just
+    found (alpha = 1 after a singular solve). If the retry fails too, the
+    complex Schur form is used. alpha depends only on U, so the result is
+    deterministic.
+
+    Inside an exactly degenerate eigenspace (identity-singleton layers,
+    tensor products with an identity factor, diagonal sources) any
+    orthonormal basis is an eigenbasis, and which one is returned depends
+    on the solver: basis-dependent statistics of such sources, such as the
+    eigenvector entropy, differ between solvers by more than rounding.
+
+    Raises ConvergenceFailure if every solver fails, or if the residual
+    ||U v_j - e^{i theta_j} v_j|| exceeds residual_tol * N for any column
+    or a column's norm differs from one by more than 1e-12.
     """
     dim = u.shape[0]
+    alpha = 0.0
+    for _ in range(2):
+        found = _cayley_eigensystem(u, alpha)
+        if found is None:
+            alpha = 1.0
+            continue
+        tangents, phases, vectors = found
+        if np.abs(tangents).max() <= 4 * dim:
+            try:
+                return _checked(u, phases, vectors, residual_tol)
+            except ConvergenceFailure:
+                pass
+        alpha = _widest_gap_alpha(phases)
     try:
         t, z = scipy.linalg.schur(u, output="complex")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    eigvals = np.diagonal(t)
-    phases = np.mod(np.angle(eigvals), TWO_PI)
+    return _checked(u, np.angle(np.diagonal(t)), z, residual_tol)
+
+
+def _cayley_eigensystem(u: np.ndarray, alpha: float):
+    """(tangents, phases, vectors) from the eigensystem of the Hermitian part
+    of H = i (I + W)^{-1} (I - W), W = e^{i alpha} U, whose eigenvalues are
+    tangents = tan((theta + alpha)/2); None if a LAPACK call fails, as it
+    does when I + W is singular."""
+    dim = u.shape[0]
+    plus = np.exp(1j * alpha) * u
+    minus = -plus
+    plus.flat[:: dim + 1] += 1.0
+    minus.flat[:: dim + 1] += 1.0
+    try:
+        h = np.linalg.solve(plus, minus)
+        del plus, minus  # two fewer N x N arrays alive beside eigh's workspace
+        h *= 1j
+        h += h.conj().T
+        h *= 0.5
+        tangents, vectors = np.linalg.eigh(h)
+    except np.linalg.LinAlgError:
+        return None
+    return tangents, 2.0 * np.arctan(tangents) - alpha, vectors
+
+
+def _widest_gap_alpha(phases: np.ndarray) -> float:
+    """The alpha whose Cayley pole -e^{-i alpha} sits in the middle of the
+    widest circular gap between ``phases``."""
+    ordered = np.sort(np.mod(phases, TWO_PI))
+    gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
+    widest = int(np.argmax(gaps))
+    return float(np.pi - (ordered[widest] + 0.5 * gaps[widest]))
+
+
+def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray,
+             residual_tol: float) -> SpectralData:
+    """Phases mapped to [0, 2pi) and sorted, with their columns, once every
+    eigenpair passes the residual and norm checks."""
+    dim = u.shape[0]
+    phases = np.mod(phases, TWO_PI)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
-    vectors = z[:, order]
+    vectors = vectors[:, order]
 
     residual = np.linalg.norm(u @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
     if residual.max() > residual_tol * dim:

@@ -58,6 +58,23 @@ class TestGen:
         assert main(["gen", "--ring", "4", "--n", "2", "--out", str(tmp_path)]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, written", [
+        (["gen", "--ring", "4", "--n", "2", "--format", "json"], "unitary.json"),
+        (["run", "--ring", "4", "--n", "2", "--draws", "2", "--analyses", "spacing"],
+         "report.json"),
+        (["bench", "--ring", "4", "--n", "2", "--draws", "1"], "bench.json"),
+    ])
+    def test_raised_dim_cap_is_replayed(self, tmp_path, monkeypatch, capsys, argv, written):
+        monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--seed", "7", "--dim-cap", "16", "--out", str(first)]) == 0
+        command = json.loads(read(first / written))["provenance"]["command"]
+        assert "--dim-cap 16" in command
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("re-run: ")]
+        assert printed in ([], [f"re-run: {command}"])
+        assert main(command.split()[1:] + ["--out", str(again)]) == 0
+        capsys.readouterr()
+
     def test_random_seed_is_drawn_and_printed(self, tmp_path, capsys):
         assert main(["gen", "--ring", "2", "--n", "2", "--seed", "random",
                      "--out", str(tmp_path)]) == 0

@@ -1,18 +1,61 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unigraph import spectral
+from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem
 from unigraph.rand import RandomStream, haar_unitary
-from unigraph.spectral import (DEFAULT_SPACING_EDGES, EmptySample,
+from unigraph.spectral import (DEFAULT_SPACING_EDGES, ConvergenceFailure, EmptySample,
                                FewerThanTwoPhases, Histogram, InsufficientData,
                                NegativeArgument, eigendecompose, ks_statistic,
                                phase_uniformity, poisson_pdf, reference_cdf,
                                spacings, wigner_pdf)
+from unigraph.tensor import evolution_unitary
 
 TWO_PI = 2 * np.pi
+
+
+def schur_phases(u):
+    """Oracle: eigenphases from the diagonal of the complex Schur form."""
+    return np.angle(np.diagonal(scipy.linalg.schur(u, output="complex")[0]))
+
+
+def circular_distance(a, b):
+    """Largest distance between two sorted phase sets, after turning both so
+    that the widest gap of ``b`` straddles the 0/2pi seam: a phase at 1e-16
+    and one at 2pi - 1e-16 are then neighbours, not 2pi apart."""
+    b = np.sort(np.mod(b, TWO_PI))
+    gaps = np.diff(b, append=b[0] + TWO_PI)
+    widest = np.argmax(gaps)
+    shift = -(b[widest] + gaps[widest] / 2)
+    def turned(x):
+        return np.sort(np.mod(np.asarray(x) + shift, TWO_PI))
+    return np.abs(turned(a) - turned(b)).max()
+
+
+def assert_matches_oracle(u, data=None):
+    """Phases equal the Schur oracle's and the columns are an orthonormal
+    eigenbasis, both to 1e-12."""
+    data = eigendecompose(u) if data is None else data
+    n = u.shape[0]
+    assert circular_distance(data.phases, schur_phases(u)) <= 1e-12
+    assert np.all((data.phases >= 0) & (data.phases <= TWO_PI))
+    assert np.all(np.diff(data.phases) >= 0)
+    assert np.abs(data.vectors.conj().T @ data.vectors - np.eye(n)).max() <= 1e-12
+    residual = np.linalg.norm(
+        u @ data.vectors - data.vectors * np.exp(1j * data.phases)[None, :], axis=0)
+    assert residual.max() <= 1e-9 * n
+    return data
+
+
+def with_phases(phases, seed):
+    """V diag(e^{i phases}) V^dagger for a Haar V."""
+    v = haar_unitary(len(phases), RandomStream(seed, 0))
+    return (v * np.exp(1j * np.asarray(phases))[None, :]) @ v.conj().T
 
 
 class TestEigendecompose:
@@ -62,10 +105,85 @@ class TestEigendecompose:
         assert np.abs(s1 - s2).max() <= 1e-9
 
     def test_defective_matrix_fails_residual_contract(self):
-        from unigraph.spectral import ConvergenceFailure
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ConvergenceFailure):
             eigendecompose(jordan)
+
+    @given(st.integers(2, 64), st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_haar_matches_schur_oracle(self, n, seed):
+        assert_matches_oracle(haar_unitary(n, RandomStream(seed, n)))
+
+    @pytest.mark.parametrize("u", [
+        np.eye(8, dtype=complex),
+        -np.eye(8, dtype=complex),
+        np.diag(np.exp(1j * np.array([0.3, 2.0, 0.3, 5.5, 2.0, 0.3, 5.5, 1.0]))),
+    ], ids=["identity", "minus_identity", "repeated_diagonal"])
+    def test_degenerate_spectra(self, u):
+        assert_matches_oracle(u)
+
+    def test_identity_singleton_tensor_product(self):
+        # V on particles 1-3, identity on particle 4: U = V (x) I_2, so every
+        # eigenvalue is exactly doubly degenerate
+        graph = InteractionGraph(ParticleSystem((2, 2, 2, 2)), (
+            Layer("a", (Clique((1, 2, 3)), Clique((4,))), singletons="identity"),))
+        u = evolution_unitary(graph, RandomStream(3, 0))
+        assert np.array_equal(u[1::2, 1::2], u[::2, ::2])
+        data = assert_matches_oracle(u)
+        assert np.abs(data.phases[::2] - data.phases[1::2]).max() <= 1e-12
+
+    @staticmethod
+    def solve_without_schur(u, monkeypatch):
+        """eigendecompose(u), failing if Schur runs; also the alphas tried."""
+        alphas = []
+        cayley = spectral._cayley_eigensystem
+        def spy(u, alpha):
+            alphas.append(alpha)
+            return cayley(u, alpha)
+        def no_schur(*args, **kwargs):
+            raise AssertionError("the Cayley retry should have succeeded")
+        monkeypatch.setattr(spectral, "_cayley_eigensystem", spy)
+        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        data = eigendecompose(u)
+        monkeypatch.undo()
+        return data, alphas
+
+    @pytest.mark.parametrize("phases, gap_middle", [
+        # within 1e-12 of -1, with phases on both sides of the 0/2pi seam
+        ([np.pi - 5e-13, 1e-13, TWO_PI - 1e-13, 1.0, 2.5, 4.0, 5.0, 5.9], 1.75),
+        # |tan| = 1e6: the checks would pass, but the phases would be off by
+        # ~1e-10; the widest gap (5.6 to 0.9) straddles the seam
+        ([np.pi - 2e-6, 0.9, 1.5, 2.2, 4.0, 4.6, 5.2, 5.6], (5.6 + 0.9 + TWO_PI) / 2),
+    ], ids=["minus_one_and_seam", "wrapping_gap"])
+    def test_pole_next_to_an_eigenvalue(self, monkeypatch, phases, gap_middle):
+        # -1 is the Cayley pole at alpha = 0, so the first attempt is refused
+        # (|tan| > 4N); the retry puts the pole -e^{-i alpha}, at phase
+        # pi - alpha, in the middle of the widest gap between the refused
+        # attempt's phases (which are only good to ~1e-3 in the first case)
+        u = with_phases(phases, 5)
+        data, alphas = self.solve_without_schur(u, monkeypatch)
+        assert_matches_oracle(u, data)
+        assert circular_distance(data.phases, phases) <= 1e-12
+        assert len(alphas) == 2 and alphas[0] == 0.0
+        assert abs(np.angle(np.exp(1j * (np.pi - alphas[1] - gap_middle)))) <= 0.01
+
+    @pytest.mark.parametrize("u", [-np.eye(4, dtype=complex), np.diag([1.0, -1.0, 1j])],
+                             ids=["minus_identity", "parity"])
+    def test_singular_solve_retries_at_alpha_one(self, monkeypatch, u):
+        data, alphas = self.solve_without_schur(u, monkeypatch)
+        assert alphas == [0.0, 1.0]
+        assert_matches_oracle(u, data)
+
+    @pytest.mark.parametrize("failure", ["singular", "wrong_vectors"])
+    def test_schur_fallback(self, monkeypatch, failure):
+        cayley = spectral._cayley_eigensystem
+        def broken(u, alpha):
+            if failure == "singular":
+                return None
+            tangents, phases, vectors = cayley(u, alpha)
+            return tangents, phases, np.roll(vectors, 1, axis=1)
+        monkeypatch.setattr(spectral, "_cayley_eigensystem", broken)
+        assert_matches_oracle(haar_unitary(24, RandomStream(0, 7)))
 
 
 class TestSpacings:
