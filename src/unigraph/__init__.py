@@ -12,8 +12,7 @@ from .ensemble import (Analysis, BenchmarkResult, EnsembleReport, EnsembleSpec,
                        run_ensemble, trace_moments)
 from .entropy import (element_entropy, eigenvector_entropy, mean_purity,
                       mean_random_vector_entropy, page_mean_entropy, partial_trace,
-                      project_onto_basis, purity, shannon_entropy,
-                      von_neumann_entropy)
+                      purity, shannon_entropy, von_neumann_entropy)
 from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph,
                     from_bond_vertex_graph, graph_hash, is_connected,
                     load_graph_spec, parse_graph_spec, ring_graph, serialize_graph,

@@ -176,7 +176,7 @@ class EnsembleReport:
 def _draw_matrix(spec: EnsembleSpec, stream: RandomStream) -> np.ndarray:
     if isinstance(spec.source, InteractionGraph):
         return evolution_unitary(spec.source, stream, dim_cap=spec.dim_cap)
-    if spec.dim_cap is not None and spec.source.dim > spec.dim_cap:
+    if spec.source.dim > spec.dim_cap:
         raise DimensionCapExceeded(spec.source.dim, spec.dim_cap)
     if spec.source.kind == "cue":
         return haar_unitary(spec.source.dim, stream)
@@ -226,7 +226,7 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
-    if dim_cap is not None and dim > dim_cap:
+    if dim > dim_cap:
         raise DimensionCapExceeded(dim, dim_cap)
 
     start = time.perf_counter()
@@ -242,25 +242,14 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
 
 
 # ---------------------------------------------------------------------------
-# Batched eigenvector statistics
+# Reduced-state statistics
 # ---------------------------------------------------------------------------
 
-def _entropies_of_reduced(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eigs = np.clip(np.linalg.eigvalsh(sigmas), 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(eigs > 0, eigs * np.log(np.where(eigs > 0, eigs, 1.0)), 0.0)
-    entropies = -plogp.sum(axis=-1)
-    moduli = np.abs(sigmas).reshape(sigmas.shape[0], -1)
-    return entropies, (moduli ** 2).sum(axis=-1)
-
-
-def _entanglement_stats(vectors: np.ndarray, dims, keep) -> tuple[float, float]:
-    """Mean entanglement entropy and purity of all eigenvector columns for
-    the bipartition ``keep`` versus the rest."""
-    keep0 = sorted(p - 1 for p in keep)
-    sigmas = ent.reduced_states(vectors.T, dims, keep0)
-    entropies, purities = _entropies_of_reduced(sigmas)
-    return float(entropies.mean()), float(purities.mean())
+def _keep_set(spec: EnsembleSpec, analysis: Analysis) -> list[int]:
+    """The sorted, deduplicated 1-based particles an ``entanglement`` or
+    ``state_sample`` analysis keeps; ``state_sample`` defaults to the first
+    half of the particles."""
+    return sorted(set(analysis.arg or range(1, len(spec.source.dims) // 2 + 1)))
 
 
 def _projection_stats(vectors: np.ndarray, dims, particle: int,
@@ -280,8 +269,7 @@ def _projection_stats(vectors: np.ndarray, dims, particle: int,
     skipped = int((~valid).sum())
     normed = slices[valid] / np.sqrt(weights[valid])[:, None]
 
-    sigmas = ent.reduced_states(normed, rest_dims, [0])
-    entropies, purities = _entropies_of_reduced(sigmas)
+    entropies, purities = ent.reduced_entropies(normed, rest_dims, [0])
     if weighted:
         w = weights[valid]
         mean_ent = float((w * entropies).sum() / w.sum())
@@ -320,19 +308,18 @@ def _run_draw(spec: EnsembleSpec, t: int) -> dict:
             record[kind] = ent.eigenvector_entropy(data)
         elif kind == "element_entropy":
             record[kind] = ent.element_entropy(u)
-        elif kind == "entanglement":
-            record[kind] = _entanglement_stats(data.vectors, dims, analysis.arg)
+        elif kind in ("entanglement", "state_sample"):
+            # every eigenvector, or the sampled state U|0>
+            stack = data.vectors.T if kind == "entanglement" else u[:, :1].T
+            keep0 = [p - 1 for p in _keep_set(spec, analysis)]
+            entropies, purities = ent.reduced_entropies(stack, dims, keep0)
+            record[kind] = (float(entropies.mean()), float(purities.mean()))
         elif kind == "projection":
             record[kind] = _projection_stats(data.vectors, dims, analysis.arg[0],
                                              spec.weighted_projection)
         elif kind == "trace_moments":
             record[kind] = _moments_from_eigvals(np.exp(1j * data.phases),
                                                  analysis.arg[0])
-        elif kind == "state_sample":
-            state = u[:, 0]
-            keep = analysis.arg or tuple(range(1, len(dims) // 2 + 1))
-            sigma = ent.partial_trace(state, dims, keep)
-            record[kind] = (ent.von_neumann_entropy(sigma), ent.purity(sigma))
     return record
 
 
@@ -341,6 +328,29 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return mean, se
+
+
+def _scalar_summary(values: list) -> dict:
+    """Summary of one number per draw."""
+    mean, se = _mean_se(values)
+    return {"draws": len(values), "mean": mean, "se": se,
+            "variance": float(np.var(values, ddof=1)) if len(values) > 1 else 0.0}
+
+
+def _pair_summary(values: list) -> dict:
+    """Summary of an (entropy, purity, ...) record per draw."""
+    ent_mean, ent_se = _mean_se([v[0] for v in values])
+    pur_mean, pur_se = _mean_se([v[1] for v in values])
+    return {"draws": len(values), "mean_entropy": ent_mean, "entropy_se": ent_se,
+            "mean_purity": pur_mean, "purity_se": pur_se}
+
+
+def _page_references(dim_a: int, dim_b: int) -> dict:
+    """Page mean entropy and mean purity of random pure states on
+    C^dim_a (x) C^dim_b."""
+    return {"page_reference": ent.page_mean_entropy(min(dim_a, dim_b),
+                                                    max(dim_a, dim_b)),
+            "purity_reference": ent.mean_purity(dim_a, dim_b)}
 
 
 def _element_entropy_edges(dim: int) -> np.ndarray:
@@ -385,62 +395,37 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
                 "histogram": hist,
             }
         elif kind == "evec_entropy":
-            mean, se = _mean_se(values)
             results[kind] = {
-                "draws": len(values),
-                "mean": mean,
-                "se": se,
-                "variance": float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
+                **_scalar_summary(values),
                 "reference_mean": ent.mean_random_vector_entropy(spec.dim),
             }
         elif kind == "element_entropy":
-            mean, se = _mean_se(values)
             results[kind] = {
-                "draws": len(values),
-                "mean": mean,
-                "se": se,
-                "variance": float(np.var(values, ddof=1)) if len(values) > 1 else 0.0,
+                **_scalar_summary(values),
                 "histogram": Histogram.from_samples(
                     np.asarray(values), _element_entropy_edges(spec.dim)),
             }
         elif kind == "entanglement":
-            dims = spec.source.dims
-            dim_a = prod(dims[p - 1] for p in sorted(set(analysis.arg)))
+            keep = _keep_set(spec, analysis)
+            dim_a = prod(spec.source.dims[p - 1] for p in keep)
             dim_b = spec.dim // dim_a
-            ent_mean, ent_se = _mean_se([v[0] for v in values])
-            pur_mean, pur_se = _mean_se([v[1] for v in values])
             results[kind] = {
-                "keep": sorted(set(analysis.arg)),
+                "keep": keep,
                 "dim_a": dim_a,
                 "dim_b": dim_b,
-                "draws": len(values),
-                "mean_entropy": ent_mean,
-                "entropy_se": ent_se,
-                "mean_purity": pur_mean,
-                "purity_se": pur_se,
-                "page_reference": ent.page_mean_entropy(min(dim_a, dim_b),
-                                                        max(dim_a, dim_b)),
-                "purity_reference": ent.mean_purity(dim_a, dim_b),
+                **_pair_summary(values),
+                **_page_references(dim_a, dim_b),
             }
         elif kind == "projection":
-            dims = spec.source.dims
             particle = analysis.arg[0]
-            rest = [d for p, d in enumerate(dims, start=1) if p != particle]
+            rest = [d for p, d in enumerate(spec.source.dims, start=1) if p != particle]
             dim_a, dim_c = rest[0], prod(rest[1:])
-            ent_mean, ent_se = _mean_se([v[0] for v in values])
-            pur_mean, pur_se = _mean_se([v[1] for v in values])
             results[kind] = {
                 "particle": particle,
                 "dim_a": dim_a,
                 "dim_c": dim_c,
-                "draws": len(values),
-                "mean_entropy": ent_mean,
-                "entropy_se": ent_se,
-                "mean_purity": pur_mean,
-                "purity_se": pur_se,
-                "page_reference": ent.page_mean_entropy(min(dim_a, dim_c),
-                                                        max(dim_a, dim_c)),
-                "purity_reference": ent.mean_purity(dim_a, dim_c),
+                **_pair_summary(values),
+                **_page_references(dim_a, dim_c),
                 "skipped_slices": sum(v[2] for v in values),
                 "weighted": spec.weighted_projection,
             }
@@ -462,21 +447,14 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
                 "se_imag": se_im,
             }
         elif kind == "state_sample":
-            dims = spec.source.dims
-            keep = analysis.arg or tuple(range(1, len(dims) // 2 + 1))
-            dim_a = prod(dims[p - 1] for p in sorted(set(keep)))
-            entropies = np.asarray([v[0] for v in values])
-            ent_mean, ent_se = _mean_se(entropies)
-            pur_mean, pur_se = _mean_se([v[1] for v in values])
+            keep = _keep_set(spec, analysis)
+            dim_a = prod(spec.source.dims[p - 1] for p in keep)
             results[kind] = {
-                "keep": sorted(set(keep)),
-                "draws": len(values),
-                "mean_entropy": ent_mean,
-                "entropy_se": ent_se,
-                "mean_purity": pur_mean,
-                "purity_se": pur_se,
+                "keep": keep,
+                **_pair_summary(values),
                 "histogram": Histogram.from_samples(
-                    entropies, np.linspace(0.0, np.log(dim_a) + 0.1, 61)),
+                    np.asarray([v[0] for v in values]),
+                    np.linspace(0.0, np.log(dim_a) + 0.1, 61)),
             }
     return results
 

@@ -1,4 +1,4 @@
-"""Entropy functionals, partial traces, projections, and ensemble means.
+"""Entropy functionals, partial traces, reduced states, and ensemble means.
 
 All entropies are in nats; the harmonic-sum mean psi(N+1) - psi(2) of a
 random complex vector only holds with the natural logarithm, which fixes
@@ -32,10 +32,6 @@ class FullKeepSet(ValueError):
 
 
 class NormViolation(ValueError):
-    pass
-
-
-class ZeroNormProjection(ValueError):
     pass
 
 
@@ -142,12 +138,29 @@ def reduced_states(states: np.ndarray, dims: Sequence[int], keep0) -> np.ndarray
     return m @ np.conj(np.transpose(m, (0, 2, 1)))
 
 
+def reduced_entropies(states: np.ndarray, dims: Sequence[int],
+                      keep0) -> tuple[np.ndarray, np.ndarray]:
+    """Entanglement entropies and purities of the reduced states of a stack of
+    pure states (states[j] is one state) over the sorted 0-based particles
+    ``keep0``. Every reduced state passes the checks of von_neumann_entropy,
+    so a stack holding a state of norm other than one raises
+    InvalidReducedState."""
+    sigmas = reduced_states(states, dims, keep0)
+    entropies = -_plogp(_validated_eigenvalues(sigmas)).sum(axis=-1)
+    moduli = np.abs(sigmas).reshape(sigmas.shape[0], -1)
+    return entropies, (moduli ** 2).sum(axis=-1)
+
+
 def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one density matrix or of a stack of them, tiny negatives
+    clamped to 0, once each is Hermitian with unit trace and no eigenvalue
+    below EIGENVALUE_FLOOR."""
     sigma = np.asarray(sigma)
-    if np.abs(sigma - sigma.conj().T).max() > 1e-12:
+    if np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))).max() > 1e-12:
         raise InvalidReducedState("matrix is not Hermitian")
-    if abs(np.trace(sigma).real - 1.0) > 1e-10:
-        raise InvalidReducedState(f"trace {np.trace(sigma)} is not 1")
+    trace_defect = np.abs(np.trace(sigma, axis1=-2, axis2=-1).real - 1.0).max()
+    if trace_defect > 1e-10:
+        raise InvalidReducedState(f"trace differs from 1 by {trace_defect:.3e}")
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() < EIGENVALUE_FLOOR:
         raise InvalidReducedState(f"eigenvalue {eigs.min()} below floor")
@@ -163,28 +176,6 @@ def purity(sigma: np.ndarray) -> float:
     """Tr sigma^2, computed as the squared Frobenius norm."""
     sigma = np.asarray(sigma)
     return float(np.sum(np.abs(sigma) ** 2))
-
-
-def project_onto_basis(state: np.ndarray, dims: Sequence[int], particle: int,
-                       basis_index: int) -> tuple[np.ndarray, float]:
-    """Project one particle onto a computational basis vector.
-
-    Returns the renormalized state of the remaining particles and the
-    squared norm of the slice (the outcome weight); weights over all
-    basis_index values sum to 1. A numerically null slice raises
-    ZeroNormProjection and should be skipped by averaging callers.
-    """
-    dims = tuple(dims)
-    if not 1 <= particle <= len(dims):
-        raise IndexError(f"particle {particle} outside 1..{len(dims)}")
-    if not 0 <= basis_index < dims[particle - 1]:
-        raise IndexError(f"basis index {basis_index} outside local dimension")
-    psi = np.asarray(state).ravel().reshape(dims)
-    slice_ = np.take(psi, basis_index, axis=particle - 1).ravel()
-    weight = float(np.sum(np.abs(slice_) ** 2))
-    if weight < 1e-14:
-        raise ZeroNormProjection(f"slice weight {weight} is numerically null")
-    return slice_ / np.sqrt(weight), weight
 
 
 def nats_to_bits(value: float) -> float:

@@ -77,17 +77,15 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
 
 
-def require_unitary(u: np.ndarray, tol: float | None = None) -> np.ndarray:
-    dim = u.shape[0]
-    if tol is None:
-        tol = unitarity_tolerance(dim)
+def require_unitary(u: np.ndarray) -> np.ndarray:
+    tol = unitarity_tolerance(u.shape[0])
     defect = unitarity_defect(u)
     if defect > tol:
         raise UnitarityError(defect, tol)
     return u
 
 
-def haar_unitary(dim: int, stream: RandomStream, tol: float | None = None) -> np.ndarray:
+def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     """Draw a Haar-distributed unitary via a complex Ginibre matrix and a
     phase-corrected QR factorization (Q * diag(r_jj / |r_jj|))."""
     if dim < 1:
@@ -98,7 +96,7 @@ def haar_unitary(dim: int, stream: RandomStream, tol: float | None = None) -> np
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
-    return require_unitary(q, tol)
+    return require_unitary(q)
 
 
 def random_phases_diagonal(dim: int, stream: RandomStream) -> np.ndarray:
@@ -111,7 +109,7 @@ def random_phases_diagonal(dim: int, stream: RandomStream) -> np.ndarray:
     return np.diag(np.exp(1j * phases))
 
 
-def sample_composed(dim: int, stream: RandomStream, tol: float | None = None) -> np.ndarray:
+def sample_composed(dim: int, stream: RandomStream) -> np.ndarray:
     """Two independent Poissonian diagonals mixed through a Haar rotation:
     P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively."""
     if dim < 1:
@@ -119,4 +117,4 @@ def sample_composed(dim: int, stream: RandomStream, tol: float | None = None) ->
     p1 = random_phases_diagonal(dim, stream.substream(0))
     p2 = random_phases_diagonal(dim, stream.substream(1))
     x = haar_unitary(dim, stream.substream(2))
-    return require_unitary(p1 @ x @ p2 @ x.conj().T, tol)
+    return require_unitary(p1 @ x @ p2 @ x.conj().T)

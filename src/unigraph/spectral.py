@@ -23,6 +23,8 @@ TWO_PI = 2.0 * np.pi
 WIGNER_VARIANCE = 3.0 * np.pi / 8.0 - 1.0
 #: spacing variance of the Poissonian (exponential) law
 POISSON_VARIANCE = 1.0
+#: largest accepted eigenpair residual ||U v - e^{i theta} v||, per unit of N
+RESIDUAL_TOL = 1e-9
 
 
 class ConvergenceFailure(ArithmeticError):
@@ -57,7 +59,7 @@ class SpectralData:
         return len(self.phases)
 
 
-def eigendecompose(u: np.ndarray, residual_tol: float = 1e-9) -> SpectralData:
+def eigendecompose(u: np.ndarray) -> SpectralData:
     """Full eigensystem of a unitary matrix via its Cayley transform.
 
     The first attempt takes alpha = 0. It is retried once if I + W is
@@ -75,7 +77,7 @@ def eigendecompose(u: np.ndarray, residual_tol: float = 1e-9) -> SpectralData:
     eigenvector entropy, differ between solvers by more than rounding.
 
     Raises ConvergenceFailure if every solver fails, or if the residual
-    ||U v_j - e^{i theta_j} v_j|| exceeds residual_tol * N for any column
+    ||U v_j - e^{i theta_j} v_j|| exceeds RESIDUAL_TOL * N for any column
     or a column's norm differs from one by more than 1e-12.
     """
     dim = u.shape[0]
@@ -88,7 +90,7 @@ def eigendecompose(u: np.ndarray, residual_tol: float = 1e-9) -> SpectralData:
         tangents, phases, vectors = found
         if np.abs(tangents).max() <= 4 * dim:
             try:
-                return _checked(u, phases, vectors, residual_tol)
+                return _checked(u, phases, vectors)
             except ConvergenceFailure:
                 pass
         alpha = _widest_gap_alpha(phases)
@@ -96,7 +98,7 @@ def eigendecompose(u: np.ndarray, residual_tol: float = 1e-9) -> SpectralData:
         t, z = scipy.linalg.schur(u, output="complex")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    return _checked(u, np.angle(np.diagonal(t)), z, residual_tol)
+    return _checked(u, np.angle(np.diagonal(t)), z)
 
 
 def _cayley_eigensystem(u: np.ndarray, alpha: float):
@@ -130,8 +132,7 @@ def _widest_gap_alpha(phases: np.ndarray) -> float:
     return float(np.pi - (ordered[widest] + 0.5 * gaps[widest]))
 
 
-def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray,
-             residual_tol: float) -> SpectralData:
+def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> SpectralData:
     """Phases mapped to [0, 2pi) and sorted, with their columns, once every
     eigenpair passes the residual and norm checks."""
     dim = u.shape[0]
@@ -141,9 +142,9 @@ def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray,
     vectors = vectors[:, order]
 
     residual = np.linalg.norm(u @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
-    if residual.max() > residual_tol * dim:
+    if residual.max() > RESIDUAL_TOL * dim:
         raise ConvergenceFailure(
-            f"eigenpair residual {residual.max():.3e} exceeds {residual_tol * dim:.3e}")
+            f"eigenpair residual {residual.max():.3e} exceeds {RESIDUAL_TOL * dim:.3e}")
     norm_defect = np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max()
     if norm_defect > 1e-12:
         raise ConvergenceFailure(f"eigenvector norm defect {norm_defect:.3e}")

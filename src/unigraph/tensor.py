@@ -78,7 +78,7 @@ def evolution_unitary(graph: InteractionGraph, stream: RandomStream,
     """Full evolution operator: layers[0] acts first, later layers multiply
     from the left. Layer i consumes stream.substream(i)."""
     total = graph.total_dim
-    if dim_cap is not None and total > dim_cap:
+    if total > dim_cap:
         raise DimensionCapExceeded(total, dim_cap)
     u = np.eye(total, dtype=complex)
     for i, layer in enumerate(graph.layers):

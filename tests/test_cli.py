@@ -127,6 +127,7 @@ class TestRun:
                      "--out", str(out)]) == 0
         doc = json.loads(read(out / "report.json"))
         assert doc["analyses"]["projection"]["particle"] == 2
+        assert doc["analyses"]["projection"]["weighted"] is True
         assert doc["draws"] == 10
 
     def test_phase_density_without_chi_square(self, tmp_path, capsys):
@@ -148,6 +149,24 @@ class TestRun:
         db = json.loads(read(tmp_path / "b" / "report.json"))
         da.pop("wall_seconds"), db.pop("wall_seconds")
         assert da == db
+
+    def test_unweighted_projection_and_strict_spacing_replay(self, tmp_path, capsys):
+        out, again = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--chain", "3", "--n", "2", "--draws", "4", "--analyses",
+                     "spacing,projection:2", "--seed", "5", "--out", str(out),
+                     "--unweighted-projection", "--strict-paper-spacing"]) == 0
+        doc = json.loads(read(out / "report.json"))
+        assert doc["analyses"]["projection"]["weighted"] is False
+        assert doc["analyses"]["spacing"]["count"] == (8 - 1) * 4
+        command = next(l for l in capsys.readouterr().out.splitlines()
+                       if l.startswith("re-run: "))[len("re-run: "):]
+        assert "--unweighted-projection" in command
+        assert "--strict-paper-spacing" in command
+        assert main(command.split()[1:] + ["--out", str(again)]) == 0
+        replayed = json.loads(read(again / "report.json"))
+        doc.pop("wall_seconds"), replayed.pop("wall_seconds")
+        assert replayed == doc
+        capsys.readouterr()
 
     def test_bits_flag_changes_display_only(self, tmp_path, capsys):
         out = tmp_path / "r"

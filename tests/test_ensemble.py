@@ -119,6 +119,28 @@ class TestRunEnsemble:
         assert abs(result["mean_entropy"] - np.mean(entropies)) < 1e-10
         assert abs(result["mean_purity"] - np.mean(purities)) < 1e-10
 
+    def test_repeated_keep_particles_collapse(self):
+        # a keep set is a set: (1, 1, 2) reports exactly what (1, 2) does
+        reports = [run_ensemble(EnsembleSpec(
+            source=ring_graph(4, 2), draws=2, master_seed=22,
+            analyses=(Analysis("entanglement", keep), Analysis("state_sample", keep))
+        )).to_dict(include_timing=False) for keep in ((1, 1, 2), (1, 2))]
+        assert reports[0] == reports[1]
+        assert reports[0]["analyses"]["entanglement"]["keep"] == [1, 2]
+
+    def test_state_sample_matches_spec_ops(self):
+        # default keep set is the first half of the particles
+        graph = chain_graph(5, 2)
+        spec = EnsembleSpec(source=graph, draws=3, master_seed=23,
+                            analyses=(Analysis("state_sample"),))
+        result = run_ensemble(spec).analyses["state_sample"]
+        sigmas = [partial_trace(random_graph_state(graph, RandomStream(23, t)),
+                                graph.dims, keep=(1, 2)) for t in range(3)]
+        assert result["keep"] == [1, 2]
+        assert abs(result["mean_entropy"]
+                   - np.mean([von_neumann_entropy(s) for s in sigmas])) < 1e-12
+        assert abs(result["mean_purity"] - np.mean([purity(s) for s in sigmas])) < 1e-12
+
 
 class TestRandomGraphState:
     def test_identity_singletons_give_basis_state(self):

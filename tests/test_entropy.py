@@ -3,12 +3,13 @@ from math import log
 import numpy as np
 import pytest
 
-from unigraph.entropy import (EmptyKeepSet, FullKeepSet, NormViolation,
-                              NotAProbabilityVector, OrderViolation,
-                              ZeroNormProjection, element_entropy,
+from unigraph.ensemble import _projection_stats
+from unigraph.entropy import (EmptyKeepSet, FullKeepSet, InvalidReducedState,
+                              NormViolation, NotAProbabilityVector,
+                              OrderViolation, element_entropy,
                               eigenvector_entropy, mean_purity,
                               mean_random_vector_entropy, page_mean_entropy,
-                              partial_trace, project_onto_basis, purity,
+                              partial_trace, purity, reduced_entropies,
                               shannon_entropy, von_neumann_entropy)
 from unigraph.rand import RandomStream, haar_unitary
 from unigraph.spectral import eigendecompose
@@ -219,30 +220,88 @@ class TestVonNeumannAndPurity:
             assert -1e-12 <= von_neumann_entropy(sigma) <= log(d) + 1e-12
 
 
+class TestReducedEntropies:
+    @pytest.mark.parametrize("dims, keep", [
+        ((2, 3), (1,)), ((2, 3, 2), (1, 3)), ((3, 2, 2, 2), (2, 4)),
+        ((2, 2, 2, 2), (1, 2, 3)), ((1, 3, 2), (1, 2))])
+    def test_matches_single_state_functionals(self, dims, keep):
+        total = int(np.prod(dims))
+        states = haar_unitary(total, RandomStream(34, total)).T
+        entropies, purities = reduced_entropies(states, dims, [p - 1 for p in keep])
+        for j, state in enumerate(states):
+            sigma = partial_trace(state, dims, keep)
+            assert abs(entropies[j] - von_neumann_entropy(sigma)) <= 1e-12
+            assert abs(purities[j] - purity(sigma)) <= 1e-12
+
+    def test_stack_with_a_state_of_norm_two_is_rejected(self):
+        states = np.stack([random_state(8, 35), 2 * random_state(8, 36),
+                           random_state(8, 37)])
+        with pytest.raises(InvalidReducedState, match="trace"):
+            reduced_entropies(states, (2, 4), [0])
+        with pytest.raises(InvalidReducedState, match="trace"):
+            reduced_entropies(states[1:2] / 4, (2, 4), [1])
+
+    def test_eigenvalue_floor_is_checked(self):
+        # unit trace and Hermitian, but not positive: the same rule guards
+        # von_neumann_entropy and reduced_entropies
+        with pytest.raises(InvalidReducedState, match="floor"):
+            von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
+
+
+def projection_oracle(vectors, dims, particle, weighted):
+    """Slice every column with np.take at each basis index of ``particle``,
+    then average entropy and purity of the first remaining particle with
+    partial_trace, von_neumann_entropy and purity."""
+    rest = [d for p, d in enumerate(dims, start=1) if p != particle]
+    weights, entropies, purities, skipped = [], [], [], 0
+    for column in vectors.T:
+        psi = column.reshape(dims)
+        for b in range(dims[particle - 1]):
+            slice_ = np.take(psi, b, axis=particle - 1).ravel()
+            weight = float(np.sum(np.abs(slice_) ** 2))
+            if weight <= 1e-14:
+                skipped += 1
+                continue
+            sigma = partial_trace(slice_ / np.sqrt(weight), rest, keep=(1,))
+            weights.append(weight if weighted else 1.0)
+            entropies.append(von_neumann_entropy(sigma))
+            purities.append(purity(sigma))
+    return (np.average(entropies, weights=weights),
+            np.average(purities, weights=weights), skipped)
+
+
+def product_column():
+    """a (x) e_1 (x) c on dims (2, 3, 2): slices 0 and 2 of particle 2 are null."""
+    basis = np.zeros(3)
+    basis[1] = 1.0
+    return np.kron(np.kron(random_state(2, 10), basis), random_state(2, 11))[:, None]
+
+
 class TestProjection:
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("dims, particle", [
+        ((2, 3, 2), 1), ((2, 3, 2), 2), ((2, 3, 2), 3), ((3, 2, 2, 2), 2)])
+    def test_matches_oracle(self, dims, particle, weighted):
+        total = int(np.prod(dims))
+        vectors = eigendecompose(haar_unitary(total, RandomStream(38, total))).vectors
+        got = _projection_stats(vectors, dims, particle, weighted)
+        expected = projection_oracle(vectors, dims, particle, weighted)
+        assert abs(got[0] - expected[0]) <= 1e-12
+        assert abs(got[1] - expected[1]) <= 1e-12
+        assert got[2] == expected[2] == 0
+
     def test_product_state_slice(self):
-        a, c = random_state(2, 10), random_state(2, 11)
-        basis = np.zeros(3)
-        basis[1] = 1.0
-        psi = np.kron(np.kron(a, basis), c)
-        projected, weight = project_onto_basis(psi, (2, 3, 2), particle=2,
-                                               basis_index=1)
-        assert abs(weight - 1.0) < 1e-12
-        assert np.allclose(projected, np.kron(a, c))
+        for weighted in (True, False):
+            entropy, purity_, _ = _projection_stats(product_column(), (2, 3, 2), 2,
+                                                    weighted)
+            assert abs(entropy) <= 1e-12
+            assert abs(purity_ - 1.0) <= 1e-12
 
     def test_orthogonal_slice_is_null(self):
-        a, c = random_state(2, 12), random_state(2, 13)
-        basis = np.zeros(3)
-        basis[1] = 1.0
-        psi = np.kron(np.kron(a, basis), c)
-        with pytest.raises(ZeroNormProjection):
-            project_onto_basis(psi, (2, 3, 2), particle=2, basis_index=0)
-
-    def test_weights_sum_to_one(self):
-        psi = random_state(24, 14)
-        total = 0.0
-        for idx in range(3):
-            _, weight = project_onto_basis(psi, (2, 3, 4), particle=2,
-                                           basis_index=idx)
-            total += weight
-        assert abs(total - 1.0) < 1e-10
+        # the two null slices are skipped, not averaged in as zero states
+        column = product_column()
+        for weighted in (True, False):
+            got = _projection_stats(column, (2, 3, 2), 2, weighted)
+            assert got[2] == 2
+            assert got == pytest.approx(
+                projection_oracle(column, (2, 3, 2), 2, weighted), abs=1e-12)
