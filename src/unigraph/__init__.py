@@ -9,10 +9,10 @@ __version__ = "0.1.0"
 
 from .ensemble import (Analysis, BenchmarkResult, EnsembleReport, EnsembleSpec,
                        ReferenceEnsemble, benchmark_generation, random_graph_state,
-                       run_ensemble, trace_moments)
+                       run_ensemble)
 from .entropy import (element_entropy, eigenvector_entropy, mean_purity,
                       mean_random_vector_entropy, page_mean_entropy, partial_trace,
-                      purity, shannon_entropy, von_neumann_entropy)
+                      purity, von_neumann_entropy)
 from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph,
                     from_bond_vertex_graph, graph_hash, is_connected,
                     load_graph_spec, parse_graph_spec, ring_graph, serialize_graph,
@@ -20,6 +20,5 @@ from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph
 from .rand import (DEFAULT_SEED, RandomStream, haar_unitary, random_phases_diagonal,
                    sample_composed, unitarity_defect)
 from .spectral import (Histogram, SpectralData, eigendecompose, ks_statistic,
-                       phase_uniformity, poisson_pdf, reference_cdf, spacings,
-                       wigner_pdf)
+                       phase_uniformity, reference_cdf, spacings, wigner_pdf)
 from .tensor import DEFAULT_DIM_CAP, evolution_unitary, layer_unitary

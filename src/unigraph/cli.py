@@ -17,8 +17,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .ensemble import (Analysis, BenchmarkResult, EnsembleSpec, IncompatibleAnalysis,
-                       ReferenceEnsemble, benchmark_generation, run_ensemble)
+from .ensemble import (REFERENCE_KINDS, Analysis, BenchmarkResult, EnsembleSpec,
+                       IncompatibleAnalysis, ReferenceEnsemble, benchmark_generation,
+                       run_ensemble)
 from .entropy import nats_to_bits
 from .graph import (GraphSpecError, InteractionGraph, chain_graph,
                     from_bond_vertex_graph, graph_hash, is_connected,
@@ -38,11 +39,6 @@ _ENTROPY_KEYS = {
     "projection": ("mean_entropy", "page_reference"),
     "state_sample": ("mean_entropy",),
 }
-
-
-def _default_dim_cap() -> int:
-    env = os.environ.get("UNIGRAPH_DIM_CAP")
-    return int(env) if env else DEFAULT_DIM_CAP
 
 
 def _add_source_args(parser: argparse.ArgumentParser, references: bool) -> None:
@@ -92,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(analysis parameters follow a colon)")
     run.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="csv: sibling histogram files; json: embed in report")
-    run.add_argument("--workers", type=int, default=1)
     run.add_argument("--bits", action="store_true",
                      help="display entropies in bits (files stay in nats)")
     run.add_argument("--strict-paper-spacing", action="store_true",
@@ -140,39 +135,40 @@ def _parse_groups(text: str) -> list[tuple[int, ...]]:
         raise GraphSpecError(f"cannot parse particle groups from {text!r}") from exc
 
 
-def _build_graph(args) -> InteractionGraph:
-    if args.graph:
-        return load_graph_spec(args.graph)
-    if args.ring is not None:
-        return ring_graph(args.ring, args.n)
-    if args.chain is not None:
-        return chain_graph(args.chain, args.n)
-    if args.bond_vertex is not None:
+def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, list[str], str]:
+    """The source the flags select, the flags that select it again in a
+    re-run command, and its spec hash for provenance."""
+    if args.graph is not None:
+        graph, flags = load_graph_spec(args.graph), ["--graph", args.graph]
+    elif args.ring is not None:
+        graph, flags = ring_graph(args.ring, args.n), ["--ring", str(args.ring)]
+    elif args.chain is not None:
+        graph, flags = chain_graph(args.chain, args.n), ["--chain", str(args.chain)]
+    elif args.bond_vertex is not None:
         bonds, _, vertices = args.bond_vertex.partition("/")
         if not vertices:
             raise GraphSpecError(
                 "--bond-vertex needs BONDS/VERTICES, e.g. '1,2;3,4/2,3;1,4'")
-        return from_bond_vertex_graph(_parse_groups(bonds),
-                                      _parse_groups(vertices), n=args.n)
-    return ring_graph(4, args.n)
+        graph = from_bond_vertex_graph(_parse_groups(bonds), _parse_groups(vertices),
+                                       n=args.n)
+        flags = ["--bond-vertex", args.bond_vertex]
+    elif args.square:
+        graph, flags = ring_graph(4, args.n), ["--square"]
+    else:
+        kind = next(k for k in REFERENCE_KINDS if getattr(args, k) is not None)
+        source = ReferenceEnsemble(kind, getattr(args, kind))
+        return source, [f"--{kind}", str(source.dim)], f"{kind}:{source.dim}"
+    if args.graph is None:
+        flags += ["--n", str(args.n)]  # the builders' local dimension
+    return graph, flags, graph_hash(graph)
 
 
-def _source_flags(args) -> list[str]:
-    if args.graph:
-        return ["--graph", args.graph]
-    if args.ring is not None:
-        return ["--ring", str(args.ring), "--n", str(args.n)]
-    if args.chain is not None:
-        return ["--chain", str(args.chain), "--n", str(args.n)]
-    if args.bond_vertex is not None:
-        return ["--bond-vertex", args.bond_vertex, "--n", str(args.n)]
-    if getattr(args, "square", False):
-        return ["--square", "--n", str(args.n)]
-    for kind in ("cue", "composed", "diagonal"):
-        value = getattr(args, kind, None)
-        if value is not None:
-            return [f"--{kind}", str(value)]
-    raise AssertionError("no source selected")
+def _dim_cap(args) -> int:
+    """--dim-cap if given, else UNIGRAPH_DIM_CAP if set, else the default."""
+    if args.dim_cap is not None:
+        return args.dim_cap
+    env = os.environ.get("UNIGRAPH_DIM_CAP")
+    return int(env) if env else DEFAULT_DIM_CAP
 
 
 def _replay_flags(args, seed: int) -> list[str]:
@@ -184,7 +180,7 @@ def _replay_flags(args, seed: int) -> list[str]:
     return flags
 
 
-def _provenance(args, command: list[str], seed: int, spec_hash: str) -> dict:
+def _provenance(command: list[str], seed: int, spec_hash: str) -> dict:
     return {
         "command": " ".join(command),
         "seed": seed,
@@ -209,13 +205,12 @@ def _provenance_comment(prov: dict) -> str:
 
 def _cmd_gen(args) -> int:
     seed = _resolve_seed(args)
-    graph = _build_graph(args)
-    cap = args.dim_cap if args.dim_cap is not None else _default_dim_cap()
-    u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=cap)
+    graph, source_flags, spec_hash = _source(args)
+    u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=_dim_cap(args))
 
-    command = (["unigraph", "gen"] + _source_flags(args)
+    command = (["unigraph", "gen"] + source_flags
                + _replay_flags(args, seed) + ["--format", args.format])
-    prov = _provenance(args, command, seed, graph_hash(graph))
+    prov = _provenance(command, seed, spec_hash)
     os.makedirs(args.out, exist_ok=True)
 
     if args.format == "csv":
@@ -249,33 +244,22 @@ def _display(value: float, bits: bool) -> str:
 
 def _cmd_run(args) -> int:
     seed = _resolve_seed(args)
-    cap = args.dim_cap if args.dim_cap is not None else _default_dim_cap()
-    if (args.graph or args.ring is not None or args.chain is not None
-            or args.square or args.bond_vertex is not None):
-        source = _build_graph(args)
-        spec_hash = graph_hash(source)
-    else:
-        for kind in ("cue", "composed", "diagonal"):
-            value = getattr(args, kind)
-            if value is not None:
-                source = ReferenceEnsemble(kind, value)
-                break
-        spec_hash = f"{source.kind}:{source.dim}"
-    analyses = _parse_analyses(args.analyses)
+    source, source_flags, spec_hash = _source(args)
     spec = EnsembleSpec(
-        source=source, draws=args.draws, master_seed=seed, analyses=analyses,
-        dim_cap=cap, include_wrap=not args.strict_paper_spacing,
+        source=source, draws=args.draws, master_seed=seed,
+        analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args),
+        include_wrap=not args.strict_paper_spacing,
         weighted_projection=not args.unweighted_projection)
-    report = run_ensemble(spec, workers=args.workers)
+    report = run_ensemble(spec)
 
-    command = (["unigraph", "run"] + _source_flags(args)
+    command = (["unigraph", "run"] + source_flags
                + ["--draws", str(args.draws), "--analyses", args.analyses,
                   *_replay_flags(args, seed), "--format", args.format])
     if args.strict_paper_spacing:
         command.append("--strict-paper-spacing")
     if args.unweighted_projection:
         command.append("--unweighted-projection")
-    prov = _provenance(args, command, seed, spec_hash)
+    prov = _provenance(command, seed, spec_hash)
 
     os.makedirs(args.out, exist_ok=True)
     doc = report.to_dict()
@@ -319,15 +303,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     seed = _resolve_seed(args)
-    graph = _build_graph(args)
-    cap = args.dim_cap if args.dim_cap is not None else _default_dim_cap()
-    result = benchmark_generation(graph, args.draws, master_seed=seed, dim_cap=cap)
+    graph, source_flags, spec_hash = _source(args)
+    result = benchmark_generation(graph, args.draws, master_seed=seed,
+                                  dim_cap=_dim_cap(args))
     print(f"seed: {seed}")
     _print_bench_table(result, len(graph.layers))
 
-    command = (["unigraph", "bench"] + _source_flags(args)
+    command = (["unigraph", "bench"] + source_flags
                + ["--draws", str(args.draws)] + _replay_flags(args, seed))
-    prov = _provenance(args, command, seed, graph_hash(graph))
+    prov = _provenance(command, seed, spec_hash)
     if args.out != ".":
         os.makedirs(args.out, exist_ok=True)
         doc = {"provenance": prov, "dim": result.dim, "draws": result.draws,
@@ -353,13 +337,13 @@ def _print_bench_table(result: BenchmarkResult, num_layers: int) -> None:
 
 
 def _cmd_validate(args) -> int:
-    graph = _build_graph(args)
+    graph, _, spec_hash = _source(args)
     print(f"particles: {graph.num_particles}")
     print(f"dims: {list(graph.dims)}")
     print(f"total dimension: {graph.total_dim}")
     print(f"layers: {len(graph.layers)}")
     print(f"connected: {is_connected(graph)}")
-    print(f"hash: {graph_hash(graph)}")
+    print(f"hash: {spec_hash}")
     sys.stdout.write(serialize_graph(graph) + "\n")
     return EXIT_OK
 

@@ -192,16 +192,8 @@ def random_graph_state(graph: InteractionGraph, stream: RandomStream,
     return evolution_unitary(graph, stream, dim_cap=dim_cap)[:, 0].copy()
 
 
-def trace_moments(u: np.ndarray, max_power: int) -> np.ndarray:
-    """Tr(U^m) for m = 1..max_power, summed from the checked eigenphases of
-    spectral.eigendecompose instead of repeated matrix multiplication."""
-    if max_power < 1:
-        raise ValueError(f"max power must be >= 1, got {max_power}")
-    phases = spectral.eigendecompose(np.asarray(u)).phases
-    return _moments_from_eigvals(np.exp(1j * phases), max_power)
-
-
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:
+    """Tr(U^m) for m = 1..max_power from the eigenvalues of U."""
     powers = np.arange(1, max_power + 1)
     return (eigvals[None, :] ** powers[:, None]).sum(axis=1)
 
@@ -222,13 +214,11 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
                          master_seed: int = 0,
                          dim_cap: int = DEFAULT_DIM_CAP) -> BenchmarkResult:
     """Wall-clock comparison of generating (not diagonalizing) ``draws``
-    structured matrices versus direct CUE matrices of the same dimension."""
+    structured matrices versus direct CUE matrices of the same dimension.
+    A graph over ``dim_cap`` raises DimensionCapExceeded on the first draw."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
-    if dim > dim_cap:
-        raise DimensionCapExceeded(dim, dim_cap)
-
     start = time.perf_counter()
     for t in range(draws):
         evolution_unitary(graph, RandomStream(master_seed, t), dim_cap=dim_cap)

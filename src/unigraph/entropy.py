@@ -19,10 +19,6 @@ LN2 = log(2.0)
 EIGENVALUE_FLOOR = -1e-10
 
 
-class NotAProbabilityVector(ValueError):
-    pass
-
-
 class EmptyKeepSet(ValueError):
     pass
 
@@ -49,16 +45,6 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     positive = p > 0
     out[positive] = p[positive] * np.log(p[positive])
     return out
-
-
-def shannon_entropy(p: Sequence[float]) -> float:
-    """-sum p_i ln p_i for a probability vector (entries >= 0, sum 1)."""
-    arr = np.asarray(p, dtype=float)
-    if arr.min(initial=0.0) < -1e-12:
-        raise NotAProbabilityVector(f"negative entry {arr.min()}")
-    if abs(arr.sum() - 1.0) > 1e-8:
-        raise NotAProbabilityVector(f"entries sum to {arr.sum()}, expected 1")
-    return float(-_plogp(np.clip(arr, 0.0, None)).sum())
 
 
 def eigenvector_entropy(spec) -> float:

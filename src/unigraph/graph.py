@@ -312,6 +312,10 @@ def parse_graph_spec(text: str) -> InteractionGraph:
             raise GraphSpecError(f"unknown keys in layer {i + 1}: {sorted(unknown)}")
         if "cliques" not in entry or not isinstance(entry["cliques"], list):
             raise GraphSpecError(f"layer {i + 1} needs a cliques list")
+        for clique in entry["cliques"]:
+            if not isinstance(clique, list):
+                raise GraphSpecError(
+                    f"layer {i + 1}: clique {clique!r} is not a list of particles")
         color = entry.get("color", f"layer{i + 1}")
         if not isinstance(color, str):
             raise GraphSpecError(f"layer {i + 1}: color must be a string")

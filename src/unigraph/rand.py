@@ -54,10 +54,6 @@ class RandomStream:
             _check_index(entry, "stream index")
         object.__setattr__(self, "path", path)
 
-    @property
-    def stream_index(self) -> int:
-        return self.path[0]
-
     def substream(self, *indices: int) -> "RandomStream":
         return RandomStream(self.master_seed, self.path + indices)
 

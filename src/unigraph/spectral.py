@@ -10,7 +10,7 @@ are scaled by N/(2pi) so the mean spacing is one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -182,13 +182,6 @@ def wigner_pdf(s):
     return out if out.ndim else float(out)
 
 
-def poisson_pdf(s):
-    """Exponential spacing law of uncorrelated levels: exp(-s)."""
-    arr = _check_nonnegative(s)
-    out = np.exp(-arr)
-    return out if out.ndim else float(out)
-
-
 def reference_cdf(which: str, s):
     """Cumulative spacing distribution, 'wigner' or 'poisson', in closed form.
 
@@ -248,42 +241,20 @@ class Histogram:
     """
 
     edges: np.ndarray
-    counts: np.ndarray = field(default=None)
-    overflow: int = 0
-
-    def __post_init__(self):
-        self.edges = np.asarray(self.edges, dtype=float)
-        if self.counts is None:
-            self.counts = np.zeros(len(self.edges) - 1, dtype=np.int64)
-        else:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
+    counts: np.ndarray
+    overflow: int
 
     @classmethod
     def from_samples(cls, values: np.ndarray, edges: np.ndarray) -> "Histogram":
-        hist = cls(edges)
-        hist.add(values)
-        return hist
-
-    def add(self, values: np.ndarray) -> None:
+        edges = np.asarray(edges, dtype=float)
         values = np.asarray(values, dtype=float)
-        in_range = (values >= self.edges[0]) & (values <= self.edges[-1])
-        counts, _ = np.histogram(values[in_range], bins=self.edges)
-        self.counts += counts
-        self.overflow += int((~in_range).sum())
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if not np.array_equal(self.edges, other.edges):
-            raise ValueError("cannot merge histograms with different edges")
-        return Histogram(self.edges, self.counts + other.counts,
-                         self.overflow + other.overflow)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum()) + self.overflow
+        in_range = (values >= edges[0]) & (values <= edges[-1])
+        counts, _ = np.histogram(values[in_range], bins=edges)
+        return cls(edges, counts, int((~in_range).sum()))
 
     @property
     def density(self) -> np.ndarray:
-        total = self.total
+        total = int(self.counts.sum()) + self.overflow
         if total == 0:
             return np.zeros_like(self.counts, dtype=float)
         widths = np.diff(self.edges)

@@ -179,6 +179,53 @@ class TestRun:
                    - sum(1 / j for j in range(2, 9))) < 1e-12
 
 
+def rerun_command(out: str) -> list[str]:
+    """The arguments of the printed ``re-run:`` command, without ``unigraph``."""
+    line = next(l for l in out.splitlines() if l.startswith("re-run: "))
+    return line[len("re-run: "):].split()[1:]
+
+
+GRAPH_SOURCES = [["--ring", "4", "--n", "2"], ["--chain", "3", "--n", "2"],
+                 ["--square", "--n", "2"],
+                 ["--bond-vertex", "1,2;3,4/2,3;1,4", "--n", "2"], ["--graph", "{spec}"]]
+REFERENCE_SOURCES = [["--cue", "8"], ["--composed", "8"], ["--diagonal", "8"]]
+
+
+class TestSourceReplay:
+    @pytest.mark.parametrize("source", GRAPH_SOURCES + REFERENCE_SOURCES,
+                             ids=lambda source: source[0])
+    def test_every_source_flag_replays(self, tmp_path, capsys, source):
+        spec = tmp_path / "g.json"
+        spec.write_text(serialize_graph(ring_graph(4, 2)))
+        reference = source in REFERENCE_SOURCES
+        source = [str(spec) if arg == "{spec}" else arg for arg in source]
+        analyses = "spacing,evec_entropy" if reference else "spacing,entanglement:1,2"
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert main(["run", *source, "--draws", "3", "--analyses", analyses,
+                     "--seed", "11", "--out", str(first)]) == 0
+        assert main(rerun_command(capsys.readouterr().out) + ["--out", str(again)]) == 0
+        capsys.readouterr()
+        docs = [json.loads(read(d / "report.json")) for d in (first, again)]
+        for doc in docs:
+            doc.pop("wall_seconds")
+        assert docs[0] == docs[1]
+        if reference:
+            return
+
+        # gen replays byte for byte, and the replayed flags name the same graph
+        assert main(["gen", *source, "--seed", "11", "--out", str(first)]) == 0
+        replay = rerun_command(capsys.readouterr().out)
+        assert main(replay + ["--out", str(again)]) == 0
+        capsys.readouterr()
+        assert read(first / "unitary.csv") == read(again / "unitary.csv")
+        replayed_source = replay[1:replay.index("--seed")]
+        outputs = []
+        for flags in (source, replayed_source):
+            assert main(["validate", *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestBenchAndValidate:
     def test_bench_prints_table(self, capsys):
         assert main(["bench", "--ring", "4", "--n", "2", "--draws", "3"]) == 0
@@ -204,6 +251,13 @@ class TestBenchAndValidate:
         spec.write_text('{"dims": [2,2,2], "layers": [{"cliques": [[1,2],[2,3]]}]}')
         assert main(["validate", "--graph", str(spec)]) == 2
         assert "particle 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clique", ["1", "null"])
+    def test_validate_clique_that_is_not_a_list(self, tmp_path, capsys, clique):
+        spec = tmp_path / "g.json"
+        spec.write_text(f'{{"dims": [2,2], "layers": [{{"cliques": [{clique}, 2]}}]}}')
+        assert main(["validate", "--graph", str(spec)]) == 2
+        assert "layer 1" in capsys.readouterr().err
 
     def test_validate_bond_vertex_builder(self, capsys):
         assert main(["validate", "--bond-vertex", "1,2;3,4/2,3;1,4", "--n", "3"]) == 0

@@ -3,12 +3,12 @@ import pytest
 import scipy.stats
 
 from unigraph.ensemble import (Analysis, EnsembleSpec, IncompatibleAnalysis,
-                               ReferenceEnsemble, benchmark_generation,
-                               random_graph_state, run_ensemble, trace_moments)
+                               ReferenceEnsemble, _moments_from_eigvals,
+                               benchmark_generation, random_graph_state, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, from_bond_vertex_graph, ring_graph)
-from unigraph.rand import RandomStream, haar_unitary
+from unigraph.rand import RandomStream
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import DimensionCapExceeded, evolution_unitary
 
@@ -169,28 +169,38 @@ class TestRandomGraphState:
         assert scipy.stats.ks_2samp(structured, direct).pvalue > 0.001
 
 
+def trace_moments_spec(source, draws, max_power, seed=0):
+    return EnsembleSpec(source=source, draws=draws, master_seed=seed,
+                        analyses=(Analysis("trace_moments", (max_power,)),))
+
+
 class TestTraceMoments:
     def test_identity(self):
-        moments = trace_moments(np.eye(5, dtype=complex), 3)
-        assert np.allclose(moments, [5, 5, 5])
+        # an identity singleton leaves U = I, so Tr U^m = N on every draw
+        graph = InteractionGraph(
+            ParticleSystem((5,)),
+            (Layer("c", (Clique((1,)),), singletons="identity"),))
+        result = run_ensemble(trace_moments_spec(graph, 2, 3)).analyses["trace_moments"]
+        assert np.allclose(result["mean_real"], [5, 5, 5])
+        assert np.allclose(result["mean_imag"], 0)
 
     def test_parity_diagonal(self):
-        moments = trace_moments(np.diag([1.0, -1.0]).astype(complex), 2)
+        # the sums a draw makes from the checked eigenphases of diag(1, -1)
+        phases = eigendecompose(np.diag([1.0, -1.0]).astype(complex)).phases
+        moments = _moments_from_eigvals(np.exp(1j * phases), 2)
         assert abs(moments[0]) < 1e-12
         assert abs(moments[1] - 2) < 1e-12
 
     def test_cue_mean_trace_vanishes(self):
-        draws = 1000
-        values = np.array([trace_moments(haar_unitary(16, RandomStream(19, t)), 1)[0]
-                           for t in range(draws)])
-        se_re = values.real.std(ddof=1) / np.sqrt(draws)
-        se_im = values.imag.std(ddof=1) / np.sqrt(draws)
-        assert abs(values.real.mean()) < 4 * se_re
-        assert abs(values.imag.mean()) < 4 * se_im
+        # draw t is haar_unitary(16, RandomStream(19, t))
+        spec = trace_moments_spec(ReferenceEnsemble("cue", 16), 1000, 1, seed=19)
+        result = run_ensemble(spec).analyses["trace_moments"]
+        assert abs(result["mean_real"][0]) < 4 * result["se_real"][0]
+        assert abs(result["mean_imag"][0]) < 4 * result["se_imag"][0]
 
     def test_rejects_zero_power(self):
-        with pytest.raises(ValueError):
-            trace_moments(np.eye(2, dtype=complex), 0)
+        with pytest.raises(IncompatibleAnalysis):
+            trace_moments_spec(ReferenceEnsemble("cue", 2), 1, 0)
 
 
 class TestBenchmark:

@@ -5,12 +5,11 @@ import pytest
 
 from unigraph.ensemble import _projection_stats
 from unigraph.entropy import (EmptyKeepSet, FullKeepSet, InvalidReducedState,
-                              NormViolation, NotAProbabilityVector,
-                              OrderViolation, element_entropy,
+                              NormViolation, OrderViolation, element_entropy,
                               eigenvector_entropy, mean_purity,
                               mean_random_vector_entropy, page_mean_entropy,
                               partial_trace, purity, reduced_entropies,
-                              shannon_entropy, von_neumann_entropy)
+                              von_neumann_entropy)
 from unigraph.rand import RandomStream, haar_unitary
 from unigraph.spectral import eigendecompose
 
@@ -26,24 +25,6 @@ def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
-
-
-class TestShannonEntropy:
-    def test_point_mass(self):
-        assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
-
-    def test_uniform(self):
-        for d in (2, 5, 16):
-            assert abs(shannon_entropy(np.full(d, 1 / d)) - log(d)) < 1e-12
-
-    def test_dyadic(self):
-        assert abs(shannon_entropy([0.5, 0.25, 0.25]) - 1.5 * LN2) < 1e-12
-
-    def test_rejects_non_probability(self):
-        with pytest.raises(NotAProbabilityVector):
-            shannon_entropy([0.5, 0.4])
-        with pytest.raises(NotAProbabilityVector):
-            shannon_entropy([1.5, -0.5])
 
 
 class TestEigenvectorEntropy:

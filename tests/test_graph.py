@@ -215,6 +215,13 @@ class TestSpecFiles:
         with pytest.raises(GraphSpecError):
             parse_graph_spec('{"dims": [2,2], "layers": [{"cliques":[[1,2]], "y": 0}]}')
 
+    @pytest.mark.parametrize("cliques", ["[1, 2]", "[[1, 2], null]", '["12"]'])
+    def test_clique_that_is_not_a_list_names_its_layer(self, cliques):
+        spec = ('{"dims": [2, 2], "layers": [{"cliques": [[1, 2]]}, '
+                f'{{"cliques": {cliques}}}]}}')
+        with pytest.raises(GraphSpecError, match="layer 2: clique .* is not a list"):
+            parse_graph_spec(spec)
+
     def test_syntax_error_carries_location(self):
         with pytest.raises(SpecSyntaxError) as info:
             parse_graph_spec('{"dims": [2,2], ')
