@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import platform
+import shlex
 import sys
 
 import numpy as np
@@ -99,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time structured vs CUE generation")
     _add_source_args(bench, references=False)
     _add_common_args(bench)
+    bench.set_defaults(out=None)  # no --out, no bench.json
     bench.add_argument("--draws", type=int, required=True, metavar="T")
 
     val = sub.add_parser("validate", help="validate a graph spec and report on it")
@@ -119,8 +121,7 @@ def _parse_analyses(text: str) -> tuple[Analysis, ...]:
     return tuple(Analysis.parse(item) for item in items)
 
 
-def _resolve_seed(args) -> int:
-    raw = getattr(args, "seed", None)
+def _resolve_seed(raw: str | None) -> int:
     if raw is None:
         return DEFAULT_SEED
     if raw == "random":
@@ -135,15 +136,14 @@ def _parse_groups(text: str) -> list[tuple[int, ...]]:
         raise GraphSpecError(f"cannot parse particle groups from {text!r}") from exc
 
 
-def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, list[str], str]:
-    """The source the flags select, the flags that select it again in a
-    re-run command, and its spec hash for provenance."""
+def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
+    """The source the flags select, and its spec hash for provenance."""
     if args.graph is not None:
-        graph, flags = load_graph_spec(args.graph), ["--graph", args.graph]
+        graph = load_graph_spec(args.graph)
     elif args.ring is not None:
-        graph, flags = ring_graph(args.ring, args.n), ["--ring", str(args.ring)]
+        graph = ring_graph(args.ring, args.n)
     elif args.chain is not None:
-        graph, flags = chain_graph(args.chain, args.n), ["--chain", str(args.chain)]
+        graph = chain_graph(args.chain, args.n)
     elif args.bond_vertex is not None:
         bonds, _, vertices = args.bond_vertex.partition("/")
         if not vertices:
@@ -151,16 +151,13 @@ def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, list[str], str]
                 "--bond-vertex needs BONDS/VERTICES, e.g. '1,2;3,4/2,3;1,4'")
         graph = from_bond_vertex_graph(_parse_groups(bonds), _parse_groups(vertices),
                                        n=args.n)
-        flags = ["--bond-vertex", args.bond_vertex]
     elif args.square:
-        graph, flags = ring_graph(4, args.n), ["--square"]
+        graph = ring_graph(4, args.n)
     else:
         kind = next(k for k in REFERENCE_KINDS if getattr(args, k) is not None)
         source = ReferenceEnsemble(kind, getattr(args, kind))
-        return source, [f"--{kind}", str(source.dim)], f"{kind}:{source.dim}"
-    if args.graph is None:
-        flags += ["--n", str(args.n)]  # the builders' local dimension
-    return graph, flags, graph_hash(graph)
+        return source, f"{kind}:{source.dim}"
+    return graph, graph_hash(graph)
 
 
 def _dim_cap(args) -> int:
@@ -171,18 +168,25 @@ def _dim_cap(args) -> int:
     return int(env) if env else DEFAULT_DIM_CAP
 
 
-def _replay_flags(args, seed: int) -> list[str]:
-    """--seed, and --dim-cap when it was given, so the command replays under
-    any UNIGRAPH_DIM_CAP."""
-    flags = ["--seed", str(seed)]
-    if args.dim_cap is not None:
-        flags += ["--dim-cap", str(args.dim_cap)]
-    return flags
+def _command(args, seed: int) -> str:
+    """The shell-quoted command line that reproduces this output: every given
+    flag in parser order, with the resolved seed and without --out. Each flag
+    is ``--`` + its dest with ``_`` -> ``-``."""
+    given = {**vars(args), "seed": seed}
+    words = ["unigraph", given.pop("command")]
+    del given["out"]
+    for dest, value in given.items():
+        if value is None or value is False:
+            continue
+        words.append("--" + dest.replace("_", "-"))
+        if value is not True:
+            words.append(str(value))
+    return shlex.join(words)
 
 
-def _provenance(command: list[str], seed: int, spec_hash: str) -> dict:
+def _provenance(command: str, seed: int, spec_hash: str) -> dict:
     return {
-        "command": " ".join(command),
+        "command": command,
         "seed": seed,
         "spec_hash": spec_hash,
         "versions": {
@@ -203,37 +207,29 @@ def _provenance_comment(prov: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
-    graph, source_flags, spec_hash = _source(args)
+def _write_json(path: str, doc: dict) -> str:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
+    return path
+
+
+def _cmd_gen(args, graph: InteractionGraph, seed: int, prov: dict) -> list[str]:
     u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=_dim_cap(args))
-
-    command = (["unigraph", "gen"] + source_flags
-               + _replay_flags(args, seed) + ["--format", args.format])
-    prov = _provenance(command, seed, spec_hash)
-    os.makedirs(args.out, exist_ok=True)
-
-    if args.format == "csv":
-        path = os.path.join(args.out, "unitary.csv")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_provenance_comment(prov))
-            handle.write(f"# dim: {u.shape[0]}\n")
-            handle.write("row,col,re,im\n")
-            for i in range(u.shape[0]):
-                for j in range(u.shape[1]):
-                    handle.write(
-                        f"{i},{j},{float(u[i, j].real)!r},{float(u[i, j].imag)!r}\n")
-    else:
-        path = os.path.join(args.out, "unitary.json")
+    if args.format == "json":
         doc = {"provenance": prov, "dim": int(u.shape[0]),
                "re": u.real.tolist(), "im": u.imag.tolist()}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1)
-            handle.write("\n")
-    print(f"seed: {seed}")
-    print(f"wrote {u.shape[0]}x{u.shape[1]} unitary to {path}")
-    print(f"re-run: {prov['command']}")
-    return EXIT_OK
+        return [_write_json(os.path.join(args.out, "unitary.json"), doc)]
+    path = os.path.join(args.out, "unitary.csv")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_provenance_comment(prov))
+        handle.write(f"# dim: {u.shape[0]}\n")
+        handle.write("row,col,re,im\n")
+        for i in range(u.shape[0]):
+            for j in range(u.shape[1]):
+                handle.write(
+                    f"{i},{j},{float(u[i, j].real)!r},{float(u[i, j].imag)!r}\n")
+    return [path]
 
 
 def _display(value: float, bits: bool) -> str:
@@ -242,9 +238,7 @@ def _display(value: float, bits: bool) -> str:
     return f"{value:.6f} nats"
 
 
-def _cmd_run(args) -> int:
-    seed = _resolve_seed(args)
-    source, source_flags, spec_hash = _source(args)
+def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
     spec = EnsembleSpec(
         source=source, draws=args.draws, master_seed=seed,
         analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args),
@@ -252,34 +246,21 @@ def _cmd_run(args) -> int:
         weighted_projection=not args.unweighted_projection)
     report = run_ensemble(spec)
 
-    command = (["unigraph", "run"] + source_flags
-               + ["--draws", str(args.draws), "--analyses", args.analyses,
-                  *_replay_flags(args, seed), "--format", args.format])
-    if args.strict_paper_spacing:
-        command.append("--strict-paper-spacing")
-    if args.unweighted_projection:
-        command.append("--unweighted-projection")
-    prov = _provenance(command, seed, spec_hash)
-
-    os.makedirs(args.out, exist_ok=True)
     doc = report.to_dict()
     doc["provenance"] = prov
+    paths = []
     if args.format == "csv":
         for name, result in report.analyses.items():
             hist = result.get("histogram")
             if hist is None:
                 continue
-            csv_path = os.path.join(args.out, f"{name}.csv")
-            with open(csv_path, "w", encoding="utf-8") as handle:
+            paths.append(os.path.join(args.out, f"{name}.csv"))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
                 handle.write(_provenance_comment(prov))
                 handle.write(hist.to_csv())
             doc["analyses"][name]["histogram"] = f"{name}.csv"
-    report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+    paths.append(_write_json(os.path.join(args.out, "report.json"), doc))
 
-    print(f"seed: {seed}")
     for name, result in report.analyses.items():
         entropy_keys = _ENTROPY_KEYS.get(name, ())
         summary = []
@@ -296,33 +277,19 @@ def _cmd_run(args) -> int:
             summary.append(f"mean_tr_u={result['mean_real'][0]:.4g}"
                            f"{result['mean_imag'][0]:+.4g}j")
         print(f"{name}: " + ", ".join(summary))
-    print(f"wrote {report_path}")
-    print(f"re-run: {prov['command']}")
-    return EXIT_OK
+    return paths
 
 
-def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args)
-    graph, source_flags, spec_hash = _source(args)
+def _cmd_bench(args, graph: InteractionGraph, seed: int, prov: dict) -> list[str]:
     result = benchmark_generation(graph, args.draws, master_seed=seed,
                                   dim_cap=_dim_cap(args))
-    print(f"seed: {seed}")
     _print_bench_table(result, len(graph.layers))
-
-    command = (["unigraph", "bench"] + source_flags
-               + ["--draws", str(args.draws)] + _replay_flags(args, seed))
-    prov = _provenance(command, seed, spec_hash)
-    if args.out != ".":
-        os.makedirs(args.out, exist_ok=True)
-        doc = {"provenance": prov, "dim": result.dim, "draws": result.draws,
-               "structured_seconds": result.structured_seconds,
-               "cue_seconds": result.cue_seconds, "ratio": result.ratio}
-        path = os.path.join(args.out, "bench.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, indent=1)
-            handle.write("\n")
-        print(f"wrote {path}")
-    return EXIT_OK
+    if args.out is None:
+        return []
+    doc = {"provenance": prov, "dim": result.dim, "draws": result.draws,
+           "structured_seconds": result.structured_seconds,
+           "cue_seconds": result.cue_seconds, "ratio": result.ratio}
+    return [_write_json(os.path.join(args.out, "bench.json"), doc)]
 
 
 def _print_bench_table(result: BenchmarkResult, num_layers: int) -> None:
@@ -337,7 +304,7 @@ def _print_bench_table(result: BenchmarkResult, num_layers: int) -> None:
 
 
 def _cmd_validate(args) -> int:
-    graph, _, spec_hash = _source(args)
+    graph, spec_hash = _source(args)
     print(f"particles: {graph.num_particles}")
     print(f"dims: {list(graph.dims)}")
     print(f"total dimension: {graph.total_dim}")
@@ -350,10 +317,21 @@ def _cmd_validate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {"gen": _cmd_gen, "run": _cmd_run,
-               "bench": _cmd_bench, "validate": _cmd_validate}[args.command]
     try:
-        return handler(args)
+        if args.command == "validate":
+            return _cmd_validate(args)
+        # gen, run and bench: the seed is printed before any work can fail
+        seed = _resolve_seed(args.seed)
+        print(f"seed: {seed}")
+        source, spec_hash = _source(args)
+        command = _command(args, seed)
+        if args.out is not None:
+            os.makedirs(args.out, exist_ok=True)
+        body = {"gen": _cmd_gen, "run": _cmd_run, "bench": _cmd_bench}[args.command]
+        for path in body(args, source, seed, _provenance(command, seed, spec_hash)):
+            print(f"wrote {path}")
+        print(f"re-run: {command}")
+        return EXIT_OK
     except DimensionCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

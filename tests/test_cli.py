@@ -1,9 +1,10 @@
 import json
 import os
+import shlex
 
 import pytest
 
-from unigraph.cli import main
+from unigraph.cli import build_parser, main
 from unigraph.graph import ring_graph, serialize_graph
 
 
@@ -72,8 +73,13 @@ class TestGen:
         assert "--dim-cap 16" in command
         printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("re-run: ")]
         assert printed in ([], [f"re-run: {command}"])
-        assert main(command.split()[1:] + ["--out", str(again)]) == 0
+        assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
         capsys.readouterr()
+
+    def test_failed_gen_still_prints_its_seed(self, tmp_path, capsys):
+        assert main(["gen", "--ring", "10", "--dim-cap", "512", "--seed", "random",
+                     "--out", str(tmp_path)]) == 3
+        assert any(l.startswith("seed: ") for l in capsys.readouterr().out.splitlines())
 
     def test_random_seed_is_drawn_and_printed(self, tmp_path, capsys):
         assert main(["gen", "--ring", "2", "--n", "2", "--seed", "random",
@@ -162,7 +168,7 @@ class TestRun:
                        if l.startswith("re-run: "))[len("re-run: "):]
         assert "--unweighted-projection" in command
         assert "--strict-paper-spacing" in command
-        assert main(command.split()[1:] + ["--out", str(again)]) == 0
+        assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
         replayed = json.loads(read(again / "report.json"))
         doc.pop("wall_seconds"), replayed.pop("wall_seconds")
         assert replayed == doc
@@ -182,7 +188,24 @@ class TestRun:
 def rerun_command(out: str) -> list[str]:
     """The arguments of the printed ``re-run:`` command, without ``unigraph``."""
     line = next(l for l in out.splitlines() if l.startswith("re-run: "))
-    return line[len("re-run: "):].split()[1:]
+    return shlex.split(line[len("re-run: "):])[1:]
+
+
+def shell_words(command: str) -> list[str]:
+    """The words a POSIX shell reads from ``command``; an unquoted ``;``,
+    ``|``, ``&``, ``<``, ``>`` or parenthesis is a word of its own."""
+    lexer = shlex.shlex(command, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    return list(lexer)
+
+
+# every optional flag at a value other than its default
+EVERY_FLAG = {
+    "gen": ["--format", "json"],
+    "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json",
+            "--bits", "--strict-paper-spacing", "--unweighted-projection"],
+    "bench": ["--draws", "1"],
+}
 
 
 GRAPH_SOURCES = [["--ring", "4", "--n", "2"], ["--chain", "3", "--n", "2"],
@@ -226,6 +249,36 @@ class TestSourceReplay:
         assert outputs[0] == outputs[1]
 
 
+    @pytest.mark.parametrize("source", [["--bond-vertex", "1,2;3,4/2,3;1,4"],
+                                        ["--graph", "{spec}"]], ids=["semicolon", "space"])
+    def test_rerun_line_survives_a_shell(self, tmp_path, capsys, source):
+        spec = tmp_path / "a graph.json"
+        spec.write_text(serialize_graph(ring_graph(4, 2)))
+        source = [str(spec) if arg == "{spec}" else arg for arg in source]
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert main(["gen", *source, "--seed", "5", "--out", str(first)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("re-run: "))
+        words = shell_words(line[len("re-run: "):])
+        assert words[:2 + len(source)] == ["unigraph", "gen", *source]
+        assert main(words[1:] + ["--out", str(again)]) == 0
+        capsys.readouterr()
+        assert read(first / "unitary.csv") == read(again / "unitary.csv")
+
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_every_flag_replays(self, tmp_path, capsys, command):
+        argv = [command, "--ring", "4", "--n", "3", "--seed", "random",
+                "--dim-cap", "100", *EVERY_FLAG[command], "--out", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        seed = next(l for l in out.splitlines() if l.startswith("seed: ")).split()[1]
+        original = build_parser().parse_args(argv)
+        replayed = build_parser().parse_args(rerun_command(out))
+        assert replayed.seed == seed
+        original.seed, original.out, replayed.out = seed, None, None
+        assert vars(replayed) == vars(original)
+
+
 class TestBenchAndValidate:
     def test_bench_prints_table(self, capsys):
         assert main(["bench", "--ring", "4", "--n", "2", "--draws", "3"]) == 0
@@ -233,6 +286,16 @@ class TestBenchAndValidate:
         assert "matrix type" in out
         assert "CUE, N=16" in out
         assert "rel. time [%]" in out
+
+    def test_bench_out_writes_json_and_prints_rerun(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["bench", "--ring", "4", "--n", "2", "--draws", "1"]
+        assert main(argv) == 0
+        assert os.listdir(tmp_path) == []  # no --out, no file
+        capsys.readouterr()
+        assert main(argv + ["--out", "."]) == 0
+        doc = json.loads(read(tmp_path / "bench.json"))
+        assert f"re-run: {doc['provenance']['command']}" in capsys.readouterr().out.splitlines()
 
     def test_bench_single_draw(self, capsys):
         assert main(["bench", "--square", "--n", "2", "--draws", "1"]) == 0

@@ -1,8 +1,10 @@
 """The README's code blocks stay runnable against the package."""
 
 import re
+import shlex
 from pathlib import Path
 
+from unigraph.cli import main
 from unigraph.graph import parse_graph_spec
 from unigraph.spectral import WIGNER_VARIANCE
 
@@ -27,3 +29,14 @@ def test_graph_spec_example_parses():
     graph = parse_graph_spec(spec)
     assert graph.dims == (2, 2, 2, 2)
     assert [layer.color for layer in graph.layers] == ["red", "black"]
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    (spec,) = code_blocks("json")
+    (tmp_path / "examples.json").write_text(spec, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [line for block in code_blocks("sh") for line in block.splitlines()
+             if line.startswith("unigraph ")]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
