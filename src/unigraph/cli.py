@@ -57,8 +57,9 @@ def _add_source_args(parser: argparse.ArgumentParser, references: bool) -> None:
                            help="composed ensemble P1 X P2 X^dagger of size N")
         group.add_argument("--diagonal", type=int, metavar="N",
                            help="random-phase diagonal matrices of size N")
-    parser.add_argument("--n", type=int, default=2, metavar="DIM",
-                        help="local dimension for builtin builders (default 2)")
+    parser.add_argument("--n", type=int, default=None, metavar="DIM",
+                        help="local dimension for --ring, --chain, --square and "
+                             "--bond-vertex (default 2)")
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
@@ -137,26 +138,33 @@ def _parse_groups(text: str) -> list[tuple[int, ...]]:
 
 
 def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
-    """The source the flags select, and its spec hash for provenance."""
-    if args.graph is not None:
-        graph = load_graph_spec(args.graph)
-    elif args.ring is not None:
-        graph = ring_graph(args.ring, args.n)
+    """The source the flags select, and its spec hash for provenance. --n
+    (default 2) is the builders' local dimension; any other source fixes
+    its own dimensions and refuses it."""
+    n = 2 if args.n is None else args.n
+    if args.ring is not None:
+        graph = ring_graph(args.ring, n)
     elif args.chain is not None:
-        graph = chain_graph(args.chain, args.n)
+        graph = chain_graph(args.chain, n)
     elif args.bond_vertex is not None:
         bonds, _, vertices = args.bond_vertex.partition("/")
         if not vertices:
             raise GraphSpecError(
                 "--bond-vertex needs BONDS/VERTICES, e.g. '1,2;3,4/2,3;1,4'")
-        graph = from_bond_vertex_graph(_parse_groups(bonds), _parse_groups(vertices),
-                                       n=args.n)
+        graph = from_bond_vertex_graph(_parse_groups(bonds), _parse_groups(vertices), n=n)
     elif args.square:
-        graph = ring_graph(4, args.n)
+        graph = ring_graph(4, n)
     else:
-        kind = next(k for k in REFERENCE_KINDS if getattr(args, k) is not None)
-        source = ReferenceEnsemble(kind, getattr(args, kind))
-        return source, f"{kind}:{source.dim}"
+        kind = "graph" if args.graph is not None else next(
+            k for k in REFERENCE_KINDS if getattr(args, k) is not None)
+        if args.n is not None:
+            raise GraphSpecError(f"--n does not apply to --{kind}, which sets its own "
+                                 "dimensions; --n is for --ring, --chain, --square "
+                                 "and --bond-vertex")
+        if kind != "graph":
+            source = ReferenceEnsemble(kind, getattr(args, kind))
+            return source, f"{kind}:{source.dim}"
+        graph = load_graph_spec(args.graph)
     return graph, graph_hash(graph)
 
 

@@ -7,6 +7,7 @@ generated in any order (or concurrently) with bit-identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -68,31 +69,42 @@ def unitarity_tolerance(dim: int) -> float:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U†U - I."""
-    dim = u.shape[0]
-    return float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    """Max-norm of U†U - I; for a stack of matrices, the worst one's."""
+    dim = u.shape[-1]
+    return float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max())
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
-    tol = unitarity_tolerance(u.shape[0])
+    """``u``, a matrix or a stack of them, if every one is unitary to
+    unitarity_tolerance of its order; else raise UnitarityError."""
+    tol = unitarity_tolerance(u.shape[-1])
     defect = unitarity_defect(u)
     if defect > tol:
         raise UnitarityError(defect, tol)
     return u
 
 
-def haar_unitary(dim: int, stream: RandomStream) -> np.ndarray:
+def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.ndarray:
     """Draw a Haar-distributed unitary via a complex Ginibre matrix and a
-    phase-corrected QR factorization (Q * diag(r_jj / |r_jj|))."""
+    phase-corrected QR factorization (Q * diag(r_jj / |r_jj|)).
+
+    Given a sequence of streams, return the (len, dim, dim) stack whose
+    j-th matrix is the one drawn from streams[j] alone; the stack is
+    factorized and checked in single calls.
+    """
     if dim < 1:
         raise DimensionZero(dim)
-    rng = stream.generator()
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    single = isinstance(stream, RandomStream)
+    streams = [stream] if single else stream
+    z = np.empty((len(streams), dim, dim), dtype=complex)
+    for j, s in enumerate(streams):
+        rng = s.generator()
+        z[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return require_unitary(q)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = require_unitary(q * (d / np.abs(d))[..., None, :])
+    return q[0] if single else q
 
 
 def random_phases_diagonal(dim: int, stream: RandomStream) -> np.ndarray:

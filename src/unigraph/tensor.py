@@ -6,8 +6,8 @@ rows of an operand to ``dims`` therefore gives one axis (leg) per particle.
 
 A block on a clique acts on the clique's legs in increasing particle order and
 as identity on every other leg. ``apply_block`` moves the clique's legs next
-to each other (``np.moveaxis``), which copies nothing when they are already
-adjacent, and multiplies the block into them as one batched ``np.matmul``
+to each other (``np.moveaxis``; legs that are already adjacent are only
+reshaped), and multiplies the block into them as one batched ``np.matmul``
 over the legs in front, at O(N * M * b) for an N x M operand and a block of
 order b. Layers are applied to the running operator clique by clique, so
 neither a lifted block nor a layer matrix is ever formed.
@@ -52,9 +52,12 @@ def apply_block(block: np.ndarray, clique: Iterable[int], dims: Sequence[int],
         raise BlockDimMismatch(
             f"block of shape {block.shape} does not fit clique dims {block_dim}")
     first = legs[0]
+    lead = prod(dims[:first])
+    if legs[-1] - first == len(legs) - 1:  # adjacent legs: a view, no moves
+        return np.matmul(block, operand.reshape(lead, block_dim, -1)).reshape(operand.shape)
     together = range(first, first + len(legs))
     tensor = np.moveaxis(operand.reshape(tuple(dims) + operand.shape[1:]), legs, together)
-    out = np.matmul(block, tensor.reshape(prod(dims[:first]), block_dim, -1))
+    out = np.matmul(block, tensor.reshape(lead, block_dim, -1))
     return np.moveaxis(out.reshape(tensor.shape), together, legs).reshape(operand.shape)
 
 
@@ -63,13 +66,21 @@ def layer_unitary(layer: Layer, dims: Sequence[int], stream: RandomStream,
     """Sample one block per clique and return (layer unitary) @ ``operand``.
 
     The cliques are disjoint, so their blocks commute; clique c draws from
-    stream.substream(c). Identity singletons are skipped.
+    stream.substream(c). Identity singletons are skipped. Blocks of one
+    order are drawn as one stack, then applied in clique order, which fixes
+    the rounding.
     """
+    groups: dict[int, list[int]] = {}
     for c, clique in enumerate(layer.cliques):
         if len(clique) == 1 and layer.singletons == "identity":
             continue
-        block = haar_unitary(prod(dims[p - 1] for p in clique), stream.substream(c))
-        operand = apply_block(block, clique, dims, operand)
+        groups.setdefault(prod(dims[p - 1] for p in clique), []).append(c)
+    blocks = {}
+    for order, members in groups.items():
+        stack = haar_unitary(order, [stream.substream(c) for c in members])
+        blocks.update(zip(members, stack))
+    for c in sorted(blocks):
+        operand = apply_block(blocks[c], layer.cliques[c], dims, operand)
     return operand
 
 

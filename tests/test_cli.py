@@ -1,6 +1,8 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -331,3 +333,54 @@ class TestBenchAndValidate:
     def test_bond_vertex_parse_error(self, capsys):
         assert main(["validate", "--bond-vertex", "1,2;3,4", "--n", "2"]) == 2
         assert "BONDS/VERTICES" in capsys.readouterr().err
+
+
+class TestLocalDimension:
+    """--n is the builders' local dimension and is refused elsewhere."""
+
+    @pytest.mark.parametrize("source", [["--cue", "8", "--n", "5"],
+                                        ["--graph", "{spec}", "--n", "3"]],
+                             ids=["cue", "graph"])
+    def test_n_with_a_source_that_sets_its_dims_exits_2(self, tmp_path, capsys, source):
+        spec = tmp_path / "g.json"
+        spec.write_text(serialize_graph(ring_graph(4, 2)))
+        source = [str(spec) if arg == "{spec}" else arg for arg in source]
+        assert main(["run", *source, "--draws", "2", "--analyses", "spacing",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "--n" in err and source[0] in err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_validate_graph_with_n_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "g.json"
+        spec.write_text(serialize_graph(ring_graph(4, 2)))
+        assert main(["validate", "--graph", str(spec), "--n", "3"]) == 2
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, dim", [([], 16), (["--n", "3"], 81)])
+    def test_builder_n_defaults_to_two_and_is_replayed_only_if_given(
+            self, tmp_path, capsys, flags, dim):
+        assert main(["gen", "--ring", "4", *flags, "--seed", "1", "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads(read(tmp_path / "unitary.json"))
+        assert doc["dim"] == dim
+        assert doc["provenance"]["command"] == shlex.join(
+            ["unigraph", "gen", "--ring", "4", *flags, "--seed", "1", "--format", "json"])
+        capsys.readouterr()
+
+    def test_reference_rerun_line_has_no_n(self, tmp_path, capsys):
+        assert main(["run", "--cue", "8", "--draws", "2", "--analyses", "spacing",
+                     "--seed", "3", "--out", str(tmp_path)]) == 0
+        line = next(l for l in capsys.readouterr().out.splitlines()
+                    if l.startswith("re-run: "))
+        assert line == ("re-run: unigraph run --cue 8 --seed 3 --draws 2 --analyses spacing"
+                        " --format csv")
+
+
+def test_cold_import_leaves_out_scipy_stats():
+    # scipy.stats costs about a second of every CLI call's start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    probe = "import sys, unigraph.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

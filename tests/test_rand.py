@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unigraph.rand import (DimensionZero, RandomStream, UnitarityError,
                            haar_unitary, random_phases_diagonal, require_unitary,
@@ -40,6 +42,16 @@ class TestRequireUnitary:
             require_unitary(1.5 * np.eye(3, dtype=complex))
         assert info.value.defect > info.value.tol
 
+    @pytest.mark.parametrize("bad", [0, 2, 4])
+    def test_one_perturbed_block_fails_the_stack(self, bad):
+        stack = haar_unitary(4, [RandomStream(3, j) for j in range(5)])
+        require_unitary(stack)
+        stack[bad, 1, 2] += 1e-9
+        with pytest.raises(UnitarityError) as info:
+            require_unitary(stack)
+        assert info.value.tol == 1e-12
+        assert unitarity_defect(stack) == unitarity_defect(stack[bad])
+
 
 class TestHaarUnitary:
     def test_dimension_one_is_unimodular(self):
@@ -50,6 +62,44 @@ class TestHaarUnitary:
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionZero):
             haar_unitary(0, RandomStream(0, 0))
+        with pytest.raises(DimensionZero):
+            haar_unitary(0, [RandomStream(0, 0)])
+
+    def test_matches_the_ginibre_qr_recipe(self):
+        # Q times the unit-modulus diagonal of R, on the right (columns)
+        stream = RandomStream(6, 1)
+        rng = stream.generator()
+        z = (rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        expected = q @ np.diag(d / np.abs(d))
+        assert np.abs(haar_unitary(5, stream) - expected).max() <= 1e-15
+        assert np.abs(haar_unitary(5, [RandomStream(6, 0), stream])[1] - expected).max() \
+            <= 1e-15
+
+    def test_every_block_of_a_stack_is_checked(self, monkeypatch):
+        qr = np.linalg.qr
+
+        def qr_spoiling_the_last_block(z):
+            q, r = qr(z)
+            q[-1, 0, 1] += 1e-9
+            return q, r
+        monkeypatch.setattr(np.linalg, "qr", qr_spoiling_the_last_block)
+        with pytest.raises(UnitarityError):
+            haar_unitary(3, [RandomStream(2, j) for j in range(4)])
+        with pytest.raises(UnitarityError):
+            haar_unitary(3, RandomStream(2, 0))
+
+    @given(st.integers(1, 9),
+           st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_member_is_the_single_draw(self, dim, keys):
+        streams = [RandomStream(seed, (index,)) for seed, index in keys]
+        stack = haar_unitary(dim, streams)
+        assert stack.shape == (len(streams), dim, dim)
+        for j, stream in enumerate(streams):
+            assert np.array_equal(stack[j], haar_unitary(dim, stream))
 
     @pytest.mark.parametrize("dim", [2, 5, 32])
     def test_unitary_within_tolerance(self, dim):

@@ -306,6 +306,13 @@ class TestPhaseUniformity:
         with pytest.raises(InsufficientData):
             phase_uniformity(np.linspace(0, 6, 50), bins=32)
 
+    @pytest.mark.parametrize("bins", [2, 10, 32])
+    def test_p_value_is_the_chi_square_survival_function(self, bins):
+        rng = np.random.default_rng(bins)
+        phases = rng.uniform(0.0, TWO_PI, 20 * bins) ** 1.1 % TWO_PI
+        statistic, p = phase_uniformity(phases, bins=bins)
+        assert p == scipy.stats.chi2.sf(statistic, bins - 1)
+
     def test_pooled_cue_phases_look_uniform(self):
         pooled = np.concatenate([
             eigendecompose(haar_unitary(32, RandomStream(21, t))).phases

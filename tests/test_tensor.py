@@ -73,6 +73,17 @@ class TestLift:
         ((2, 3, 1, 2), (1, 3, 4)),
         ((3, 2, 2, 2), (4, 1, 2)),
         ((1, 2, 3), (2, 3)),
+        # adjacent legs at the front, in the middle and at the end
+        ((2, 3, 2, 2), (1, 2)),
+        ((2, 3, 2, 2), (2, 3)),
+        ((2, 3, 2, 2), (3, 4)),
+        ((2, 3, 2, 2), (2, 3, 4)),
+        # a ring's wrap clique
+        ((2, 3, 2, 2), (1, 4)),
+        ((3, 2, 2, 3), (4, 1)),
+        # a dimension-1 leg inside a contiguous clique
+        ((2, 3, 1, 2), (2, 3, 4)),
+        ((2, 1, 3), (1, 2, 3)),
     ])
     def test_matches_brute_force(self, dims, clique):
         block = haar_unitary(prod(dims[p - 1] for p in clique),
@@ -130,6 +141,28 @@ class TestLayerUnitary:
         layer = layer_of((1, 2))
         got = layer_unitary(layer, (3, 3), stream, np.eye(9))
         assert np.array_equal(got, haar_unitary(9, stream.substream(0)))
+
+    def test_mixed_orders_equal_the_clique_by_clique_product(self):
+        # orders 2, 3, 4, 6, 9 and 12 plus identity singletons, over four
+        # layers so that later operands are not the identity
+        dims = (2, 3, 2, 3)
+        layers = (layer_of((1, 3), (2, 4), color="a"),
+                  layer_of((1, 2), (3,), (4,), singletons="identity", color="b"),
+                  layer_of((1,), (2,), (3,), (4,), color="d"),
+                  layer_of((1, 2, 3), (4,), color="e"))
+        for t in range(3):
+            stream = RandomStream(12, t)
+            got = np.eye(36, dtype=complex)
+            expected = np.eye(36, dtype=complex)
+            for i, layer in enumerate(layers):
+                got = layer_unitary(layer, dims, stream.substream(i), got)
+                for c, clique in enumerate(layer.cliques):
+                    if len(clique) == 1 and layer.singletons == "identity":
+                        continue
+                    block = haar_unitary(prod(dims[p - 1] for p in clique),
+                                         stream.substream(i, c))
+                    expected = apply_block(block, clique, dims, expected)
+            assert np.array_equal(got, expected)
 
     def test_equals_product_of_lifts_either_order(self):
         stream = RandomStream(5, 0)
