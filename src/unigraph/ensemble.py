@@ -2,7 +2,10 @@
 
 Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
-worker count (timing fields aside).
+worker count (timing fields aside). The matrices of a campaign are generated
+a stack of consecutive draws at a time (STACK_AMPLITUDES bounds a stack's
+size) and analysed one draw at a time; every matrix of a stack equals its
+per-draw generation bit for bit, so the stack size does not change a report.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ ANALYSIS_KINDS = ("spacing", "phase_density", "evec_entropy", "entanglement",
                   "element_entropy", "projection", "trace_moments", "state_sample")
 
 PHASE_BINS = 32
+
+# complex amplitudes per stack of generated matrices: a stack holds
+# max(1, STACK_AMPLITUDES // N**2) draws, so N >= 256 generates one at a time
+STACK_AMPLITUDES = 2**16
 
 
 class IncompatibleAnalysis(ValueError):
@@ -173,16 +180,15 @@ class EnsembleReport:
 # Matrix sources and standalone operations
 # ---------------------------------------------------------------------------
 
-def _draw_matrix(spec: EnsembleSpec, stream: RandomStream) -> np.ndarray:
+def _draw_matrices(spec: EnsembleSpec, streams: list[RandomStream]) -> np.ndarray:
+    """The (len(streams), N, N) stack of the source's draws from ``streams``."""
     if isinstance(spec.source, InteractionGraph):
-        return evolution_unitary(spec.source, stream, dim_cap=spec.dim_cap)
+        return evolution_unitary(spec.source, streams, dim_cap=spec.dim_cap)
     if spec.source.dim > spec.dim_cap:
         raise DimensionCapExceeded(spec.source.dim, spec.dim_cap)
-    if spec.source.kind == "cue":
-        return haar_unitary(spec.source.dim, stream)
-    if spec.source.kind == "composed":
-        return sample_composed(spec.source.dim, stream)
-    return random_phases_diagonal(spec.source.dim, stream)
+    draw = {"cue": haar_unitary, "composed": sample_composed,
+            "diagonal": random_phases_diagonal}[spec.source.kind]
+    return np.stack([draw(spec.source.dim, s) for s in streams])
 
 
 def random_graph_state(graph: InteractionGraph, stream: RandomStream,
@@ -278,9 +284,7 @@ _SPECTRUM_ANALYSES = {"spacing", "phase_density", "evec_entropy",
                       "entanglement", "projection", "trace_moments"}
 
 
-def _run_draw(spec: EnsembleSpec, t: int) -> dict:
-    stream = RandomStream(spec.master_seed, t)
-    u = _draw_matrix(spec, stream)
+def _run_draw(spec: EnsembleSpec, u: np.ndarray) -> dict:
     dims = spec.source.dims if isinstance(spec.source, InteractionGraph) else None
 
     data: SpectralData | None = None
@@ -449,19 +453,31 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
     return results
 
 
+def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
+    """Generate ``draws`` as one stack, then analyze each draw on its own."""
+    streams = [RandomStream(spec.master_seed, t) for t in draws]
+    return [_run_draw(spec, u) for u in _draw_matrices(spec, streams)]
+
+
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     """Run the campaign: draw, analyze, and merge in draw order.
 
-    A failed draw aborts the whole campaign so seed-indexed reproducibility
-    stays exact. ``workers`` > 1 runs draws concurrently (the numerical
+    Draws are generated in stacks of max(1, STACK_AMPLITUDES // N**2)
+    consecutive draws; the report is bit-identical for any stack size. A
+    failed draw aborts the whole campaign so seed-indexed reproducibility
+    stays exact. ``workers`` > 1 runs stacks concurrently (the numerical
     results are identical to a serial run).
     """
     start = time.perf_counter()
+    size = max(1, STACK_AMPLITUDES // spec.dim**2)
+    stacks = [range(first, min(first + size, spec.draws))
+              for first in range(0, spec.draws, size)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: _run_draw(spec, t), range(spec.draws)))
+            done = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
     else:
-        records = [_run_draw(spec, t) for t in range(spec.draws)]
+        done = [_run_stack(spec, draws) for draws in stacks]
+    records = [record for stack in done for record in stack]
     analyses = _aggregate(spec, records)
     wall = time.perf_counter() - start
     return EnsembleReport(spec.source_description(), spec.draws,

@@ -56,7 +56,13 @@ class RandomStream:
         object.__setattr__(self, "path", path)
 
     def substream(self, *indices: int) -> "RandomStream":
-        return RandomStream(self.master_seed, self.path + indices)
+        # this path was validated when self was made; check only the new indices
+        for index in indices:
+            _check_index(index, "stream index")
+        child = object.__new__(RandomStream)
+        object.__setattr__(child, "master_seed", self.master_seed)
+        object.__setattr__(child, "path", self.path + indices)
+        return child
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
@@ -84,22 +90,34 @@ def require_unitary(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def as_streams(stream: RandomStream | Sequence[RandomStream]
+               ) -> tuple[bool, Sequence[RandomStream]]:
+    """(whether ``stream`` is a single stream, the streams as a sequence);
+    an empty sequence raises ValueError."""
+    if isinstance(stream, RandomStream):
+        return True, [stream]
+    if len(stream) == 0:
+        raise ValueError("at least one stream is needed")
+    return False, stream
+
+
 def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.ndarray:
     """Draw a Haar-distributed unitary via a complex Ginibre matrix and a
     phase-corrected QR factorization (Q * diag(r_jj / |r_jj|)).
 
     Given a sequence of streams, return the (len, dim, dim) stack whose
     j-th matrix is the one drawn from streams[j] alone; the stack is
-    factorized and checked in single calls.
+    factorized and checked in single calls. An empty sequence raises
+    ValueError.
     """
     if dim < 1:
         raise DimensionZero(dim)
-    single = isinstance(stream, RandomStream)
-    streams = [stream] if single else stream
-    z = np.empty((len(streams), dim, dim), dtype=complex)
+    single, streams = as_streams(stream)
+    # per stream, the real parts then the imaginary parts, in one draw
+    x = np.empty((len(streams), 2, dim, dim))
     for j, s in enumerate(streams):
-        rng = s.generator()
-        z[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        s.generator().standard_normal(out=x[j])
+    z = x[:, 0] + 1j * x[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

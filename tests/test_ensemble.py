@@ -2,19 +2,29 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from unigraph.ensemble import (Analysis, EnsembleSpec, IncompatibleAnalysis,
-                               ReferenceEnsemble, _moments_from_eigvals,
-                               benchmark_generation, random_graph_state, run_ensemble)
+from unigraph.ensemble import (STACK_AMPLITUDES, Analysis, EnsembleReport, EnsembleSpec,
+                               IncompatibleAnalysis, ReferenceEnsemble, _aggregate,
+                               _moments_from_eigvals, _run_draw, benchmark_generation,
+                               random_graph_state, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, from_bond_vertex_graph, ring_graph)
-from unigraph.rand import RandomStream
+from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import DimensionCapExceeded, evolution_unitary
 
 
 def pair_graph(n):
     return from_bond_vertex_graph([(1, 2)], [(1,), (2,)], n=n)
+
+
+def per_draw_matrix(source, stream):
+    """One draw of a campaign's source, generated on its own."""
+    if isinstance(source, InteractionGraph):
+        return evolution_unitary(source, stream)
+    draw = {"cue": haar_unitary, "composed": sample_composed,
+            "diagonal": random_phases_diagonal}[source.kind]
+    return draw(source.dim, stream)
 
 
 class TestAnalysisParsing:
@@ -71,12 +81,34 @@ class TestRunEnsemble:
 
     def test_parallel_equals_serial(self):
         spec = EnsembleSpec(
-            source=chain_graph(3, 2), draws=8, master_seed=10,
+            source=chain_graph(6, 2), draws=40, master_seed=10,
             analyses=(Analysis("spacing"), Analysis("projection", (2,)),
                       Analysis("phase_density")))
+        assert spec.draws > 2 * (STACK_AMPLITUDES // spec.dim**2)  # three stacks
         serial = run_ensemble(spec, workers=1).to_dict(include_timing=False)
         parallel = run_ensemble(spec, workers=4).to_dict(include_timing=False)
         assert serial == parallel
+
+    @pytest.mark.parametrize("source,draws", [
+        (chain_graph(6, 2), 1), (chain_graph(6, 2), 15), (chain_graph(6, 2), 16),
+        (chain_graph(6, 2), 17), (chain_graph(6, 2), 40),
+        (ReferenceEnsemble("cue", 64), 17), (ReferenceEnsemble("composed", 64), 17),
+        (ReferenceEnsemble("diagonal", 64), 17)])
+    def test_stacks_equal_the_per_draw_oracle(self, source, draws):
+        # N=64 gives stacks of 16 draws, so these counts end inside, at and
+        # past a stack boundary
+        assert STACK_AMPLITUDES // 64**2 == 16
+        analyses = (Analysis("spacing"), Analysis("element_entropy"),
+                    Analysis("trace_moments", (2,)))
+        if isinstance(source, InteractionGraph):
+            analyses += (Analysis("state_sample"),)
+        spec = EnsembleSpec(source=source, draws=draws, master_seed=15, analyses=analyses)
+        records = [_run_draw(spec, per_draw_matrix(source, RandomStream(15, t)))
+                   for t in range(draws)]
+        expected = EnsembleReport(spec.source_description(), draws, 15,
+                                  _aggregate(spec, records), 0.0)
+        assert run_ensemble(spec).to_dict(include_timing=False) \
+            == expected.to_dict(include_timing=False)
 
     def test_pooled_spacing_mean_is_one(self):
         spec = EnsembleSpec(source=ReferenceEnsemble("cue", 24), draws=20,

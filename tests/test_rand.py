@@ -32,6 +32,30 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0, -3)
 
+    @pytest.mark.parametrize("seed,path,error", [
+        (3, (1, -1), ValueError), (3, (1, 1 << 64), ValueError),
+        (3, (1, True), TypeError), (3, (1, 2.0), TypeError),
+        (True, 0, TypeError), (1 << 64, 0, ValueError)])
+    def test_construction_checks_the_seed_and_every_path_entry(self, seed, path, error):
+        with pytest.raises(error):
+            RandomStream(seed, path)
+
+    @pytest.mark.parametrize("index,error", [
+        (-1, ValueError), (True, TypeError), (1 << 64, ValueError), (1.0, TypeError)])
+    def test_substream_rejects_bad_indices(self, index, error):
+        stream = RandomStream(3, 4)
+        with pytest.raises(error):
+            stream.substream(index)
+        with pytest.raises(error):
+            stream.substream(0, index)
+
+    def test_substream_is_the_constructed_stream(self):
+        child = RandomStream(9, 2).substream(0, (1 << 64) - 1).substream(5)
+        made = RandomStream(9, (2, 0, (1 << 64) - 1, 5))
+        assert child == made and hash(child) == hash(made)
+        assert type(child.path) is tuple and child.path == made.path
+        assert np.array_equal(child.generator().random(8), made.generator().random(8))
+
 
 class TestRequireUnitary:
     def test_accepts_unitary(self):
@@ -64,6 +88,11 @@ class TestHaarUnitary:
             haar_unitary(0, RandomStream(0, 0))
         with pytest.raises(DimensionZero):
             haar_unitary(0, [RandomStream(0, 0)])
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_stream_sequence_rejected(self, empty):
+        with pytest.raises(ValueError, match="at least one stream"):
+            haar_unitary(2, empty)
 
     def test_matches_the_ginibre_qr_recipe(self):
         # Q times the unit-modulus diagonal of R, on the right (columns)

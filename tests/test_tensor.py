@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unigraph import tensor
 from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem, ring_graph
-from unigraph.rand import RandomStream, haar_unitary, unitarity_defect
+from unigraph.rand import RandomStream, UnitarityError, haar_unitary, unitarity_defect
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import (BlockDimMismatch, DimensionCapExceeded, apply_block,
                              evolution_unitary, layer_unitary)
@@ -109,6 +110,26 @@ class TestLift:
     def test_block_dim_mismatch(self):
         with pytest.raises(BlockDimMismatch):
             apply_block(np.eye(3, dtype=complex), (1, 2), (2, 2), np.eye(4))
+        with pytest.raises(BlockDimMismatch):
+            apply_block(np.eye(3, dtype=complex)[None], (1, 2), (2, 2), np.eye(4)[None])
+
+    @pytest.mark.parametrize("dims,clique", [
+        ((2, 3, 2), (1, 2)),        # adjacent legs
+        ((2, 3, 2, 2), (2, 3, 4)),  # adjacent legs at the end
+        ((2, 3, 2), (1, 3)),        # a wrap clique: moveaxis path
+        ((3, 2, 2, 2), (1, 2, 4)),  # non-adjacent legs
+    ])
+    @pytest.mark.parametrize("rest", [(), (3,), (24,)])
+    def test_stacked_blocks_equal_per_matrix(self, dims, clique, rest):
+        rng = np.random.default_rng(len(rest) + sum(dims))
+        b, count = prod(dims[p - 1] for p in clique), 5
+        blocks = rng.normal(size=(count, b, b)) + 1j * rng.normal(size=(count, b, b))
+        shape = (count, prod(dims)) + rest
+        operands = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = apply_block(blocks, clique, dims, operands)
+        assert got.shape == shape
+        for j in range(count):
+            assert np.array_equal(got[j], apply_block(blocks[j], clique, dims, operands[j]))
 
     @given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
     @settings(max_examples=60, deadline=None)
@@ -268,3 +289,62 @@ class TestEvolutionUnitary:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapExceeded):
             evolution_unitary(ring_graph(4, 2), RandomStream(0, 0), dim_cap=8)
+        with pytest.raises(DimensionCapExceeded):
+            evolution_unitary(ring_graph(4, 2), [RandomStream(0, 0)] * 2, dim_cap=8)
+
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_stream_sequence_rejected(self, empty):
+        with pytest.raises(ValueError, match="at least one stream"):
+            evolution_unitary(ring_graph(4, 2), empty)
+
+
+@st.composite
+def layered_graphs(draw):
+    """Mixed dims, cliques of one to three particles in any position (so
+    non-adjacent and wrap cliques), some layers with identity singletons."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=5)))
+    k = len(dims)
+    layers = []
+    for i in range(draw(st.integers(1, 3))):
+        rest = draw(st.permutations(range(1, k + 1)))
+        cliques = []
+        while rest:
+            size = draw(st.integers(1, min(3, len(rest))))
+            cliques.append(tuple(rest[:size]))
+            rest = rest[size:]
+        singletons = draw(st.sampled_from(("haar", "identity")))
+        layers.append(layer_of(*cliques, color=f"c{i}", singletons=singletons))
+    return InteractionGraph(ParticleSystem(dims), tuple(layers))
+
+
+class TestStackedEvolution:
+    @given(layered_graphs(), st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 2**16), min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_member_is_the_single_draw(self, graph, seed, draws):
+        streams = [RandomStream(seed, t) for t in draws]
+        stack = evolution_unitary(graph, streams)
+        assert stack.shape == (len(streams), graph.total_dim, graph.total_dim)
+        for j, stream in enumerate(streams):
+            assert np.array_equal(stack[j], evolution_unitary(graph, stream))
+
+    def test_layer_stack_member_is_the_single_layer(self):
+        dims = (2, 3, 2, 3)
+        layer = layer_of((1, 4), (2,), (3,), singletons="identity")
+        streams = [RandomStream(13, t) for t in range(3)]
+        operands = np.stack([haar_unitary(36, s.substream(9)) for s in streams])
+        stack = layer_unitary(layer, dims, streams, operands)
+        for j, stream in enumerate(streams):
+            assert np.array_equal(stack[j], layer_unitary(layer, dims, stream, operands[j]))
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_every_draw_of_a_stack_is_checked(self, monkeypatch, bad):
+        layer = tensor.layer_unitary
+
+        def layer_spoiling_one_draw(*args):
+            out = layer(*args)
+            out[bad, 0, 1] += 1e-9
+            return out
+        monkeypatch.setattr(tensor, "layer_unitary", layer_spoiling_one_draw)
+        with pytest.raises(UnitarityError):
+            evolution_unitary(ring_graph(4, 2), [RandomStream(14, t) for t in range(3)])
