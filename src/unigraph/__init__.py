@@ -8,8 +8,7 @@ element statistics follow CUE or Poisson predictions.
 __version__ = "0.1.0"
 
 from .ensemble import (Analysis, BenchmarkResult, EnsembleReport, EnsembleSpec,
-                       ReferenceEnsemble, benchmark_generation, random_graph_state,
-                       run_ensemble)
+                       ReferenceEnsemble, benchmark_generation, run_ensemble)
 from .entropy import (element_entropy, eigenvector_entropy, mean_purity,
                       mean_random_vector_entropy, page_mean_entropy, partial_trace,
                       purity, von_neumann_entropy)

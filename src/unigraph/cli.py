@@ -34,10 +34,10 @@ EXIT_CAP_EXCEEDED = 3
 
 # report values that are entropies in nats; converted for display under --bits
 _ENTROPY_KEYS = {
-    "evec_entropy": ("mean", "reference_mean"),
+    "evec_entropy": ("mean",),
     "element_entropy": ("mean",),
-    "entanglement": ("mean_entropy", "page_reference"),
-    "projection": ("mean_entropy", "page_reference"),
+    "entanglement": ("mean_entropy",),
+    "projection": ("mean_entropy",),
     "state_sample": ("mean_entropy",),
 }
 

@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .spectral import DEFAULT_SPACING_EDGES, Histogram, SpectralData
 from .tensor import DEFAULT_DIM_CAP, DimensionCapExceeded, evolution_unitary
 
 REFERENCE_KINDS = ("cue", "composed", "diagonal")
-
-GRAPH_ONLY_ANALYSES = ("entanglement", "projection", "state_sample")
-ANALYSIS_KINDS = ("spacing", "phase_density", "evec_entropy", "entanglement",
-                  "element_entropy", "projection", "trace_moments", "state_sample")
 
 PHASE_BINS = 32
 
@@ -64,7 +61,7 @@ class Analysis:
     arg: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ANALYSIS_KINDS:
+        if self.kind not in ANALYSES:
             raise ValueError(f"unknown analysis {self.kind!r}")
         object.__setattr__(self, "arg", tuple(self.arg))
 
@@ -98,39 +95,14 @@ class EnsembleSpec:
             self._check_analysis(analysis)
 
     def _check_analysis(self, analysis: Analysis) -> None:
-        graph = self.source if isinstance(self.source, InteractionGraph) else None
-        if analysis.kind in GRAPH_ONLY_ANALYSES and graph is None:
+        kind = ANALYSES[analysis.kind]
+        if kind.graph and not isinstance(self.source, InteractionGraph):
             raise IncompatibleAnalysis(
                 f"{analysis.kind} needs a graph source (reference ensembles "
                 "carry no particle structure)")
-        if analysis.kind in ("spacing", "phase_density") and self.dim < 2:
-            raise IncompatibleAnalysis(f"{analysis.kind} needs dimension >= 2")
-        if analysis.kind == "entanglement":
-            self._check_bipartition(analysis.arg, graph)
-        if analysis.kind == "projection":
-            if graph.num_particles < 3:
-                raise IncompatibleAnalysis(
-                    "projection needs at least three particles")
-            if len(analysis.arg) != 1 or not 1 <= analysis.arg[0] <= graph.num_particles:
-                raise IncompatibleAnalysis(
-                    f"projection takes one valid particle index, got {analysis.arg}")
-        if analysis.kind == "trace_moments":
-            if len(analysis.arg) != 1 or analysis.arg[0] < 1:
-                raise IncompatibleAnalysis(
-                    f"trace_moments takes a max power >= 1, got {analysis.arg}")
-        if analysis.kind == "state_sample":
-            if graph.num_particles < 2:
-                raise IncompatibleAnalysis(
-                    "state_sample needs at least two particles")
-            if analysis.arg:
-                self._check_bipartition(analysis.arg, graph)
-
-    @staticmethod
-    def _check_bipartition(arg: tuple[int, ...], graph: InteractionGraph) -> None:
-        k = graph.num_particles
-        if not arg or len(set(arg)) >= k or any(p < 1 or p > k for p in arg):
-            raise IncompatibleAnalysis(
-                f"bipartition {arg} must be a non-trivial subset of 1..{k}")
+        message = kind.check(self, analysis)
+        if message:
+            raise IncompatibleAnalysis(message)
 
     @property
     def dim(self) -> int:
@@ -191,13 +163,6 @@ def _draw_matrices(spec: EnsembleSpec, streams: list[RandomStream]) -> np.ndarra
     return np.stack([draw(spec.source.dim, s) for s in streams])
 
 
-def random_graph_state(graph: InteractionGraph, stream: RandomStream,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Act with one sampled evolution on the first product basis state;
-    returns the first column of the evolution unitary (unit norm)."""
-    return evolution_unitary(graph, stream, dim_cap=dim_cap)[:, 0].copy()
-
-
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:
     """Tr(U^m) for m = 1..max_power from the eigenvalues of U."""
     powers = np.arange(1, max_power + 1)
@@ -238,7 +203,7 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
 
 
 # ---------------------------------------------------------------------------
-# Reduced-state statistics
+# The analyses: one table row per kind
 # ---------------------------------------------------------------------------
 
 def _keep_set(spec: EnsembleSpec, analysis: Analysis) -> list[int]:
@@ -266,62 +231,59 @@ def _projection_stats(vectors: np.ndarray, dims, particle: int,
     normed = slices[valid] / np.sqrt(weights[valid])[:, None]
 
     entropies, purities = ent.reduced_entropies(normed, rest_dims, [0])
-    if weighted:
-        w = weights[valid]
-        mean_ent = float((w * entropies).sum() / w.sum())
-        mean_pur = float((w * purities).sum() / w.sum())
-    else:
-        mean_ent = float(entropies.mean())
-        mean_pur = float(purities.mean())
-    return mean_ent, mean_pur, skipped
+    w = weights[valid] if weighted else np.ones(len(entropies))
+    return (float((w * entropies).sum() / w.sum()),
+            float((w * purities).sum() / w.sum()), skipped)
 
 
-# ---------------------------------------------------------------------------
-# Campaign driver
-# ---------------------------------------------------------------------------
-
-_SPECTRUM_ANALYSES = {"spacing", "phase_density", "evec_entropy",
-                      "entanglement", "projection", "trace_moments"}
+def _no_parameter(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    return f"{analysis.kind} takes no parameter, got {analysis.arg}" if analysis.arg else None
 
 
-def _run_draw(spec: EnsembleSpec, u: np.ndarray) -> dict:
-    dims = spec.source.dims if isinstance(spec.source, InteractionGraph) else None
+def _spectrum_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    if spec.dim < 2:
+        return f"{analysis.kind} needs dimension >= 2"
+    return _no_parameter(spec, analysis)
 
-    data: SpectralData | None = None
-    if any(a.kind in _SPECTRUM_ANALYSES for a in spec.analyses):
-        data = spectral.eigendecompose(u)
 
-    record: dict = {}
-    for analysis in spec.analyses:
-        kind = analysis.kind
-        if kind == "spacing":
-            record[kind] = spectral.spacings(data.phases, include_wrap=spec.include_wrap)
-        elif kind == "phase_density":
-            record[kind] = data.phases
-        elif kind == "evec_entropy":
-            record[kind] = ent.eigenvector_entropy(data)
-        elif kind == "element_entropy":
-            record[kind] = ent.element_entropy(u)
-        elif kind in ("entanglement", "state_sample"):
-            # every eigenvector, or the sampled state U|0>
-            stack = data.vectors.T if kind == "entanglement" else u[:, :1].T
-            keep0 = [p - 1 for p in _keep_set(spec, analysis)]
-            entropies, purities = ent.reduced_entropies(stack, dims, keep0)
-            record[kind] = (float(entropies.mean()), float(purities.mean()))
-        elif kind == "projection":
-            record[kind] = _projection_stats(data.vectors, dims, analysis.arg[0],
-                                             spec.weighted_projection)
-        elif kind == "trace_moments":
-            record[kind] = _moments_from_eigvals(np.exp(1j * data.phases),
-                                                 analysis.arg[0])
-    return record
+def _bipartition_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    arg, k = analysis.arg, spec.source.num_particles
+    if not arg or len(set(arg)) >= k or any(p < 1 or p > k for p in arg):
+        return f"bipartition {arg} must be a non-trivial subset of 1..{k}"
+    return None
+
+
+def _projection_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    if spec.source.num_particles < 3:
+        return "projection needs at least three particles"
+    if len(analysis.arg) != 1 or not 1 <= analysis.arg[0] <= spec.source.num_particles:
+        return f"projection takes one valid particle index, got {analysis.arg}"
+    return None
+
+
+def _trace_moments_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    ok = len(analysis.arg) == 1 and analysis.arg[0] >= 1
+    return None if ok else f"trace_moments takes a max power >= 1, got {analysis.arg}"
+
+
+def _state_sample_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
+    if spec.source.num_particles < 2:
+        return "state_sample needs at least two particles"
+    return _bipartition_check(spec, analysis) if analysis.arg else None
+
+
+def _reduced_pair(spec: EnsembleSpec, analysis: Analysis,
+                  stack: np.ndarray) -> tuple[float, float]:
+    """Mean entropy and purity of the keep set's reduced states of ``stack``'s rows."""
+    keep0 = [p - 1 for p in _keep_set(spec, analysis)]
+    entropies, purities = ent.reduced_entropies(stack, spec.source.dims, keep0)
+    return float(entropies.mean()), float(purities.mean())
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
-    mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, se
+    return float(values.mean()), se
 
 
 def _scalar_summary(values: list) -> dict:
@@ -347,110 +309,146 @@ def _page_references(dim_a: int, dim_b: int) -> dict:
             "purity_reference": ent.mean_purity(dim_a, dim_b)}
 
 
-def _element_entropy_edges(dim: int) -> np.ndarray:
-    center = np.log(dim)
-    return np.linspace(max(0.0, center - 2.5), center + 0.5, 121)
+def _element_entropy_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    center = np.log(spec.dim)
+    edges = np.linspace(max(0.0, center - 2.5), center + 0.5, 121)
+    return {**_scalar_summary(values),
+            "histogram": Histogram.from_samples(np.asarray(values), edges)}
+
+
+def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    pooled = np.concatenate(values)
+    _, mean_se = _mean_se([v.mean() for v in values])
+    return {"count": int(pooled.size), "mean": float(pooled.mean()), "mean_se": mean_se,
+            "variance": float(pooled.var(ddof=1)) if pooled.size > 1 else 0.0,
+            "ks_wigner": spectral.ks_statistic(
+                pooled, lambda s: spectral.reference_cdf("wigner", s)),
+            "ks_poisson": spectral.ks_statistic(
+                pooled, lambda s: spectral.reference_cdf("poisson", s)),
+            "histogram": Histogram.from_samples(pooled, DEFAULT_SPACING_EDGES)}
+
+
+def _phase_density_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    pooled = np.concatenate(values)
+    if len(pooled) >= 10 * PHASE_BINS:
+        statistic, p_value = spectral.phase_uniformity(pooled, bins=PHASE_BINS)
+    else:
+        # too little data for the chi-square contract; keep the histogram
+        statistic = p_value = None
+    return {"count": int(pooled.size), "bins": PHASE_BINS,
+            "chi_square": statistic, "p_value": p_value,
+            "histogram": Histogram.from_samples(
+                pooled, np.linspace(0.0, spectral.TWO_PI, PHASE_BINS + 1))}
+
+
+def _entanglement_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    keep = _keep_set(spec, analysis)
+    dim_a = prod(spec.source.dims[p - 1] for p in keep)
+    dim_b = spec.dim // dim_a
+    return {"keep": keep, "dim_a": dim_a, "dim_b": dim_b,
+            **_pair_summary(values), **_page_references(dim_a, dim_b)}
+
+
+def _projection_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    particle = analysis.arg[0]
+    rest = [d for p, d in enumerate(spec.source.dims, start=1) if p != particle]
+    dim_a, dim_c = rest[0], prod(rest[1:])
+    return {"particle": particle, "dim_a": dim_a, "dim_c": dim_c,
+            **_pair_summary(values), **_page_references(dim_a, dim_c),
+            "skipped_slices": sum(v[2] for v in values),
+            "weighted": spec.weighted_projection}
+
+
+def _trace_moments_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    n = len(values)
+    stacked = np.vstack(values)
+    means = stacked.mean(axis=0)
+    se_re, se_im = (part.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
+                    else np.zeros(stacked.shape[1])
+                    for part in (stacked.real, stacked.imag))
+    return {"draws": n, "max_power": analysis.arg[0],
+            "mean_real": means.real, "mean_imag": means.imag,
+            "se_real": se_re, "se_imag": se_im}
+
+
+def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+    keep = _keep_set(spec, analysis)
+    dim_a = prod(spec.source.dims[p - 1] for p in keep)
+    return {"keep": keep, **_pair_summary(values),
+            "histogram": Histogram.from_samples(
+                np.asarray([v[0] for v in values]),
+                np.linspace(0.0, np.log(dim_a) + 0.1, 61))}
+
+
+class AnalysisKind(NamedTuple):
+    """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), or "phases"
+    or "eigensystem" (one eigendecomposition serves both). ``check`` returns the
+    IncompatibleAnalysis message for a bad request, else None. ``per_draw(spec,
+    analysis, u, data)`` is a draw's record; ``summary(spec, analysis, values)``."""
+
+    needs: str
+    graph: bool  # needs a graph source
+    check: Callable[[EnsembleSpec, Analysis], str | None]
+    per_draw: Callable
+    summary: Callable
+
+
+# rows call ent.* and spectral.* through their modules, so patching reaches them
+ANALYSES = {
+    "spacing": AnalysisKind(
+        "phases", False, _spectrum_check,
+        lambda spec, a, u, data: spectral.spacings(
+            data.phases, include_wrap=spec.include_wrap),
+        _spacing_summary),
+    "phase_density": AnalysisKind(
+        "phases", False, _spectrum_check,
+        lambda spec, a, u, data: data.phases,
+        _phase_density_summary),
+    "evec_entropy": AnalysisKind(
+        "eigensystem", False, _no_parameter,
+        lambda spec, a, u, data: ent.eigenvector_entropy(data),
+        lambda spec, a, values: {
+            **_scalar_summary(values),
+            "reference_mean": ent.mean_random_vector_entropy(spec.dim)}),
+    "element_entropy": AnalysisKind(
+        "matrix", False, _no_parameter,
+        lambda spec, a, u, data: ent.element_entropy(u),
+        _element_entropy_summary),
+    "trace_moments": AnalysisKind(
+        "phases", False, _trace_moments_check,
+        lambda spec, a, u, data: _moments_from_eigvals(
+            np.exp(1j * data.phases), a.arg[0]),
+        _trace_moments_summary),
+    "entanglement": AnalysisKind(
+        "eigensystem", True, _bipartition_check,
+        lambda spec, a, u, data: _reduced_pair(spec, a, data.vectors.T),
+        _entanglement_summary),
+    "projection": AnalysisKind(
+        "eigensystem", True, _projection_check,
+        lambda spec, a, u, data: _projection_stats(
+            data.vectors, spec.source.dims, a.arg[0], spec.weighted_projection),
+        _projection_summary),
+    "state_sample": AnalysisKind(
+        "state", True, _state_sample_check,
+        lambda spec, a, u, data: _reduced_pair(spec, a, u[:, :1].T),
+        _state_sample_summary),
+}
+
+
+# ---------------------------------------------------------------------------
+# Campaign driver
+# ---------------------------------------------------------------------------
+
+def _run_draw(spec: EnsembleSpec, u: np.ndarray) -> dict:
+    data: SpectralData | None = None
+    if any(ANALYSES[a.kind].needs in ("phases", "eigensystem") for a in spec.analyses):
+        data = spectral.eigendecompose(u)
+    return {a.kind: ANALYSES[a.kind].per_draw(spec, a, u, data) for a in spec.analyses}
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
-    results: dict = {}
-    for analysis in spec.analyses:
-        kind = analysis.kind
-        values = [r[kind] for r in records]
-        if kind == "spacing":
-            pooled = np.concatenate(values)
-            hist = Histogram.from_samples(pooled, DEFAULT_SPACING_EDGES)
-            _, mean_se = _mean_se([v.mean() for v in values])
-            results[kind] = {
-                "count": int(pooled.size),
-                "mean": float(pooled.mean()),
-                "mean_se": mean_se,
-                "variance": float(pooled.var(ddof=1)) if pooled.size > 1 else 0.0,
-                "ks_wigner": spectral.ks_statistic(
-                    pooled, lambda s: spectral.reference_cdf("wigner", s)),
-                "ks_poisson": spectral.ks_statistic(
-                    pooled, lambda s: spectral.reference_cdf("poisson", s)),
-                "histogram": hist,
-            }
-        elif kind == "phase_density":
-            pooled = np.concatenate(values)
-            if len(pooled) >= 10 * PHASE_BINS:
-                statistic, p_value = spectral.phase_uniformity(pooled, bins=PHASE_BINS)
-            else:
-                # too little data for the chi-square contract; keep the histogram
-                statistic = p_value = None
-            hist = Histogram.from_samples(
-                pooled, np.linspace(0.0, spectral.TWO_PI, PHASE_BINS + 1))
-            results[kind] = {
-                "count": int(pooled.size),
-                "bins": PHASE_BINS,
-                "chi_square": statistic,
-                "p_value": p_value,
-                "histogram": hist,
-            }
-        elif kind == "evec_entropy":
-            results[kind] = {
-                **_scalar_summary(values),
-                "reference_mean": ent.mean_random_vector_entropy(spec.dim),
-            }
-        elif kind == "element_entropy":
-            results[kind] = {
-                **_scalar_summary(values),
-                "histogram": Histogram.from_samples(
-                    np.asarray(values), _element_entropy_edges(spec.dim)),
-            }
-        elif kind == "entanglement":
-            keep = _keep_set(spec, analysis)
-            dim_a = prod(spec.source.dims[p - 1] for p in keep)
-            dim_b = spec.dim // dim_a
-            results[kind] = {
-                "keep": keep,
-                "dim_a": dim_a,
-                "dim_b": dim_b,
-                **_pair_summary(values),
-                **_page_references(dim_a, dim_b),
-            }
-        elif kind == "projection":
-            particle = analysis.arg[0]
-            rest = [d for p, d in enumerate(spec.source.dims, start=1) if p != particle]
-            dim_a, dim_c = rest[0], prod(rest[1:])
-            results[kind] = {
-                "particle": particle,
-                "dim_a": dim_a,
-                "dim_c": dim_c,
-                **_pair_summary(values),
-                **_page_references(dim_a, dim_c),
-                "skipped_slices": sum(v[2] for v in values),
-                "weighted": spec.weighted_projection,
-            }
-        elif kind == "trace_moments":
-            stacked = np.vstack(values)
-            means = stacked.mean(axis=0)
-            if len(values) > 1:
-                se_re = stacked.real.std(axis=0, ddof=1) / np.sqrt(len(values))
-                se_im = stacked.imag.std(axis=0, ddof=1) / np.sqrt(len(values))
-            else:
-                se_re = np.zeros(stacked.shape[1])
-                se_im = np.zeros(stacked.shape[1])
-            results[kind] = {
-                "draws": len(values),
-                "max_power": analysis.arg[0],
-                "mean_real": means.real,
-                "mean_imag": means.imag,
-                "se_real": se_re,
-                "se_imag": se_im,
-            }
-        elif kind == "state_sample":
-            keep = _keep_set(spec, analysis)
-            dim_a = prod(spec.source.dims[p - 1] for p in keep)
-            results[kind] = {
-                "keep": keep,
-                **_pair_summary(values),
-                "histogram": Histogram.from_samples(
-                    np.asarray([v[0] for v in values]),
-                    np.linspace(0.0, np.log(dim_a) + 0.1, 61)),
-            }
-    return results
+    return {a.kind: ANALYSES[a.kind].summary(spec, a, [r[a.kind] for r in records])
+            for a in spec.analyses}
 
 
 def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:

@@ -119,6 +119,14 @@ class TestRun:
                      "entanglement:1", "--out", str(tmp_path)]) == 2
         assert "graph source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("analysis", ["spacing:5", "evec_entropy:7",
+                                          "element_entropy:1,2", "phase_density:3"])
+    def test_parameter_on_parameterless_kind_exits_2(self, tmp_path, capsys, analysis):
+        assert main(["run", "--ring", "4", "--draws", "2", "--analyses", analysis,
+                     "--out", str(tmp_path)]) == 2
+        assert "takes no parameter" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "report.json")
+
     def test_analyses_with_multi_particle_args(self, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--square", "--n", "2", "--draws", "5", "--analyses",

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from unigraph.ensemble import (STACK_AMPLITUDES, Analysis, EnsembleReport, EnsembleSpec,
-                               IncompatibleAnalysis, ReferenceEnsemble, _aggregate,
-                               _moments_from_eigvals, _run_draw, benchmark_generation,
-                               random_graph_state, run_ensemble)
+from unigraph import spectral
+from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
+                               EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
+                               _aggregate, _moments_from_eigvals, _run_draw,
+                               benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, from_bond_vertex_graph, ring_graph)
@@ -25,6 +26,31 @@ def per_draw_matrix(source, stream):
     draw = {"cue": haar_unitary, "composed": sample_composed,
             "diagonal": random_phases_diagonal}[source.kind]
     return draw(source.dim, stream)
+
+
+class TestAnalysisTable:
+    def test_kinds_needs_and_graph_flags(self):
+        assert {kind: (row.needs, row.graph) for kind, row in ANALYSES.items()} == {
+            "spacing": ("phases", False),
+            "phase_density": ("phases", False),
+            "evec_entropy": ("eigensystem", False),
+            "element_entropy": ("matrix", False),
+            "trace_moments": ("phases", False),
+            "entanglement": ("eigensystem", True),
+            "projection": ("eigensystem", True),
+            "state_sample": ("state", True),
+        }
+
+    def test_matrix_and_state_kinds_skip_the_eigensolve(self, monkeypatch):
+        def refuse(u):
+            raise AssertionError("eigendecompose called")
+        monkeypatch.setattr(spectral, "eigendecompose", refuse)
+        spec = EnsembleSpec(source=chain_graph(6, 2), draws=3, master_seed=0,
+                            analyses=(Analysis("element_entropy"), Analysis("state_sample")))
+        assert set(run_ensemble(spec).analyses) == {"element_entropy", "state_sample"}
+        with pytest.raises(AssertionError, match="eigendecompose called"):
+            run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=1, master_seed=0,
+                                      analyses=(Analysis("trace_moments", (1,)),)))
 
 
 class TestAnalysisParsing:
@@ -166,7 +192,7 @@ class TestRunEnsemble:
         spec = EnsembleSpec(source=graph, draws=3, master_seed=23,
                             analyses=(Analysis("state_sample"),))
         result = run_ensemble(spec).analyses["state_sample"]
-        sigmas = [partial_trace(random_graph_state(graph, RandomStream(23, t)),
+        sigmas = [partial_trace(evolution_unitary(graph, RandomStream(23, t))[:, 0],
                                 graph.dims, keep=(1, 2)) for t in range(3)]
         assert result["keep"] == [1, 2]
         assert abs(result["mean_entropy"]
@@ -175,15 +201,17 @@ class TestRunEnsemble:
 
 
 class TestRandomGraphState:
+    """The state U|0> of one sampled evolution: its unitary's first column."""
+
     def test_identity_singletons_give_basis_state(self):
         graph = InteractionGraph(
             ParticleSystem((4,)),
             (Layer("c", (Clique((1,)),), singletons="identity"),))
-        state = random_graph_state(graph, RandomStream(15, 0))
+        state = evolution_unitary(graph, RandomStream(15, 0))[:, 0]
         assert np.array_equal(state, np.eye(4, dtype=complex)[:, 0])
 
     def test_unit_norm(self):
-        state = random_graph_state(ring_graph(4, 2), RandomStream(16, 0))
+        state = evolution_unitary(ring_graph(4, 2), RandomStream(16, 0))[:, 0]
         assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
 
     def test_two_qubit_entropy_matches_haar_states(self):
@@ -191,7 +219,7 @@ class TestRandomGraphState:
         draws = 400
         graph = pair_graph(2)
         structured = [von_neumann_entropy(partial_trace(
-            random_graph_state(graph, RandomStream(17, t)), (2, 2), (1,)))
+            evolution_unitary(graph, RandomStream(17, t))[:, 0], (2, 2), (1,)))
             for t in range(draws)]
         rng = np.random.default_rng(18)
         haar_states = rng.normal(size=(draws, 4)) + 1j * rng.normal(size=(draws, 4))

@@ -5,6 +5,7 @@ import shlex
 from pathlib import Path
 
 from unigraph.cli import main
+from unigraph.ensemble import ANALYSES
 from unigraph.graph import parse_graph_spec
 from unigraph.spectral import WIGNER_VARIANCE
 
@@ -40,3 +41,11 @@ def test_cli_examples_run(tmp_path, monkeypatch):
     assert lines
     for line in lines:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+def test_analyses_paragraph_lists_the_table():
+    sentence = re.search(r"^Analyses: (.*?)\.\s", README, flags=re.S | re.M).group(1)
+    everywhere, graph_only = sentence.split("(graph sources only)")
+    kinds = [re.findall(r"`([a-z_]+)", part) for part in (everywhere, graph_only)]
+    assert sorted(kinds[0] + kinds[1]) == sorted(ANALYSES)
+    assert set(kinds[1]) == {kind for kind, row in ANALYSES.items() if row.graph}
