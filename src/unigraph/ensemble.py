@@ -158,9 +158,18 @@ def _draw_matrices(spec: EnsembleSpec, streams: list[RandomStream]) -> np.ndarra
         return evolution_unitary(spec.source, streams, dim_cap=spec.dim_cap)
     if spec.source.dim > spec.dim_cap:
         raise DimensionCapExceeded(spec.source.dim, spec.dim_cap)
-    draw = {"cue": haar_unitary, "composed": sample_composed,
+    if spec.source.kind == "cue":
+        return haar_unitary(spec.source.dim, streams)
+    draw = {"composed": sample_composed,
             "diagonal": random_phases_diagonal}[spec.source.kind]
     return np.stack([draw(spec.source.dim, s) for s in streams])
+
+
+def _stacks(dim: int, draws: int) -> list[range]:
+    """Draws 0..draws-1 in stacks of max(1, STACK_AMPLITUDES // dim**2)
+    consecutive draws: the unit in which matrices are generated."""
+    size = max(1, STACK_AMPLITUDES // dim**2)
+    return [range(first, min(first + size, draws)) for first in range(0, draws, size)]
 
 
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:
@@ -185,19 +194,23 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
                          master_seed: int = 0,
                          dim_cap: int = DEFAULT_DIM_CAP) -> BenchmarkResult:
     """Wall-clock comparison of generating (not diagonalizing) ``draws``
-    structured matrices versus direct CUE matrices of the same dimension.
-    A graph over ``dim_cap`` raises DimensionCapExceeded on the first draw."""
+    structured matrices versus direct CUE matrices of the same dimension,
+    both on the path campaigns take: in the stacks of draws ``run_ensemble``
+    uses, one ``evolution_unitary`` or ``haar_unitary`` call per stack.
+    A graph over ``dim_cap`` raises DimensionCapExceeded on the first stack."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
+    stacks = [[RandomStream(master_seed, t) for t in stack]
+              for stack in _stacks(dim, draws)]
     start = time.perf_counter()
-    for t in range(draws):
-        evolution_unitary(graph, RandomStream(master_seed, t), dim_cap=dim_cap)
+    for streams in stacks:
+        evolution_unitary(graph, streams, dim_cap=dim_cap)
     structured = time.perf_counter() - start
 
     start = time.perf_counter()
-    for t in range(draws):
-        haar_unitary(dim, RandomStream(master_seed, t))
+    for streams in stacks:
+        haar_unitary(dim, streams)
     cue = time.perf_counter() - start
     return BenchmarkResult(dim, draws, structured, cue)
 
@@ -467,9 +480,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     results are identical to a serial run).
     """
     start = time.perf_counter()
-    size = max(1, STACK_AMPLITUDES // spec.dim**2)
-    stacks = [range(first, min(first + size, spec.draws))
-              for first in range(0, spec.draws, size)]
+    stacks = _stacks(spec.dim, spec.draws)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))

@@ -2,18 +2,42 @@
 
 Every draw is a pure function of a RandomStream, so ensembles can be
 generated in any order (or concurrently) with bit-identical results.
+
+A stream's generator is PCG64 seeded by
+``SeedSequence(master_seed, spawn_key=path)``. ``haar_unitary`` seeds a
+whole batch of streams at once: it runs numpy's SeedSequence hash over
+the batch's spawn keys in one vectorized pass (``_stream_states``) and
+hands each PCG64 its precomputed state words. The generators are the
+ones ``RandomStream.generator()`` builds. A spot check
+(``_seeded_like_numpy``) compares the first stream of each batch with
+numpy's own SeedSequence; on a mismatch the batch is seeded stream by
+stream through ``generator()``, so the draws do not change, and a
+RuntimeWarning is issued (once, under the default warning filters).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 DEFAULT_SEED = 0x5EED
 
 _U64 = 1 << 64
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# 32-bit words, hashmix/mix with these constants, generate_state's output hash
+_M32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_FALLBACK_WARNING = ("vectorized SeedSequence seeding disagrees with numpy's; "
+                     "seeding stream by stream instead")
 
 
 class DimensionZero(ValueError):
@@ -69,6 +93,132 @@ class RandomStream:
         return np.random.Generator(np.random.PCG64(seq))
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < count: the hash constant at each
+    step of a SeedSequence hash."""
+    values = [init]
+    for _ in range(count - 1):
+        values.append(values[-1] * mult & _M32)
+    return np.array(values, dtype=np.uint32)
+
+
+# the constants of generate_state's hash, which runs eight steps
+_OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
+
+
+def _hashmix(value, xor, mul):
+    """One step of SeedSequence's hash: xor with the hash constant, multiply
+    by its next value. Works on ints and, elementwise, on uint32 arrays."""
+    value = (value ^ xor) * mul & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the hashed word y into pool word x."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return value ^ value >> 16
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(master_seed: int) -> np.ndarray:
+    """SeedSequence's pool after it has mixed in the run entropy alone:
+    master_seed's two 32-bit words, zero-padded to the pool size because a
+    spawn key follows. Returned read-only; it depends on nothing else."""
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + 1).tolist()
+    entropy = (master_seed & _M32, master_seed >> 32, 0, 0)
+    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(entropy)]
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
+                k += 1
+    out = np.array(pool, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _spawn_words(path: tuple[int, ...]) -> list[int]:
+    """numpy's uint32 coercion of a spawn key: each entry's little-endian
+    32-bit words, one word for an entry below 2**32 and two above."""
+    words = []
+    for entry in path:
+        words.append(entry & _M32)
+        if entry > _M32:
+            words.append(entry >> 32)
+    return words
+
+
+def _stream_states(master_seed: int, keys: np.ndarray) -> np.ndarray:
+    """``SeedSequence(master_seed, spawn_key=key).generate_state(4, np.uint64)``
+    for every row of ``keys``, a (B, W) uint32 array of spawn-key words, as
+    one (B, 4) uint64 array.
+
+    Each spawn-key word is hashed once per pool word and mixed into that
+    word. The hash constant advances one step per hash whatever the values
+    are, so all rows of one word count share the constants.
+    """
+    rows, width = keys.shape
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + width) + 1)
+    a = a[_POOL_SIZE**2:]  # the run entropy took the first steps
+    hashed = _hashmix(keys[:, :, None], a[:-1].reshape(width, _POOL_SIZE),
+                      a[1:].reshape(width, _POOL_SIZE))
+    pool = np.repeat(_seed_pool(master_seed)[None], rows, axis=0)
+    for word in range(width):
+        pool = _mix(pool, hashed[:, word])
+    # generate_state cycles through the pool: eight 32-bit words, little
+    # end first in each 64-bit word
+    out = _hashmix(np.tile(pool, 2), _OUTPUT_HASH[:-1], _OUTPUT_HASH[1:])
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StateWords(ISeedSequence):
+    """A seed sequence that hands PCG64 the state words computed for it;
+    PCG64 asks for generate_state(4, np.uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _seeded_like_numpy(generator: np.random.Generator, stream: RandomStream) -> bool:
+    """The spot check of vectorized seeding: whether ``generator`` starts in
+    the state of ``stream.generator()``."""
+    return generator.bit_generator.state == stream.generator().bit_generator.state
+
+
+def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
+    """[s.generator() for s in streams], seeded a group at a time.
+
+    Streams that share a master seed and a spawn-key word count are hashed
+    in one ``_stream_states`` pass, and the group's first generator is
+    spot-checked against numpy's SeedSequence. A group that fails the check
+    is seeded stream by stream instead, with a RuntimeWarning. A group of
+    one stream is seeded by numpy directly.
+    """
+    keys = [_spawn_words(s.path) for s in streams]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, (s, key) in enumerate(zip(streams, keys)):
+        groups.setdefault((s.master_seed, len(key)), []).append(j)
+    generators = [None] * len(streams)
+    for (master_seed, _), members in groups.items():
+        if len(members) == 1:  # the vectorized pass and its check cost more
+            generators[members[0]] = streams[members[0]].generator()
+            continue
+        states = _stream_states(master_seed,
+                                np.array([keys[j] for j in members], dtype=np.uint32))
+        group = [np.random.Generator(np.random.PCG64(_StateWords(words)))
+                 for words in states]
+        if not _seeded_like_numpy(group[0], streams[members[0]]):
+            warnings.warn(_FALLBACK_WARNING, RuntimeWarning)
+            group = [streams[j].generator() for j in members]
+        for j, generator in zip(members, group):
+            generators[j] = generator
+    return generators
+
+
 def unitarity_tolerance(dim: int) -> float:
     # 1e-12 is comfortable for doubles up to N=1024; scale beyond that.
     return 1e-12 if dim <= 1024 else 1e-14 * dim
@@ -107,16 +257,16 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
 
     Given a sequence of streams, return the (len, dim, dim) stack whose
     j-th matrix is the one drawn from streams[j] alone; the stack is
-    factorized and checked in single calls. An empty sequence raises
-    ValueError.
+    factorized and checked in single calls, and its streams are seeded in
+    vectorized groups (``_generators``). An empty sequence raises ValueError.
     """
     if dim < 1:
         raise DimensionZero(dim)
     single, streams = as_streams(stream)
     # per stream, the real parts then the imaginary parts, in one draw
     x = np.empty((len(streams), 2, dim, dim))
-    for j, s in enumerate(streams):
-        s.generator().standard_normal(out=x[j])
+    for j, generator in enumerate(_generators(streams)):
+        generator.standard_normal(out=x[j])
     z = x[:, 0] + 1j * x[:, 1]
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from unigraph import spectral
+from unigraph import ensemble, spectral
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
                                EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
                                _aggregate, _moments_from_eigvals, _run_draw,
@@ -267,6 +267,22 @@ class TestBenchmark:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             benchmark_generation(ring_graph(4, 2), 0)
+
+    def test_times_the_campaign_stacks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ensemble, "evolution_unitary", lambda graph, streams, dim_cap:
+                            calls.append(("evolution", [s.path for s in streams])))
+        monkeypatch.setattr(ensemble, "haar_unitary", lambda dim, streams:
+                            calls.append(("haar", [s.path for s in streams])))
+        result = benchmark_generation(chain_graph(6, 2), 40, master_seed=3)
+        assert (result.dim, result.draws) == (64, 40)
+        # N=64: the stacks of 16 draws that run_ensemble generates
+        stacks = [[(t,) for t in range(first, min(first + 16, 40))] for first in (0, 16, 32)]
+        assert calls == [("evolution", s) for s in stacks] + [("haar", s) for s in stacks]
+
+    def test_over_cap_graph_raises(self):
+        with pytest.raises(DimensionCapExceeded):
+            benchmark_generation(ring_graph(6, 2), 2, dim_cap=32)
 
     def test_structured_beats_cue_on_large_ring(self):
         result = benchmark_generation(ring_graph(8, 2), 30, master_seed=20)

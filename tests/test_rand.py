@@ -1,11 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unigraph import rand
+from unigraph.graph import chain_graph
 from unigraph.rand import (DimensionZero, RandomStream, UnitarityError,
                            haar_unitary, random_phases_diagonal, require_unitary,
                            sample_composed, unitarity_defect)
+from unigraph.tensor import evolution_unitary
+
+# path entries of one 32-bit word and of two, so one batch mixes word counts
+PATH = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                min_size=1, max_size=4).map(tuple)
+SEED = st.integers(0, 2**64 - 1)
 
 
 class TestRandomStream:
@@ -55,6 +65,84 @@ class TestRandomStream:
         assert child == made and hash(child) == hash(made)
         assert type(child.path) is tuple and child.path == made.path
         assert np.array_equal(child.generator().random(8), made.generator().random(8))
+
+
+class TestVectorizedSeeding:
+    """haar_unitary seeds a batch of streams in one vectorized pass of
+    SeedSequence's hash; RandomStream.generator() is the oracle."""
+
+    @given(SEED, st.lists(PATH, min_size=1, max_size=8), SEED)
+    @example(2**64 - 1, [(2**64 - 1,), (0, 1), (2**32,), (5,)], 0)
+    @example(0, [(0,)], 1)
+    @settings(max_examples=150, deadline=None)
+    def test_each_generator_is_the_streams_own(self, seed, paths, other_seed):
+        # one master seed for the batch, so paths of one word count make a
+        # group; two streams of a second seed join the batch
+        streams = [RandomStream(seed, path) for path in paths]
+        streams += [RandomStream(other_seed, path) for path in paths[:2]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            generators = rand._generators(streams)
+        for generator, stream in zip(generators, streams):
+            assert np.array_equal(generator.standard_normal(8),
+                                  stream.generator().standard_normal(8))
+
+    @given(SEED, st.integers(1, 8).flatmap(lambda width: st.lists(
+        st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
+        min_size=1, max_size=6)))
+    @settings(max_examples=150, deadline=None)
+    def test_states_are_numpys_generate_state(self, seed, keys):
+        states = rand._stream_states(seed, np.array(keys, dtype=np.uint32))
+        assert states.shape == (len(keys), 4)
+        for key, state in zip(keys, states):
+            expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert np.array_equal(state, expected)
+
+    def test_evolution_across_the_two_word_boundary_is_per_stream(self):
+        graph = chain_graph(3, 2)
+        streams = [RandomStream(11, t) for t in range(2**32 - 2, 2**32 + 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack = evolution_unitary(graph, streams)
+        for j, stream in enumerate(streams):
+            assert np.array_equal(stack[j], evolution_unitary(graph, stream))
+
+
+def _flip_a_bit(states):
+    return states ^ np.uint64(1)
+
+
+def _swap_words(states):
+    return states[:, ::-1].copy()
+
+
+class TestSeedingSpotCheck:
+    """A wrong state word from the vectorized pass must be caught by the
+    spot check, which then seeds the batch stream by stream."""
+
+    STREAMS = [RandomStream(3, (t, 1, c)) for t in range(4) for c in range(3)]
+
+    @pytest.mark.parametrize("corrupt", [_flip_a_bit, _swap_words])
+    def test_a_wrong_word_is_caught_and_the_stack_stays_numpys(self, monkeypatch, corrupt):
+        expected = [haar_unitary(3, s) for s in self.STREAMS]
+        states = rand._stream_states
+        monkeypatch.setattr(rand, "_stream_states",
+                            lambda seed, keys: corrupt(states(seed, keys)))
+        with pytest.warns(RuntimeWarning, match="vectorized SeedSequence seeding"):
+            stack = haar_unitary(3, self.STREAMS)
+        for j in range(len(self.STREAMS)):
+            assert np.array_equal(stack[j], expected[j])
+
+    @pytest.mark.parametrize("corrupt", [_flip_a_bit, _swap_words])
+    def test_without_the_spot_check_a_wrong_word_goes_through(self, monkeypatch, corrupt):
+        expected = [haar_unitary(3, s) for s in self.STREAMS]
+        states = rand._stream_states
+        monkeypatch.setattr(rand, "_stream_states",
+                            lambda seed, keys: corrupt(states(seed, keys)))
+        monkeypatch.setattr(rand, "_seeded_like_numpy", lambda generator, stream: True)
+        stack = haar_unitary(3, self.STREAMS)
+        assert not any(np.array_equal(stack[j], expected[j])
+                       for j in range(len(self.STREAMS)))
 
 
 class TestRequireUnitary:
