@@ -169,11 +169,8 @@ def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
 
 
 def _dim_cap(args) -> int:
-    """--dim-cap if given, else UNIGRAPH_DIM_CAP if set, else the default."""
-    if args.dim_cap is not None:
-        return args.dim_cap
-    env = os.environ.get("UNIGRAPH_DIM_CAP")
-    return int(env) if env else DEFAULT_DIM_CAP
+    """--dim-cap (which main fills in from UNIGRAPH_DIM_CAP), else the default."""
+    return DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
 
 
 def _command(args, seed: int) -> str:
@@ -331,6 +328,9 @@ def main(argv=None) -> int:
         # gen, run and bench: the seed is printed before any work can fail
         seed = _resolve_seed(args.seed)
         print(f"seed: {seed}")
+        env_cap = os.environ.get("UNIGRAPH_DIM_CAP")
+        if args.dim_cap is None and env_cap:
+            args.dim_cap = int(env_cap)
         source, spec_hash = _source(args)
         command = _command(args, seed)
         if args.out is not None:

@@ -152,17 +152,17 @@ class EnsembleReport:
 # Matrix sources and standalone operations
 # ---------------------------------------------------------------------------
 
-def _draw_matrices(spec: EnsembleSpec, streams: list[RandomStream]) -> np.ndarray:
-    """The (len(streams), N, N) stack of the source's draws from ``streams``."""
-    if isinstance(spec.source, InteractionGraph):
-        return evolution_unitary(spec.source, streams, dim_cap=spec.dim_cap)
-    if spec.source.dim > spec.dim_cap:
-        raise DimensionCapExceeded(spec.source.dim, spec.dim_cap)
-    if spec.source.kind == "cue":
-        return haar_unitary(spec.source.dim, streams)
-    draw = {"composed": sample_composed,
-            "diagonal": random_phases_diagonal}[spec.source.kind]
-    return np.stack([draw(spec.source.dim, s) for s in streams])
+def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
+                   streams: list[RandomStream], dim_cap: int) -> np.ndarray:
+    """The (len(streams), N, N) stack of ``source``'s draws from ``streams``,
+    from one evolution_unitary call or one call of the reference's sampler."""
+    if isinstance(source, InteractionGraph):
+        return evolution_unitary(source, streams, dim_cap=dim_cap)
+    if source.dim > dim_cap:
+        raise DimensionCapExceeded(source.dim, dim_cap)
+    sampler = {"cue": haar_unitary, "composed": sample_composed,
+               "diagonal": random_phases_diagonal}[source.kind]
+    return sampler(source.dim, streams)
 
 
 def _stacks(dim: int, draws: int) -> list[range]:
@@ -194,25 +194,21 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
                          master_seed: int = 0,
                          dim_cap: int = DEFAULT_DIM_CAP) -> BenchmarkResult:
     """Wall-clock comparison of generating (not diagonalizing) ``draws``
-    structured matrices versus direct CUE matrices of the same dimension,
-    both on the path campaigns take: in the stacks of draws ``run_ensemble``
-    uses, one ``evolution_unitary`` or ``haar_unitary`` call per stack.
-    A graph over ``dim_cap`` raises DimensionCapExceeded on the first stack."""
+    structured matrices versus direct CUE matrices of the same dimension, both
+    through ``_draw_matrices`` over the stacks of draws campaigns use. A graph
+    over ``dim_cap`` raises DimensionCapExceeded on the first stack."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
     stacks = [[RandomStream(master_seed, t) for t in stack]
               for stack in _stacks(dim, draws)]
-    start = time.perf_counter()
-    for streams in stacks:
-        evolution_unitary(graph, streams, dim_cap=dim_cap)
-    structured = time.perf_counter() - start
-
-    start = time.perf_counter()
-    for streams in stacks:
-        haar_unitary(dim, streams)
-    cue = time.perf_counter() - start
-    return BenchmarkResult(dim, draws, structured, cue)
+    seconds = []
+    for source in (graph, ReferenceEnsemble("cue", dim)):
+        start = time.perf_counter()
+        for streams in stacks:
+            _draw_matrices(source, streams, dim_cap)
+        seconds.append(time.perf_counter() - start)
+    return BenchmarkResult(dim, draws, *seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +463,7 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
 def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
     """Generate ``draws`` as one stack, then analyze each draw on its own."""
     streams = [RandomStream(spec.master_seed, t) for t in draws]
-    return [_run_draw(spec, u) for u in _draw_matrices(spec, streams)]
+    return [_run_draw(spec, u) for u in _draw_matrices(spec.source, streams, spec.dim_cap)]
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:

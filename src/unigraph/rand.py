@@ -4,11 +4,11 @@ Every draw is a pure function of a RandomStream, so ensembles can be
 generated in any order (or concurrently) with bit-identical results.
 
 A stream's generator is PCG64 seeded by
-``SeedSequence(master_seed, spawn_key=path)``. ``haar_unitary`` seeds a
-whole batch of streams at once: it runs numpy's SeedSequence hash over
-the batch's spawn keys in one vectorized pass (``_stream_states``) and
-hands each PCG64 its precomputed state words. The generators are the
-ones ``RandomStream.generator()`` builds. A spot check
+``SeedSequence(master_seed, spawn_key=path)``. Every sampler takes one
+stream or a sequence and seeds the whole batch at once: it runs numpy's
+SeedSequence hash over the batch's spawn keys in one vectorized pass
+(``_stream_states``) and hands each PCG64 its precomputed state words. The
+generators are the ones ``RandomStream.generator()`` builds. A spot check
 (``_seeded_like_numpy``) compares the first stream of each batch with
 numpy's own SeedSequence; on a mismatch the batch is seeded stream by
 stream through ``generator()``, so the draws do not change, and a
@@ -195,8 +195,7 @@ def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
     Streams that share a master seed and a spawn-key word count are hashed
     in one ``_stream_states`` pass, and the group's first generator is
     spot-checked against numpy's SeedSequence. A group that fails the check
-    is seeded stream by stream instead, with a RuntimeWarning. A group of
-    one stream is seeded by numpy directly.
+    is seeded stream by stream instead, with a RuntimeWarning.
     """
     keys = [_spawn_words(s.path) for s in streams]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -204,9 +203,6 @@ def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
         groups.setdefault((s.master_seed, len(key)), []).append(j)
     generators = [None] * len(streams)
     for (master_seed, _), members in groups.items():
-        if len(members) == 1:  # the vectorized pass and its check cost more
-            generators[members[0]] = streams[members[0]].generator()
-            continue
         states = _stream_states(master_seed,
                                 np.array([keys[j] for j in members], dtype=np.uint32))
         group = [np.random.Generator(np.random.PCG64(_StateWords(words)))
@@ -275,22 +271,28 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
     return q[0] if single else q
 
 
-def random_phases_diagonal(dim: int, stream: RandomStream) -> np.ndarray:
-    """Diagonal unitary with independent phases uniform on [0, 2pi):
-    the Poissonian reference ensemble."""
+def random_phases_diagonal(dim: int, stream: RandomStream | Sequence[RandomStream]
+                           ) -> np.ndarray:
+    """Diagonal unitary with independent phases uniform on [0, 2pi): the
+    Poissonian reference ensemble; a stack for a sequence, as haar_unitary."""
     if dim < 1:
         raise DimensionZero(dim)
-    rng = stream.generator()
-    phases = rng.uniform(0.0, 2.0 * np.pi, dim)
-    return np.diag(np.exp(1j * phases))
+    single, streams = as_streams(stream)
+    phases = np.array([g.uniform(0.0, 2.0 * np.pi, dim) for g in _generators(streams)])
+    u = np.zeros((len(streams), dim, dim), dtype=complex)
+    u[:, np.arange(dim), np.arange(dim)] = np.exp(1j * phases)
+    return u[0] if single else u
 
 
-def sample_composed(dim: int, stream: RandomStream) -> np.ndarray:
+def sample_composed(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.ndarray:
     """Two independent Poissonian diagonals mixed through a Haar rotation:
-    P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively."""
+    P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively; a
+    sequence of streams gives a stack, multiplied and checked in single calls."""
     if dim < 1:
         raise DimensionZero(dim)
-    p1 = random_phases_diagonal(dim, stream.substream(0))
-    p2 = random_phases_diagonal(dim, stream.substream(1))
-    x = haar_unitary(dim, stream.substream(2))
-    return require_unitary(p1 @ x @ p2 @ x.conj().T)
+    single, streams = as_streams(stream)
+    p1 = random_phases_diagonal(dim, [s.substream(0) for s in streams])
+    p2 = random_phases_diagonal(dim, [s.substream(1) for s in streams])
+    x = haar_unitary(dim, [s.substream(2) for s in streams])
+    u = require_unitary(p1 @ x @ p2 @ np.swapaxes(x.conj(), -1, -2))
+    return u[0] if single else u

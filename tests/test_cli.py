@@ -68,15 +68,21 @@ class TestGen:
         (["bench", "--ring", "4", "--n", "2", "--draws", "1"], "bench.json"),
     ])
     def test_raised_dim_cap_is_replayed(self, tmp_path, monkeypatch, capsys, argv, written):
-        monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
-        first, again = tmp_path / "a", tmp_path / "b"
-        assert main(argv + ["--seed", "7", "--dim-cap", "16", "--out", str(first)]) == 0
-        command = json.loads(read(first / written))["provenance"]["command"]
-        assert "--dim-cap 16" in command
-        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("re-run: ")]
-        assert printed in ([], [f"re-run: {command}"])
-        assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
-        capsys.readouterr()
+        # a cap of 16 given as a flag, or only by the environment, is in the
+        # command, so it replays where UNIGRAPH_DIM_CAP=8 would refuse N=16
+        for case, env_cap, flags in (("flag", "8", ["--dim-cap", "16"]),
+                                     ("environment", "16", [])):
+            monkeypatch.setenv("UNIGRAPH_DIM_CAP", env_cap)
+            first, again = tmp_path / case / "a", tmp_path / case / "b"
+            assert main(argv + ["--seed", "7", *flags, "--out", str(first)]) == 0
+            command = json.loads(read(first / written))["provenance"]["command"]
+            assert "--dim-cap 16" in command
+            printed = [l for l in capsys.readouterr().out.splitlines()
+                       if l.startswith("re-run: ")]
+            assert printed in ([], [f"re-run: {command}"])
+            monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
+            assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
+            capsys.readouterr()
 
     def test_failed_gen_still_prints_its_seed(self, tmp_path, capsys):
         assert main(["gen", "--ring", "10", "--dim-cap", "512", "--seed", "random",

@@ -145,6 +145,12 @@ class TestSeedingSpotCheck:
                        for j in range(len(self.STREAMS)))
 
 
+class TestSeedingSpotCheckOneStream(TestSeedingSpotCheck):
+    """The same checks on a batch of one stream, which takes the same pass."""
+
+    STREAMS = [RandomStream(3, (2, 1, 0))]
+
+
 class TestRequireUnitary:
     def test_accepts_unitary(self):
         require_unitary(np.eye(3, dtype=complex))
@@ -246,7 +252,44 @@ class TestHaarUnitary:
         assert abs(values.mean()) < 4 * se
 
 
+class TestStackedReferenceSamplers:
+    """A sequence of streams gives the stack of the single draws, bit for bit."""
+
+    BATCHES = {
+        "one": [RandomStream(5, 0)],
+        "two": [RandomStream(5, 0), RandomStream(5, 1)],
+        "seventeen": [RandomStream(5, t) for t in range(17)],
+        "two master seeds": [RandomStream(seed, t) for t in range(3)
+                             for seed in (5, 2**64 - 1)],
+        "two-word spawn key": [RandomStream(5, t) for t in (2**32 - 1, 2**32, 2**40 + 3)],
+    }
+
+    @pytest.mark.parametrize("sampler", [random_phases_diagonal, sample_composed])
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("dim", [1, 5])
+    def test_stack_is_the_single_draws(self, sampler, batch, dim):
+        streams = self.BATCHES[batch]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            stack = sampler(dim, streams)
+        expected = np.stack([sampler(dim, s) for s in streams])
+        assert stack.shape == (len(streams), dim, dim)
+        assert stack.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sampler", [random_phases_diagonal, sample_composed])
+    @pytest.mark.parametrize("empty", [[], ()])
+    def test_empty_stream_sequence_rejected(self, sampler, empty):
+        with pytest.raises(ValueError, match="at least one stream"):
+            sampler(2, empty)
+
+
 class TestRandomPhasesDiagonal:
+    def test_matches_the_uniform_phase_recipe(self):
+        stream = RandomStream(6, 2**33)
+        phases = stream.generator().uniform(0.0, 2.0 * np.pi, 7)
+        expected = np.diag(np.exp(1j * phases))
+        assert random_phases_diagonal(7, stream).tobytes() == expected.tobytes()
+
     def test_dimension_one(self):
         u = random_phases_diagonal(1, RandomStream(0, 0))
         assert abs(abs(u[0, 0]) - 1) < 1e-15
