@@ -18,6 +18,7 @@ from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph
                     validate_layer)
 from .rand import (DEFAULT_SEED, RandomStream, haar_unitary, random_phases_diagonal,
                    sample_composed, unitarity_defect)
-from .spectral import (Histogram, SpectralData, eigendecompose, ks_statistic,
-                       phase_uniformity, reference_cdf, spacings, wigner_pdf)
+from .spectral import (Histogram, SpectralData, eigendecompose, eigenphases,
+                       ks_statistic, phase_uniformity, reference_cdf, spacings,
+                       wigner_pdf)
 from .tensor import DEFAULT_DIM_CAP, evolution_unitary, layer_unitary

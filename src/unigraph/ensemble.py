@@ -4,8 +4,10 @@ Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). The matrices of a campaign are generated
 a stack of consecutive draws at a time (STACK_AMPLITUDES bounds a stack's
-size) and analysed one draw at a time; every matrix of a stack equals its
-per-draw generation bit for bit, so the stack size does not change a report.
+size) and analysed one draw at a time, except that a campaign that reads
+only eigenphases solves each stack's phases in one eigenphases call. Every
+matrix and every row of phases of a stack equals its per-draw computation
+bit for bit, so the stack size does not change a report.
 """
 
 from __future__ import annotations
@@ -390,8 +392,9 @@ def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: list) 
 
 
 class AnalysisKind(NamedTuple):
-    """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), or "phases"
-    or "eigensystem" (one eigendecomposition serves both). ``check`` returns the
+    """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), "phases"
+    (a stack's eigenphases, without eigenvectors), or "eigensystem" (one
+    eigendecomposition per draw, which serves "phases" too). ``check`` returns the
     IncompatibleAnalysis message for a bad request, else None. ``per_draw(spec,
     analysis, u, data)`` is a draw's record; ``summary(spec, analysis, values)``."""
 
@@ -448,11 +451,24 @@ ANALYSES = {
 # Campaign driver
 # ---------------------------------------------------------------------------
 
+def _analyse(spec: EnsembleSpec, us: np.ndarray) -> list[dict]:
+    """The record of each draw of the (B, N, N) stack ``us``. An eigensystem
+    costs one eigendecompose call per draw; phases alone, one eigenphases
+    call for the stack (each row equals that draw's solve on its own)."""
+    needs = {ANALYSES[a.kind].needs for a in spec.analyses}
+    if "eigensystem" in needs:
+        spectra = [spectral.eigendecompose(u) for u in us]
+    elif "phases" in needs:
+        spectra = [SpectralData(phases, None) for phases in spectral.eigenphases(us)]
+    else:
+        spectra = [None] * len(us)
+    return [{a.kind: ANALYSES[a.kind].per_draw(spec, a, u, data) for a in spec.analyses}
+            for u, data in zip(us, spectra)]
+
+
 def _run_draw(spec: EnsembleSpec, u: np.ndarray) -> dict:
-    data: SpectralData | None = None
-    if any(ANALYSES[a.kind].needs in ("phases", "eigensystem") for a in spec.analyses):
-        data = spectral.eigendecompose(u)
-    return {a.kind: ANALYSES[a.kind].per_draw(spec, a, u, data) for a in spec.analyses}
+    """One draw's record, analysed as a stack of one: the per-draw oracle."""
+    return _analyse(spec, u[None])[0]
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
@@ -461,9 +477,9 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
 
 
 def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
-    """Generate ``draws`` as one stack, then analyze each draw on its own."""
+    """Generate and analyze ``draws`` as one stack."""
     streams = [RandomStream(spec.master_seed, t) for t in draws]
-    return [_run_draw(spec, u) for u in _draw_matrices(spec.source, streams, spec.dim_cap)]
+    return _analyse(spec, _draw_matrices(spec.source, streams, spec.dim_cap))
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:

@@ -6,6 +6,14 @@ eigenvectors and eigenvalues tan((theta + alpha)/2); eigendecompose solves
 H with a Hermitian eigensolver and falls back to the complex Schur form,
 which is diagonal for a normal matrix. Phases live in [0, 2pi) and spacings
 are scaled by N/(2pi) so the mean spacing is one.
+
+eigenphases is the phases-only path for a stack of unitaries: the same
+Cayley solve, eigenvalues without eigenvectors, and the trace identities
+sum_j e^{i m theta_j} = Tr U^m (m = 1, 2) as its check in place of the
+eigenpair residual. A matrix that fails the check twice falls back to
+eigendecompose. Campaigns whose analyses read only phases (spacing,
+phase_density, trace_moments) take this path; their reports differ from
+the eigendecompose phases by at most ~1e-13.
 """
 
 from __future__ import annotations
@@ -24,6 +32,9 @@ WIGNER_VARIANCE = 3.0 * np.pi / 8.0 - 1.0
 POISSON_VARIANCE = 1.0
 #: largest accepted eigenpair residual ||U v - e^{i theta} v||, per unit of N
 RESIDUAL_TOL = 1e-9
+#: largest accepted trace-identity defect |sum_j e^{i m theta_j} - Tr U^m|,
+#: m = 1, 2, per unit of N: below any single-phase error RESIDUAL_TOL admits
+TRACE_TOL = 1e-10
 
 
 class ConvergenceFailure(ArithmeticError):
@@ -48,10 +59,11 @@ class InsufficientData(ValueError):
 
 @dataclass
 class SpectralData:
-    """Sorted eigenphases in [0, 2pi) with matching eigenvector columns."""
+    """Sorted eigenphases in [0, 2pi) with matching eigenvector columns
+    (None where only the phases were computed, by eigenphases)."""
 
     phases: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -100,22 +112,29 @@ def eigendecompose(u: np.ndarray) -> SpectralData:
     return _checked(u, np.angle(np.diagonal(t)), z)
 
 
-def _cayley_eigensystem(u: np.ndarray, alpha: float):
-    """(tangents, phases, vectors) from the eigensystem of the Hermitian part
-    of H = i (I + W)^{-1} (I - W), W = e^{i alpha} U, whose eigenvalues are
-    tangents = tan((theta + alpha)/2); None if a LAPACK call fails, as it
-    does when I + W is singular."""
-    dim = u.shape[0]
-    plus = np.exp(1j * alpha) * u
+def _cayley_hermitian(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The Hermitian part of H = i (I + W)^{-1} (I - W), W = e^{i alpha} U,
+    for each matrix of a (B, N, N) stack; its eigenvalues are
+    tan((theta + alpha)/2). Raises LinAlgError if some I + W is singular."""
+    plus = np.exp(1j * alphas)[:, None, None] * us
     minus = -plus
-    plus.flat[:: dim + 1] += 1.0
-    minus.flat[:: dim + 1] += 1.0
+    diagonal = np.arange(us.shape[-1])
+    plus[:, diagonal, diagonal] += 1.0
+    minus[:, diagonal, diagonal] += 1.0
+    h = np.linalg.solve(plus, minus)
+    del plus, minus  # two fewer N x N arrays alive beside h's temporaries
+    h *= 1j
+    h += np.swapaxes(h.conj(), -1, -2)
+    h *= 0.5
+    return h
+
+
+def _cayley_eigensystem(u: np.ndarray, alpha: float):
+    """(tangents, phases, vectors) from the eigensystem of _cayley_hermitian,
+    whose eigenvalues are tangents = tan((theta + alpha)/2); None if a LAPACK
+    call fails, as it does when I + W is singular."""
     try:
-        h = np.linalg.solve(plus, minus)
-        del plus, minus  # two fewer N x N arrays alive beside eigh's workspace
-        h *= 1j
-        h += h.conj().T
-        h *= 0.5
+        h = _cayley_hermitian(u[None], np.array([alpha]))[0]
         tangents, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError:
         return None
@@ -148,6 +167,71 @@ def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> Spectral
     if norm_defect > 1e-12:
         raise ConvergenceFailure(f"eigenvector norm defect {norm_defect:.3e}")
     return SpectralData(phases, vectors)
+
+
+def eigenphases(us: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases in [0, 2pi) of each unitary of a (B, N, N) stack,
+    as a (B, N) array, without eigenvectors.
+
+    The first attempt takes alpha = 0 for the whole stack: one solve and one
+    eigvalsh of the Cayley transforms. A matrix is refused if some
+    |tan((theta + alpha)/2)| exceeds 4N or its phases fail the trace
+    identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2
+    (Tr U^2 = sum_ij U_ij U_ji, so both cost O(N^2)). Only the refused
+    matrices are solved again, each with its pole in the middle of the
+    widest gap between its refused phases. A matrix refused twice, or whose
+    I + W is singular, gets eigendecompose(u).phases. LAPACK runs matrix by
+    matrix inside a stacked call, so each row equals eigenphases(u[None])[0]
+    bit for bit whatever else is in the stack.
+    """
+    us = np.asarray(us)
+    dim = us.shape[-1]
+    phases = np.empty(us.shape[:-1])
+    alphas = np.zeros(len(us))
+    done = np.zeros(len(us), dtype=bool)
+    todo = np.arange(len(us))
+    for _ in range(2):
+        tangents = _cayley_tangents(us[todo], alphas[todo])
+        solved = np.isfinite(tangents).all(axis=-1)
+        found = np.sort(np.mod(2.0 * np.arctan(tangents) - alphas[todo, None], TWO_PI))
+        accepted = solved.copy()
+        accepted[solved] = ((np.abs(tangents[solved]).max(axis=-1) <= 4 * dim)
+                            & _traces_match(us[todo[solved]], found[solved]))
+        phases[todo[accepted]] = found[accepted]
+        done[todo[accepted]] = True
+        retry = solved & ~accepted
+        todo = todo[retry]
+        if not todo.size:
+            break
+        alphas[todo] = [_widest_gap_alpha(p) for p in found[retry]]
+    for k in np.flatnonzero(~done):
+        phases[k] = eigendecompose(us[k]).phases
+    return phases
+
+
+def _cayley_tangents(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """tan((theta + alpha)/2) for each matrix of a stack, ascending: the
+    eigvalsh of _cayley_hermitian. A row is NaN where a LAPACK call fails, as
+    it does when I + W is singular; a stacked call that fails is redone
+    matrix by matrix, so one singular matrix costs only its own row."""
+    try:
+        return np.linalg.eigvalsh(_cayley_hermitian(us, alphas))
+    except np.linalg.LinAlgError:
+        if len(us) == 1:
+            return np.full(us.shape[:-1], np.nan)
+        return np.concatenate([_cayley_tangents(us[k:k + 1], alphas[k:k + 1])
+                               for k in range(len(us))])
+
+
+def _traces_match(us: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack: do its phases meet both trace identities,
+    sum_j e^{i theta_j} = Tr U and sum_j e^{2i theta_j} = sum_ij U_ij U_ji,
+    within TRACE_TOL * N?"""
+    z = np.exp(1j * phases)
+    first = np.abs(z.sum(axis=-1) - np.trace(us, axis1=-2, axis2=-1))
+    second = np.abs((z * z).sum(axis=-1)
+                    - (us * np.swapaxes(us, -1, -2)).sum(axis=(-2, -1)))
+    return np.maximum(first, second) <= TRACE_TOL * us.shape[-1]
 
 
 def spacings(phases: np.ndarray, include_wrap: bool = True) -> np.ndarray:

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from unigraph.ensemble import (Analysis, EnsembleSpec, ReferenceEnsemble,
+from unigraph.ensemble import (Analysis, EnsembleSpec, ReferenceEnsemble, _stacks,
                                benchmark_generation, run_ensemble)
 from unigraph.entropy import element_entropy, mean_purity
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, from_bond_vertex_graph, ring_graph)
 from unigraph.rand import DEFAULT_SEED, RandomStream, haar_unitary
-from unigraph.spectral import (POISSON_VARIANCE, WIGNER_VARIANCE, eigendecompose,
+from unigraph.spectral import (POISSON_VARIANCE, WIGNER_VARIANCE, eigenphases,
                                ks_statistic, reference_cdf, spacings, wigner_pdf)
 from unigraph.tensor import evolution_unitary
 
@@ -135,6 +135,14 @@ def _assert_rises_toward_poisson(variances):
         assert abs(variances[n] - TWO_BLOCK_VARIANCE[n]) <= 0.03
 
 
+def stacked_phases(graph, draws):
+    """The checked eigenphases of draws 0..draws-1 of ``graph``, generated and
+    solved in the stacks of draws that campaigns use."""
+    return np.concatenate([
+        eigenphases(evolution_unitary(graph, [RandomStream(SEED, t) for t in stack]))
+        for stack in _stacks(graph.total_dim, draws)])
+
+
 def test_c03_disconnected_graph_is_poissonian():
     """Two disjoint blocks: exact spectral factorization, spacings closer to
     Poisson than to Wigner, and a pooled spacing variance that rises toward
@@ -144,10 +152,8 @@ def test_c03_disconnected_graph_is_poissonian():
         ParticleSystem((4, 4, 4, 4)),
         (layer_of((1, 2), (3, 4)), layer_of((1, 2), (3, 4))))
     pooled = []
-    for t in range(draws):
+    for t, phases in enumerate(stacked_phases(graph, draws)):
         stream = RandomStream(SEED, t)
-        u = evolution_unitary(graph, stream)
-        phases = eigendecompose(u).phases
         pooled.append(spacings(phases))
         # component evolutions rebuilt from the documented substreams
         block_a = (haar_unitary(16, stream.substream(1, 0))
@@ -170,10 +176,8 @@ def test_c03_disconnected_graph_is_poissonian():
     variances = {4: pooled.var(ddof=1)}
     for n, size_draws in ((2, 6400), (3, 1250)):
         smaller = InteractionGraph(ParticleSystem((n,) * 4), graph.layers)
-        variances[n] = np.concatenate([
-            spacings(eigendecompose(
-                evolution_unitary(smaller, RandomStream(SEED, t))).phases)
-            for t in range(size_draws)]).var(ddof=1)
+        variances[n] = np.concatenate(
+            [spacings(phases) for phases in stacked_phases(smaller, size_draws)]).var(ddof=1)
     _assert_rises_toward_poisson(variances)
 
 

@@ -42,15 +42,39 @@ class TestAnalysisTable:
         }
 
     def test_matrix_and_state_kinds_skip_the_eigensolve(self, monkeypatch):
-        def refuse(u):
-            raise AssertionError("eigendecompose called")
-        monkeypatch.setattr(spectral, "eigendecompose", refuse)
+        for name in ("eigendecompose", "eigenphases"):
+            def refuse(u, name=name):
+                raise AssertionError(f"{name} called")
+            monkeypatch.setattr(spectral, name, refuse)
         spec = EnsembleSpec(source=chain_graph(6, 2), draws=3, master_seed=0,
                             analyses=(Analysis("element_entropy"), Analysis("state_sample")))
         assert set(run_ensemble(spec).analyses) == {"element_entropy", "state_sample"}
-        with pytest.raises(AssertionError, match="eigendecompose called"):
-            run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=1, master_seed=0,
-                                      analyses=(Analysis("trace_moments", (1,)),)))
+        # both patches bite: phases come from eigenphases, eigensystems from
+        # eigendecompose
+        for kind, name in ((Analysis("trace_moments", (1,)), "eigenphases"),
+                           (Analysis("evec_entropy"), "eigendecompose")):
+            with pytest.raises(AssertionError, match=f"{name} called"):
+                run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=1,
+                                          master_seed=0, analyses=(kind,)))
+
+    @pytest.mark.parametrize("analyses, expected", [
+        # N=64: stacks of 16, 16 and 8 draws, one eigenphases call each
+        ((Analysis("spacing"), Analysis("phase_density"), Analysis("trace_moments", (2,))),
+         {"eigenphases": [16, 16, 8], "eigendecompose": []}),
+        # an eigensystem serves the phases too: one eigendecompose call per draw
+        ((Analysis("evec_entropy"), Analysis("spacing")),
+         {"eigenphases": [], "eigendecompose": [1] * 40}),
+    ], ids=["phases_only", "evec_entropy"])
+    def test_eigensolve_calls(self, monkeypatch, analyses, expected):
+        calls = {name: [] for name in expected}
+        for name in calls:
+            def count(us, real=getattr(spectral, name), seen=calls[name]):
+                seen.append(len(us) if us.ndim == 3 else 1)
+                return real(us)
+            monkeypatch.setattr(spectral, name, count)
+        run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=40, master_seed=4,
+                                  analyses=analyses))
+        assert calls == expected
 
 
 class TestAnalysisParsing:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from unigraph import spectral
 from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem
-from unigraph.rand import RandomStream, haar_unitary
+from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal
 from unigraph.spectral import (ConvergenceFailure, EmptySample, FewerThanTwoPhases,
                                Histogram, InsufficientData, NegativeArgument,
-                               eigendecompose, ks_statistic, phase_uniformity,
+                               eigendecompose, eigenphases, ks_statistic, phase_uniformity,
                                reference_cdf, spacings, wigner_pdf)
 from unigraph.tensor import evolution_unitary
 
@@ -183,6 +183,123 @@ class TestEigendecompose:
             return tangents, phases, np.roll(vectors, 1, axis=1)
         monkeypatch.setattr(spectral, "_cayley_eigensystem", broken)
         assert_matches_oracle(haar_unitary(24, RandomStream(0, 7)))
+
+
+class TestEigenphases:
+    @staticmethod
+    def solve(us, monkeypatch):
+        """eigenphases(us), the stack sizes and alphas of each Cayley solve,
+        and the matrices that fell back to eigendecompose."""
+        solves, fallbacks = [], []
+        tangents, full = spectral._cayley_tangents, spectral.eigendecompose
+        def spy_tangents(us, alphas):
+            solves.append((len(us), alphas.tolist()))
+            return tangents(us, alphas)
+        def spy_full(u):
+            fallbacks.append(u)
+            return full(u)
+        monkeypatch.setattr(spectral, "_cayley_tangents", spy_tangents)
+        monkeypatch.setattr(spectral, "eigendecompose", spy_full)
+        phases = eigenphases(us)
+        monkeypatch.undo()
+        return phases, solves, fallbacks
+
+    @staticmethod
+    def assert_matches_eigendecompose(us, phases):
+        """Each row is sorted in [0, 2pi) and within 1e-13 of the checked
+        eigendecompose phases on the circle."""
+        assert phases.shape == us.shape[:-1]
+        assert np.all((phases >= 0) & (phases < TWO_PI))
+        assert np.all(np.diff(phases, axis=-1) >= 0)
+        for u, row in zip(us, phases):
+            assert circular_distance(row, eigendecompose(u).phases) <= 1e-13
+
+    @pytest.mark.parametrize("dim, count", [(2, 64), (16, 64), (36, 20), (64, 8)])
+    def test_haar_stack_needs_no_fallback(self, monkeypatch, dim, count):
+        us = haar_unitary(dim, [RandomStream(31, t) for t in range(count)])
+        phases, solves, fallbacks = self.solve(us, monkeypatch)
+        self.assert_matches_eigendecompose(us, phases)
+        assert fallbacks == []
+        # some draws have an eigenvalue within 1/(2N) of -1: only they are
+        # solved again, each at its own alpha
+        assert solves[0] == (count, [0.0] * count)
+        assert len(solves) == 2 and 0 < solves[1][0] < count
+        assert all(alpha != 0.0 for alpha in solves[1][1])
+        for u, row in zip(us, phases):
+            assert np.array_equal(eigenphases(u[None])[0], row)
+
+    @pytest.mark.parametrize("u", [
+        np.eye(8, dtype=complex),
+        -np.eye(8, dtype=complex),
+        np.diag(np.exp(1j * np.array([0.3, 2.0, 0.3, 5.5, 2.0, 0.3, 5.5, 1.0]))),
+    ], ids=["identity", "minus_identity", "repeated_diagonal"])
+    def test_degenerate_spectra(self, u):
+        self.assert_matches_eigendecompose(u[None], eigenphases(u[None]))
+
+    def test_identity_singleton_tensor_product(self, monkeypatch):
+        # U = V (x) I_2: every eigenvalue is exactly doubly degenerate
+        graph = InteractionGraph(ParticleSystem((2, 2, 2, 2)), (
+            Layer("a", (Clique((1, 2, 3)), Clique((4,))), singletons="identity"),))
+        us = evolution_unitary(graph, [RandomStream(3, t) for t in range(4)])
+        phases, _, fallbacks = self.solve(us, monkeypatch)
+        self.assert_matches_eigendecompose(us, phases)
+        assert np.abs(phases[:, ::2] - phases[:, 1::2]).max() <= 1e-12
+        assert fallbacks == []
+
+    def test_diagonal_source(self):
+        us = random_phases_diagonal(32, [RandomStream(8, t) for t in range(6)])
+        phases = eigenphases(us)
+        self.assert_matches_eigendecompose(us, phases)
+        expected = np.sort(np.mod(np.angle(np.diagonal(us, axis1=1, axis2=2)), TWO_PI))
+        assert np.abs(phases - expected).max() <= 1e-13
+
+    @pytest.mark.parametrize("phases", [
+        [np.pi - 5e-13, 1e-13, TWO_PI - 1e-13, 1.0, 2.5, 4.0, 5.0, 5.9],
+        [np.pi + 1e-12, 0.9, 1.5, 2.2, 4.0, 4.6, 5.2, 5.6],
+    ], ids=["minus_one_and_seam", "just_past_pi"])
+    def test_seam_and_pi(self, monkeypatch, phases):
+        # an eigenvalue within 1e-12 of the alpha = 0 pole: the first attempt
+        # is refused and the retry, not the fallback, solves it
+        us = with_phases(phases, 5)[None]
+        found, solves, fallbacks = self.solve(us, monkeypatch)
+        self.assert_matches_eigendecompose(us, found)
+        assert circular_distance(found[0], phases) <= 1e-12
+        assert len(solves) == 2 and fallbacks == []
+
+    def test_singular_member_costs_only_its_row(self, monkeypatch):
+        # I + U is exactly singular for the third member, so the stacked solve
+        # raises and is redone matrix by matrix; only that member falls back
+        us = haar_unitary(8, [RandomStream(32, t) for t in range(6)])
+        us[2] = np.diag([1.0, -1.0, 1j, -1j, 1.0, 1j, 1.0, 1.0])
+        phases, _, fallbacks = self.solve(us, monkeypatch)
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], us[2])
+        assert np.array_equal(phases[2], eigendecompose(us[2]).phases)
+        for k in (0, 1, 3, 4, 5):
+            assert np.array_equal(phases[k], eigenphases(us[k:k + 1])[0])
+        self.assert_matches_eigendecompose(us, phases)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: t + np.where(np.arange(t.shape[-1]) == 3, 1e-7, 0.0),
+        lambda t: np.sort(np.concatenate([t[:, 1:2], t[:, 1:]], axis=1)),
+    ], ids=["one_phase_shifted", "one_dropped_one_duplicated"])
+    def test_failed_trace_check_retries_then_falls_back(self, monkeypatch, corrupt):
+        us = haar_unitary(12, [RandomStream(33, t) for t in range(5)])
+        expected = [eigendecompose(u).phases for u in us]
+        tangents = spectral._cayley_tangents
+        calls = []
+        def first_corrupted(us, alphas):
+            calls.append(len(us))
+            found = tangents(us, alphas)
+            return corrupt(found) if len(calls) == 1 else found
+        monkeypatch.setattr(spectral, "_cayley_tangents", first_corrupted)
+        phases = eigenphases(us)
+        # every matrix was refused once and solved again
+        assert calls == [5, 5]
+        self.assert_matches_eigendecompose(us, phases)
+        monkeypatch.setattr(spectral, "_cayley_tangents",
+                            lambda us, alphas: corrupt(tangents(us, alphas)))
+        for row, full in zip(eigenphases(us), expected):
+            assert np.array_equal(row, full)
 
 
 class TestSpacings:
