@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Iterable, Sequence
 
@@ -194,25 +195,29 @@ class InteractionGraph:
     def total_dim(self) -> int:
         return self.system.total_dim
 
+    @cached_property
+    def _sha256(self) -> str:
+        # cached in the instance dict, which a frozen dataclass leaves writable
+        return hashlib.sha256(serialize_graph(self).encode()).hexdigest()
+
+
+def components(graph: InteractionGraph) -> list[tuple[int, ...]]:
+    """The connected components of the union over all layers of within-clique
+    edges: increasing tuples of 1-based particles, ordered by their first
+    particle. A particle that only ever sits in singleton cliques is a
+    component of its own."""
+    part_of = {p: (p,) for p in range(1, graph.num_particles + 1)}
+    for layer in graph.layers:
+        for clique in layer.cliques:
+            merged = tuple(sorted({q for p in clique for q in part_of[p]}))
+            part_of.update((p, merged) for p in merged)
+    return sorted(set(part_of.values()))
+
 
 def is_connected(graph: InteractionGraph) -> bool:
     """True iff the union over all layers of within-clique edges links every
     particle to every other."""
-    k = graph.num_particles
-    parent = list(range(k + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for layer in graph.layers:
-        for clique in layer.cliques:
-            root = find(clique.particles[0])
-            for p in clique.particles[1:]:
-                parent[find(p)] = root
-    return len({find(p) for p in range(1, k + 1)}) == 1
+    return len(components(graph)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,9 @@ def serialize_graph(graph: InteractionGraph) -> str:
 
 
 def graph_hash(graph: InteractionGraph) -> str:
-    """Stable hex digest of the canonical serialization, for provenance."""
-    return hashlib.sha256(serialize_graph(graph).encode()).hexdigest()
+    """Stable hex digest of the canonical serialization, for provenance;
+    computed once per graph object."""
+    return graph._sha256
 
 
 def load_graph_spec(path) -> InteractionGraph:

@@ -220,10 +220,15 @@ def unitarity_tolerance(dim: int) -> float:
     return 1e-12 if dim <= 1024 else 1e-14 * dim
 
 
+def unitarity_defects(u: np.ndarray) -> np.ndarray:
+    """Max-norm of U†U - I for each matrix of a stack (a 0-d array for one)."""
+    dim = u.shape[-1]
+    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
+
+
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of U†U - I; for a stack of matrices, the worst one's."""
-    dim = u.shape[-1]
-    return float(np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max())
+    return float(unitarity_defects(u).max())
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:

@@ -19,6 +19,12 @@ clique's (B, b, b) block stack is applied to the operand stack in one
 ``apply_block`` call, and the finished stack gets one unitarity check
 against the per-matrix tolerance. Matrix j of the stack is bit-identical to
 the draw from streams[j] alone, whatever B is.
+
+Given ``particles``, a union of connected components of the graph, both
+build only the evolution's tensor factor on those particles' legs. Clique c
+of layer i still draws from substream(i, c), c its index in the whole
+layer, so the factors of a disconnected graph's draw compose, by Kronecker
+product in component order, to that draw's full evolution.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ def apply_block(block: np.ndarray, clique: Iterable[int], dims: Sequence[int],
 
 def layer_unitary(layer: Layer, dims: Sequence[int],
                   stream: RandomStream | Sequence[RandomStream],
-                  operand: np.ndarray) -> np.ndarray:
+                  operand: np.ndarray,
+                  particles: Sequence[int] | None = None) -> np.ndarray:
     """Sample one block per clique and return (layer unitary) @ ``operand``.
 
     The cliques are disjoint, so their blocks commute; clique c draws from
@@ -86,12 +93,19 @@ def layer_unitary(layer: Layer, dims: Sequence[int],
     order are drawn as one stack, then applied in clique order, which fixes
     the rounding. Given B streams, ``operand`` is a (B, N, ...) stack and
     operand j gets the layer drawn from streams[j].
+
+    Given ``particles``, increasing 1-based indices that no clique straddles,
+    only the cliques inside them act, on an operand over those particles'
+    legs alone; clique c still draws from substream(c), c its index in the
+    whole layer.
     """
     single, streams = as_streams(stream)
     batch = () if single else (len(streams),)
+    legs = {p: k for k, p in enumerate(particles or range(1, len(dims) + 1), start=1)}
     groups: dict[int, list[int]] = {}
     for c, clique in enumerate(layer.cliques):
-        if len(clique) == 1 and layer.singletons == "identity":
+        if clique.particles[0] not in legs or (
+                len(clique) == 1 and layer.singletons == "identity"):
             continue
         groups.setdefault(prod(dims[p - 1] for p in clique), []).append(c)
     blocks = {}
@@ -99,27 +113,34 @@ def layer_unitary(layer: Layer, dims: Sequence[int],
         stack = haar_unitary(order, [s.substream(c) for s in streams for c in members])
         stack = stack.reshape(batch + (len(members), order, order))
         blocks.update((c, stack[..., k, :, :]) for k, c in enumerate(members))
+    leg_dims = [dims[p - 1] for p in legs]
     for c in sorted(blocks):
-        operand = apply_block(blocks[c], layer.cliques[c], dims, operand)
+        operand = apply_block(blocks[c], [legs[p] for p in layer.cliques[c]],
+                              leg_dims, operand)
     return operand
 
 
 def evolution_unitary(graph: InteractionGraph,
                       stream: RandomStream | Sequence[RandomStream],
-                      dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+                      dim_cap: int = DEFAULT_DIM_CAP,
+                      particles: Sequence[int] | None = None) -> np.ndarray:
     """Full evolution operator: layers[0] acts first, later layers multiply
     from the left. Layer i consumes stream.substream(i).
 
     Given a sequence of B streams, return the (B, N, N) stack whose j-th
     matrix is the evolution drawn from streams[j] alone; an empty sequence
-    raises ValueError.
+    raises ValueError. Given ``particles``, a union of connected components
+    (graph.components), return the evolution's factor on them alone, drawn
+    from the same substreams; the cap still applies to the whole graph.
     """
     total = graph.total_dim
     if total > dim_cap:
         raise DimensionCapExceeded(total, dim_cap)
     single, streams = as_streams(stream)
-    u = np.tile(np.eye(total, dtype=complex), (len(streams), 1, 1))
+    dim = prod(graph.dims[p - 1] for p in particles) if particles else total
+    u = np.tile(np.eye(dim, dtype=complex), (len(streams), 1, 1))
     for i, layer in enumerate(graph.layers):
-        u = layer_unitary(layer, graph.dims, [s.substream(i) for s in streams], u)
+        u = layer_unitary(layer, graph.dims, [s.substream(i) for s in streams], u,
+                          particles)
     u = require_unitary(u)
     return u[0] if single else u

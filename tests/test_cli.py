@@ -142,6 +142,13 @@ class TestRun:
         assert doc["analyses"]["entanglement"]["keep"] == [1, 2]
         assert doc["analyses"]["trace_moments"]["max_power"] == 3
 
+    def test_disconnected_phases_only_run_over_cap_exits_3(self, tmp_path, capsys):
+        # components (1, 2) and (3, 4): solved one at a time, capped as N = 16
+        assert main(["run", "--bond-vertex", "1,2;3,4/1,2;3,4", "--draws", "2",
+                     "--analyses", "spacing,phase_density,trace_moments:2",
+                     "--dim-cap", "8", "--out", str(tmp_path)]) == 3
+        assert "total dimension 16" in capsys.readouterr().err
+
     def test_graph_run_with_chain(self, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--chain", "3", "--n", "2", "--draws", "10",

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from unigraph import ensemble, spectral
+from unigraph import ensemble, spectral, tensor
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
                                EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
                                _aggregate, _moments_from_eigvals, _run_draw,
                                benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
-                            chain_graph, from_bond_vertex_graph, ring_graph)
-from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
+                            chain_graph, components, from_bond_vertex_graph, ring_graph)
+from unigraph.rand import (RandomStream, UnitarityError, haar_unitary,
+                           random_phases_diagonal, sample_composed, unitarity_defect,
+                           unitarity_tolerance)
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import DimensionCapExceeded, evolution_unitary
 
@@ -318,3 +320,177 @@ class TestBenchmark:
                                       master_seed=21).structured_seconds
                  for k in (4, 6, 8)]
         assert times[0] < times[1] < times[2]
+
+
+def layer(color, singletons, *cliques):
+    return Layer(color, tuple(Clique(c) for c in cliques), singletons)
+
+
+# disconnected graphs whose phases-only campaigns are solved one connected
+# component at a time
+FACTORED_GRAPHS = {
+    # components (1, 3) and (2, 4), of dims 2 x 2 and 3 x 3
+    "two_mixed_dims": InteractionGraph(ParticleSystem((2, 3, 2, 3)), (
+        layer("a", "haar", (1, 3), (2, 4)),
+        layer("b", "haar", (1,), (2, 4), (3,)))),
+    # components (1, 2), (3,) and (4, 5); particle 3 is idle throughout
+    "three_with_idle": InteractionGraph(ParticleSystem((3, 2, 2, 2, 3)), (
+        layer("a", "identity", (1, 2), (3,), (4, 5)),
+        layer("b", "identity", (1, 2), (3,), (4,), (5,)),
+        layer("c", "haar", (1, 2), (4, 5), (3,)))),
+    # (2,) is a one-particle Haar component of dim 3, (3,) one of dim 1: a
+    # random global phase
+    "haar_singletons_and_dim_one": InteractionGraph(ParticleSystem((2, 3, 1, 2)), (
+        layer("a", "haar", (1, 4), (2,), (3,)),
+        layer("b", "haar", (1,), (2,), (3,), (4,)))),
+    # a dim-1 particle inside the component (1, 2)
+    "dim_one_inside": InteractionGraph(ParticleSystem((1, 2, 2)), (
+        layer("a", "haar", (1, 2), (3,)),
+        layer("b", "identity", (1,), (2,), (3,)))),
+}
+
+PHASE_ANALYSES = (Analysis("spacing"), Analysis("phase_density"),
+                  Analysis("trace_moments", (2,)))
+
+
+def phases_spec(graph, draws=24, seed=31):
+    return EnsembleSpec(source=graph, draws=draws, master_seed=seed,
+                        analyses=PHASE_ANALYSES)
+
+
+def full_matrix_report(spec) -> dict:
+    """The campaign with each draw's phases from its full matrix."""
+    records = [_run_draw(spec, evolution_unitary(spec.source,
+                                                 RandomStream(spec.master_seed, t)))
+               for t in range(spec.draws)]
+    return EnsembleReport(spec.source_description(), spec.draws, spec.master_seed,
+                          _aggregate(spec, records), 0.0).to_dict(include_timing=False)
+
+
+def assert_reports_close(got, expected, tol=1e-13, path="report"):
+    """Every float within ``tol`` and all else identical: a histogram is its
+    CSV text, so its counts must be equal."""
+    assert type(got) is type(expected), path
+    if isinstance(got, dict):
+        assert got.keys() == expected.keys(), path
+        for key in got:
+            assert_reports_close(got[key], expected[key], tol, f"{path}/{key}")
+    elif isinstance(got, list):
+        assert len(got) == len(expected), path
+        for k, (a, b) in enumerate(zip(got, expected)):
+            assert_reports_close(a, b, tol, f"{path}[{k}]")
+    elif isinstance(got, float):
+        assert abs(got - expected) <= tol, (path, got, expected)
+    else:
+        assert got == expected, path
+
+
+@pytest.mark.parametrize("name", list(FACTORED_GRAPHS))
+class TestFactoredPhases:
+    def test_graph_is_disconnected(self, name):
+        graph = FACTORED_GRAPHS[name]
+        assert len(components(graph)) > 1
+        assert ensemble._factored_components(phases_spec(graph)) == components(graph)
+
+    def test_matches_the_full_matrix_solve(self, name, monkeypatch):
+        spec = phases_spec(FACTORED_GRAPHS[name])
+        full = []
+        evolve = ensemble.evolution_unitary
+
+        def record(graph, streams, dim_cap, particles=None):
+            full.append(particles is None)
+            return evolve(graph, streams, dim_cap=dim_cap, particles=particles)
+        monkeypatch.setattr(ensemble, "evolution_unitary", record)
+        got = run_ensemble(spec).to_dict(include_timing=False)
+        assert full and not any(full)  # drawn by component, with no fallback
+        assert_reports_close(got, full_matrix_report(spec))
+
+    def test_stack_size_and_workers_do_not_matter(self, name, monkeypatch):
+        spec = phases_spec(FACTORED_GRAPHS[name], draws=70)
+        default = run_ensemble(spec).to_dict(include_timing=False)
+        assert run_ensemble(spec, workers=4).to_dict(include_timing=False) == default
+        monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 1)
+        assert run_ensemble(spec).to_dict(include_timing=False) == default
+        assert run_ensemble(spec, workers=4).to_dict(include_timing=False) == default
+
+
+class TestFactoredChecks:
+    graph = FACTORED_GRAPHS["two_mixed_dims"]
+
+    def test_connected_and_eigensystem_campaigns_keep_the_full_matrix(self):
+        assert ensemble._factored_components(phases_spec(ring_graph(4, 2))) == []
+        for analyses in ((Analysis("spacing"), Analysis("evec_entropy")),
+                         (Analysis("spacing"), Analysis("element_entropy"))):
+            spec = EnsembleSpec(source=self.graph, draws=2, master_seed=0,
+                                analyses=analyses)
+            assert ensemble._factored_components(spec) == []
+
+    def test_each_factor_passes_require_unitary(self, monkeypatch):
+        checked = []
+        require = tensor.require_unitary
+        monkeypatch.setattr(tensor, "require_unitary",
+                            lambda u: checked.append(u.shape) or require(u))
+        run_ensemble(phases_spec(self.graph, draws=3))
+        assert checked == [(3, 4, 4), (3, 9, 9)]
+
+    def test_a_corrupted_block_raises(self, monkeypatch):
+        # one 3x3 block of one draw with unitarity defect 1e-11
+        haar = tensor.haar_unitary
+
+        def corrupt(dim, streams):
+            out = haar(dim, streams)
+            if dim == 9:
+                out[0] *= 1 + 5e-12
+            return out
+        monkeypatch.setattr(tensor, "haar_unitary", corrupt)
+        with pytest.raises(UnitarityError):
+            run_ensemble(phases_spec(self.graph, draws=3))
+
+    def test_the_product_is_checked(self, monkeypatch):
+        # each factor's defect, 6e-13, passes its own check, but the product
+        # U_1 (x) U_2 is off by 1.2e-12, which the whole dimension refuses
+        evolve = ensemble.evolution_unitary
+        factors = []
+
+        def scaled(graph, streams, dim_cap, particles=None):
+            factors.append(evolve(graph, streams, dim_cap=dim_cap,
+                                  particles=particles) * (1 + 3e-13))
+            return factors[-1]
+        monkeypatch.setattr(ensemble, "evolution_unitary", scaled)
+        with pytest.raises(UnitarityError):
+            run_ensemble(phases_spec(self.graph, draws=3))
+        assert all(unitarity_defect(u) <= unitarity_tolerance(u.shape[-1]) for u in factors)
+        assert unitarity_defect(np.kron(factors[0][0], factors[1][0])) \
+            > unitarity_tolerance(self.graph.total_dim)
+
+    def test_corrupted_phases_take_the_full_matrix(self, monkeypatch):
+        # the first draw of each 9x9 stack gets wrong phases: its product
+        # fails the trace check and is solved from its full matrix
+        solve = spectral.eigenphases
+
+        def corrupt(us):
+            phases = solve(us)
+            if us.shape[-1] == 9:
+                phases[0] = np.sort(np.mod(phases[0] + 1e-6 * np.arange(9), 2 * np.pi))
+            return phases
+        monkeypatch.setattr(spectral, "eigenphases", corrupt)
+        evolve = ensemble.evolution_unitary
+        full = []
+
+        def record(graph, streams, dim_cap, particles=None):
+            if particles is None:
+                full.append([s.path for s in streams])
+            return evolve(graph, streams, dim_cap=dim_cap, particles=particles)
+        monkeypatch.setattr(ensemble, "evolution_unitary", record)
+        monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 36**2 * 4)  # stacks of 4
+        spec = phases_spec(self.graph, draws=10)
+        got = run_ensemble(spec).to_dict(include_timing=False)
+        assert full == [[(0,)], [(4,)], [(8,)]]
+        monkeypatch.setattr(spectral, "eigenphases", solve)
+        assert_reports_close(got, full_matrix_report(spec))
+
+    def test_cap_is_the_whole_dimension(self):
+        spec = EnsembleSpec(source=self.graph, draws=2, master_seed=0,
+                            analyses=PHASE_ANALYSES, dim_cap=16)
+        with pytest.raises(DimensionCapExceeded):
+            run_ensemble(spec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import networkx as nx
@@ -9,7 +10,8 @@ from unigraph.graph import (Clique, DuplicateParticle, GraphSpecError,
                             IndexOutOfRange, InteractionGraph, InvalidDimension,
                             Layer, MissingParticle, OddParticleCount,
                             ParticleSystem, SpecSyntaxError, chain_graph,
-                            from_bond_vertex_graph, is_connected,
+                            components, from_bond_vertex_graph, graph_hash,
+                            is_connected,
                             parse_graph_spec, ring_graph, serialize_graph,
                             validate_layer)
 
@@ -128,6 +130,30 @@ class TestIsConnected:
                         if a < b:
                             nxg.add_edge(a, b)
         assert is_connected(g) == nx.is_connected(nxg)
+        assert components(g) == sorted(tuple(sorted(part))
+                                       for part in nx.connected_components(nxg))
+
+    def test_idle_particle_is_its_own_component(self):
+        # particle 3 only ever sits in identity singletons
+        idle = (Layer("a", (Clique((1, 2)), Clique((3,)), Clique((4,))), "identity"),
+                Layer("b", (Clique((2,)), Clique((3,)), Clique((4, 1))), "identity"))
+        g = InteractionGraph(ParticleSystem((2, 3, 2, 1)), idle)
+        assert components(g) == [(1, 2, 4), (3,)]
+        assert not is_connected(g)
+
+
+class TestGraphHash:
+    def test_hashed_once_per_graph(self, monkeypatch):
+        from unigraph import graph as graph_module
+        calls = []
+        serialize = graph_module.serialize_graph
+        monkeypatch.setattr(graph_module, "serialize_graph",
+                            lambda g: calls.append(g) or serialize(g))
+        g, twin = ring_graph(4, 2), ring_graph(4, 2)
+        assert graph_hash(g) == graph_hash(g) == graph_hash(twin)
+        assert len(calls) == 2  # once for g, once for its equal twin
+        assert graph_hash(g) == hashlib.sha256(serialize(g).encode()).hexdigest()
+        assert graph_hash(g) != graph_hash(ring_graph(4, 3))
 
 
 class TestBuilders:

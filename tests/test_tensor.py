@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unigraph import tensor
-from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem, ring_graph
+from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem, components,
+                            ring_graph)
 from unigraph.rand import RandomStream, UnitarityError, haar_unitary, unitarity_defect
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import (BlockDimMismatch, DimensionCapExceeded, apply_block,
@@ -348,3 +349,42 @@ class TestStackedEvolution:
         monkeypatch.setattr(tensor, "layer_unitary", layer_spoiling_one_draw)
         with pytest.raises(UnitarityError):
             evolution_unitary(ring_graph(4, 2), [RandomStream(14, t) for t in range(3)])
+
+
+class TestComponentFactors:
+    """evolution_unitary(..., particles=component) is the evolution's tensor
+    factor on that connected component, drawn from the same substreams."""
+
+    @given(layered_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_factors_compose_to_the_evolution(self, graph, seed):
+        streams = [RandomStream(seed, t) for t in range(2)]
+        parts = components(graph)
+        product = np.ones((2, 1, 1), dtype=complex)
+        for part in parts:
+            factor = evolution_unitary(graph, streams, particles=part)
+            size = prod(graph.dims[p - 1] for p in part)
+            assert factor.shape == (2, size, size)
+            product = np.einsum("bij,bkl->bikjl", product, factor).reshape(
+                2, product.shape[1] * size, -1)
+        # the full evolution with its legs in component order
+        order = [p - 1 for part in parts for p in part]
+        k = graph.num_particles
+        full = evolution_unitary(graph, streams).reshape((2,) + graph.dims * 2)
+        full = full.transpose([0] + [1 + p for p in order] + [1 + k + p for p in order])
+        assert np.abs(full.reshape(product.shape) - product).max() <= 1e-13
+
+    def test_clique_keeps_its_index_in_the_whole_layer(self):
+        # clique (3, 4) is clique 1 of the layer: its block is substream(1)'s
+        # Haar draw, not substream(0)'s
+        graph = InteractionGraph(ParticleSystem((2, 2, 3, 2)),
+                                 (layer_of((1, 2), (3, 4)),))
+        stream = RandomStream(5, 0)
+        factor = evolution_unitary(graph, stream, particles=(3, 4))
+        assert np.array_equal(factor, haar_unitary(6, stream.substream(0, 1)))
+
+    def test_cap_is_the_whole_dimension(self):
+        graph = InteractionGraph(ParticleSystem((2,) * 4),
+                                 (layer_of((1, 2), (3, 4)),))
+        with pytest.raises(DimensionCapExceeded):
+            evolution_unitary(graph, RandomStream(0, 0), dim_cap=8, particles=(1, 2))
