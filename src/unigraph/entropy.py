@@ -138,9 +138,9 @@ def reduced_entropies(states: np.ndarray, dims: Sequence[int],
 
 
 def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Eigenvalues of one density matrix or of a stack of them, tiny negatives
-    clamped to 0, once each is Hermitian with unit trace and no eigenvalue
-    below EIGENVALUE_FLOOR."""
+    """Eigenvalues of one density matrix or of a stack of them, clipped to
+    [0, 1] (rounding puts a pure state's at 1 + 2e-16), once each is Hermitian
+    with unit trace and no eigenvalue below EIGENVALUE_FLOOR."""
     sigma = np.asarray(sigma)
     if np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))).max() > 1e-12:
         raise InvalidReducedState("matrix is not Hermitian")
@@ -150,11 +150,11 @@ def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvalsh(sigma)
     if eigs.min() < EIGENVALUE_FLOOR:
         raise InvalidReducedState(f"eigenvalue {eigs.min()} below floor")
-    return np.clip(eigs, 0.0, None)
+    return np.clip(eigs, 0.0, 1.0)
 
 
 def von_neumann_entropy(sigma: np.ndarray) -> float:
-    """-Tr sigma ln sigma via the eigenvalues, tiny negatives clamped to 0."""
+    """-Tr sigma ln sigma via the eigenvalues, clipped to [0, 1]."""
     return float(-_plogp(_validated_eigenvalues(sigma)).sum())
 
 

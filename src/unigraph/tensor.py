@@ -9,22 +9,31 @@ as identity on every other leg. ``apply_block`` moves the clique's legs next
 to each other (``np.moveaxis``; legs that are already adjacent are only
 reshaped), and multiplies the block into them as one batched ``np.matmul``
 over the legs in front, at O(N * M * b) for an N x M operand and a block of
-order b. Layers are applied to the running operator clique by clique, so
-neither a lifted block nor a layer matrix is ever formed.
+order b. Each layer's blocks are applied to the running operator in clique
+order (``layer_unitary``), so neither a lifted block nor a layer matrix is
+ever formed.
 
-Given a sequence of B streams in place of one, ``layer_unitary`` and
-``evolution_unitary`` build B independent draws as one (B, N, N) stack: each
-block order is sampled by one ``haar_unitary`` call for all draws, each
-clique's (B, b, b) block stack is applied to the operand stack in one
-``apply_block`` call, and the finished stack gets one unitarity check
-against the per-matrix tolerance. Matrix j of the stack is bit-identical to
-the draw from streams[j] alone, whatever B is.
+``evolution_unitary`` draws all blocks first, clique c of layer i from
+substream(i, c), one ``haar_unitary`` call per block order. A Haar singleton
+V on particle p commutes with every block off p, so it is folded into a small
+block product: singletons since p's last multi-particle clique right-multiply
+the block W of p's next one, W (V on p's leg); later ones left-multiply p's
+last one; a particle in no such clique gets one block, the product of its
+singletons (later ones on the left), where its first singleton is. The result
+differs from the clique-by-clique product by rounding alone, and not at all
+without Haar singletons.
 
-Given ``particles``, a union of connected components of the graph, both
-build only the evolution's tensor factor on those particles' legs. Clique c
-of layer i still draws from substream(i, c), c its index in the whole
-layer, so the factors of a disconnected graph's draw compose, by Kronecker
-product in component order, to that draw's full evolution.
+Given a sequence of B streams in place of one, ``evolution_unitary`` builds
+B independent draws as one (B, N, N) stack: each (B, b, b) block stack is
+applied to the operand stack in one ``apply_block`` call, and the finished
+stack gets one unitarity check against the per-matrix tolerance. Matrix j of
+the stack is bit-identical to the draw from streams[j] alone, whatever B is.
+
+Given ``particles``, a union of connected components of the graph, it builds
+only the evolution's tensor factor on those particles' legs. Clique c of
+layer i still draws from substream(i, c), c its index in the whole layer, so
+the factors of a disconnected graph's draw compose, by Kronecker product in
+component order, to that draw's full evolution.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import InteractionGraph, Layer
+from .graph import InteractionGraph
 from .rand import RandomStream, as_streams, haar_unitary, require_unitary
 
 DEFAULT_DIM_CAP = 4096
@@ -82,42 +91,60 @@ def apply_block(block: np.ndarray, clique: Iterable[int], dims: Sequence[int],
     return np.moveaxis(out.reshape(tensor.shape), together, axes).reshape(operand.shape)
 
 
-def layer_unitary(layer: Layer, dims: Sequence[int],
-                  stream: RandomStream | Sequence[RandomStream],
-                  operand: np.ndarray,
-                  particles: Sequence[int] | None = None) -> np.ndarray:
-    """Sample one block per clique and return (layer unitary) @ ``operand``.
-
-    The cliques are disjoint, so their blocks commute; clique c draws from
-    stream.substream(c). Identity singletons are skipped. Blocks of one
-    order are drawn as one stack, then applied in clique order, which fixes
-    the rounding. Given B streams, ``operand`` is a (B, N, ...) stack and
-    operand j gets the layer drawn from streams[j].
-
-    Given ``particles``, increasing 1-based indices that no clique straddles,
-    only the cliques inside them act, on an operand over those particles'
-    legs alone; clique c still draws from substream(c), c its index in the
-    whole layer.
-    """
-    single, streams = as_streams(stream)
-    batch = () if single else (len(streams),)
-    legs = {p: k for k, p in enumerate(particles or range(1, len(dims) + 1), start=1)}
-    groups: dict[int, list[int]] = {}
-    for c, clique in enumerate(layer.cliques):
-        if clique.particles[0] not in legs or (
-                len(clique) == 1 and layer.singletons == "identity"):
-            continue
-        groups.setdefault(prod(dims[p - 1] for p in clique), []).append(c)
-    blocks = {}
-    for order, members in groups.items():
-        stack = haar_unitary(order, [s.substream(c) for s in streams for c in members])
-        stack = stack.reshape(batch + (len(members), order, order))
-        blocks.update((c, stack[..., k, :, :]) for k, c in enumerate(members))
-    leg_dims = [dims[p - 1] for p in legs]
-    for c in sorted(blocks):
-        operand = apply_block(blocks[c], [legs[p] for p in layer.cliques[c]],
-                              leg_dims, operand)
+def layer_unitary(blocks: Sequence[tuple[Sequence[int], np.ndarray]],
+                  dims: Sequence[int], operand: np.ndarray) -> np.ndarray:
+    """(one layer's unitary) @ ``operand`` from its (clique, block) pairs in
+    clique order: 1-based legs of ``dims`` and a block, or a (B, b, b) block
+    stack for a (B, N, ...) operand stack. The cliques are disjoint, so the
+    blocks commute; the clique order fixes the rounding."""
+    for clique, block in blocks:
+        operand = apply_block(block, clique, dims, operand)
     return operand
+
+
+def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
+                   legs: dict[int, int]) -> list[list[tuple[list[int], np.ndarray]]]:
+    """Per layer, the (legs, (B, b, b) block stack) pairs that make up the
+    evolution on the particles of ``legs`` (particle -> 1-based leg): every
+    block drawn up front, then every Haar singleton folded (module docstring)."""
+    dims = graph.dims
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, layer in enumerate(graph.layers):
+        for c, clique in enumerate(layer.cliques):
+            if clique.particles[0] in legs and (len(clique) > 1 or layer.singletons == "haar"):
+                groups.setdefault(prod(dims[p - 1] for p in clique), []).append((i, c))
+    drawn = {}
+    for order, members in groups.items():
+        stack = haar_unitary(order, [s.substream(i, c) for s in streams for i, c in members])
+        stack = stack.reshape(len(streams), len(members), order, order)
+        drawn.update((key, stack[:, k]) for k, key in enumerate(members))
+    # pending: particle -> its singletons' product since its last multi-particle
+    # clique; last: particle -> that clique's place, else its first singleton's
+    pending, last, folded = {}, {}, {}
+    for i, c in sorted(drawn):
+        clique, block = graph.layers[i].cliques[c].particles, drawn[i, c]
+        if len(clique) == 1:
+            p = clique[0]
+            pending[p] = block @ pending[p] if p in pending else block
+            last.setdefault(p, (i, c))
+            continue
+        for leg, p in enumerate(clique, start=1):
+            if p in pending:  # W (V on p's leg) = ((V^T on p's leg) W^T)^T
+                block = apply_block(pending.pop(p).transpose(0, 2, 1), [leg],
+                                    [dims[q - 1] for q in clique],
+                                    block.transpose(0, 2, 1)).transpose(0, 2, 1)
+            last[p] = (i, c)
+        folded[i, c] = clique, block
+    for p, product in pending.items():
+        clique, block = folded.get(last[p], ((p,), None))
+        if block is not None:  # singletons after p's last multi-particle clique
+            product = apply_block(product, [clique.index(p) + 1],
+                                  [dims[q - 1] for q in clique], block)
+        folded[last[p]] = clique, product
+    layers = [[] for _ in graph.layers]
+    for i, c in sorted(folded):
+        layers[i].append(([legs[p] for p in folded[i, c][0]], folded[i, c][1]))
+    return layers
 
 
 def evolution_unitary(graph: InteractionGraph,
@@ -125,7 +152,8 @@ def evolution_unitary(graph: InteractionGraph,
                       dim_cap: int = DEFAULT_DIM_CAP,
                       particles: Sequence[int] | None = None) -> np.ndarray:
     """Full evolution operator: layers[0] acts first, later layers multiply
-    from the left. Layer i consumes stream.substream(i).
+    from the left. Clique c of layer i draws from stream.substream(i, c), Haar
+    singletons are folded (module docstring), and a layer is one layer_unitary.
 
     Given a sequence of B streams, return the (B, N, N) stack whose j-th
     matrix is the evolution drawn from streams[j] alone; an empty sequence
@@ -137,10 +165,10 @@ def evolution_unitary(graph: InteractionGraph,
     if total > dim_cap:
         raise DimensionCapExceeded(total, dim_cap)
     single, streams = as_streams(stream)
-    dim = prod(graph.dims[p - 1] for p in particles) if particles else total
-    u = np.tile(np.eye(dim, dtype=complex), (len(streams), 1, 1))
-    for i, layer in enumerate(graph.layers):
-        u = layer_unitary(layer, graph.dims, [s.substream(i) for s in streams], u,
-                          particles)
+    legs = {p: k for k, p in enumerate(particles or range(1, len(graph.dims) + 1), start=1)}
+    dims = [graph.dims[p - 1] for p in legs]
+    u = np.tile(np.eye(prod(dims), dtype=complex), (len(streams), 1, 1))
+    for blocks in _folded_blocks(graph, streams, legs):
+        u = layer_unitary(blocks, dims, u)
     u = require_unitary(u)
     return u[0] if single else u

@@ -3,6 +3,7 @@ import pytest
 import scipy.stats
 
 from unigraph import ensemble, spectral, tensor
+from unigraph import entropy as ent
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
                                EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
                                _aggregate, _moments_from_eigvals, _run_draw,
@@ -225,6 +226,22 @@ class TestRunEnsemble:
                    - np.mean([von_neumann_entropy(s) for s in sigmas])) < 1e-12
         assert abs(result["mean_purity"] - np.mean([purity(s) for s in sigmas])) < 1e-12
 
+    def test_keep_set_that_is_a_whole_component_has_zero_entropy(self):
+        # U|0> is a product over the components {1, 2} and {3}, so every
+        # reduced state on {1, 2} is pure; rounding puts an eigenvalue at
+        # 1 + 2e-16, which must not make an entropy negative
+        graph = InteractionGraph(ParticleSystem((2, 2, 2)), (
+            Layer("a", (Clique((1, 2)), Clique((3,)))),
+            Layer("b", (Clique((1,)), Clique((2,)), Clique((3,))))))
+        draws = 200
+        spec = EnsembleSpec(source=graph, draws=draws, master_seed=2,
+                            analyses=(Analysis("state_sample", (1, 2)),))
+        histogram = run_ensemble(spec).analyses["state_sample"]["histogram"]
+        assert histogram.overflow == 0
+        assert histogram.counts[0] == draws
+        states = evolution_unitary(graph, [RandomStream(2, t) for t in range(draws)])[:, :, 0]
+        entropies, _ = ent.reduced_entropies(states, graph.dims, [0, 1])
+        assert (entropies >= 0).all()
 
 class TestRandomGraphState:
     """The state U|0> of one sampled evolution: its unitary's first column."""

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unigraph import tensor
-from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem, components,
-                            ring_graph)
-from unigraph.rand import RandomStream, UnitarityError, haar_unitary, unitarity_defect
+from unigraph import ensemble, tensor
+from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph,
+                            components, ring_graph)
+from unigraph.rand import (RandomStream, UnitarityError, as_streams, haar_unitary,
+                           unitarity_defect)
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import (BlockDimMismatch, DimensionCapExceeded, apply_block,
                              evolution_unitary, layer_unitary)
@@ -152,47 +153,66 @@ class TestLift:
             assert np.abs(got - expected @ operand).max() <= 1e-13
 
 
+def one_layer(dims, layer):
+    return InteractionGraph(ParticleSystem(dims), (layer,))
+
+
+def clique_by_clique(graph, stream, particles=None):
+    """The evolution built clique by clique: block c of layer i drawn from
+    substream(i, c) and applied to the running operator in clique order,
+    with no singleton folded. The oracle of the folded build; a one-layer
+    graph's evolution is bit-identical to it."""
+    single, streams = as_streams(stream)
+    legs = {p: k for k, p in enumerate(particles or range(1, graph.num_particles + 1),
+                                       start=1)}
+    leg_dims = [graph.dims[p - 1] for p in legs]
+    u = np.tile(np.eye(prod(leg_dims), dtype=complex), (len(streams), 1, 1))
+    for i, layer in enumerate(graph.layers):
+        for c, clique in enumerate(layer.cliques):
+            if clique.particles[0] not in legs or (
+                    len(clique) == 1 and layer.singletons == "identity"):
+                continue
+            block = haar_unitary(prod(graph.dims[p - 1] for p in clique),
+                                 [s.substream(i, c) for s in streams])
+            u = apply_block(block, [legs[p] for p in clique], leg_dims, u)
+    return u[0] if single else u
+
+
 class TestLayerUnitary:
     def test_identity_singletons(self):
-        layer = layer_of((1,), (2,), singletons="identity")
-        assert np.array_equal(layer_unitary(layer, (2, 3), RandomStream(0, 0), np.eye(6)),
-                              np.eye(6))
+        graph = one_layer((2, 3), layer_of((1,), (2,), singletons="identity"))
+        assert np.array_equal(evolution_unitary(graph, RandomStream(0, 0)), np.eye(6))
 
     def test_single_clique_is_one_haar_block(self):
         stream = RandomStream(4, 0)
-        layer = layer_of((1, 2))
-        got = layer_unitary(layer, (3, 3), stream, np.eye(9))
-        assert np.array_equal(got, haar_unitary(9, stream.substream(0)))
+        got = evolution_unitary(one_layer((3, 3), layer_of((1, 2))), stream)
+        assert np.array_equal(got, haar_unitary(9, stream.substream(0, 0)))
 
     def test_mixed_orders_equal_the_clique_by_clique_product(self):
-        # orders 2, 3, 4, 6, 9 and 12 plus identity singletons, over four
-        # layers so that later operands are not the identity
+        # orders 2, 3, 4, 6, 9 and 12 plus identity singletons; each layer
+        # alone is bit-identical to the clique-by-clique build, and over all
+        # four layers (later operands not the identity) the folded build
+        # agrees with it to rounding
         dims = (2, 3, 2, 3)
         layers = (layer_of((1, 3), (2, 4), color="a"),
                   layer_of((1, 2), (3,), (4,), singletons="identity", color="b"),
                   layer_of((1,), (2,), (3,), (4,), color="d"),
                   layer_of((1, 2, 3), (4,), color="e"))
+        graph = InteractionGraph(ParticleSystem(dims), layers)
         for t in range(3):
             stream = RandomStream(12, t)
-            got = np.eye(36, dtype=complex)
-            expected = np.eye(36, dtype=complex)
-            for i, layer in enumerate(layers):
-                got = layer_unitary(layer, dims, stream.substream(i), got)
-                for c, clique in enumerate(layer.cliques):
-                    if len(clique) == 1 and layer.singletons == "identity":
-                        continue
-                    block = haar_unitary(prod(dims[p - 1] for p in clique),
-                                         stream.substream(i, c))
-                    expected = apply_block(block, clique, dims, expected)
-            assert np.array_equal(got, expected)
+            for layer in layers:
+                assert np.array_equal(evolution_unitary(one_layer(dims, layer), stream),
+                                      clique_by_clique(one_layer(dims, layer), stream))
+            assert np.abs(evolution_unitary(graph, stream)
+                          - clique_by_clique(graph, stream)).max() <= 1e-13
 
     def test_equals_product_of_lifts_either_order(self):
         stream = RandomStream(5, 0)
-        layer = layer_of((2, 3), (1, 4))
-        got = layer_unitary(layer, (2, 2, 2, 2), stream, np.eye(16))
+        got = evolution_unitary(one_layer((2, 2, 2, 2), layer_of((2, 3), (1, 4))), stream)
         # canonical clique order sorts (1,4) before (2,3)
-        b0 = haar_unitary(4, stream.substream(0))
-        b1 = haar_unitary(4, stream.substream(1))
+        b0 = haar_unitary(4, stream.substream(0, 0))
+        b1 = haar_unitary(4, stream.substream(0, 1))
         l0 = lift_oracle(b0, (1, 4), (2, 2, 2, 2))
         l1 = lift_oracle(b1, (2, 3), (2, 2, 2, 2))
         assert np.abs(got - l0 @ l1).max() <= 1e-13
@@ -331,12 +351,14 @@ class TestStackedEvolution:
 
     def test_layer_stack_member_is_the_single_layer(self):
         dims = (2, 3, 2, 3)
-        layer = layer_of((1, 4), (2,), (3,), singletons="identity")
         streams = [RandomStream(13, t) for t in range(3)]
         operands = np.stack([haar_unitary(36, s.substream(9)) for s in streams])
-        stack = layer_unitary(layer, dims, streams, operands)
-        for j, stream in enumerate(streams):
-            assert np.array_equal(stack[j], layer_unitary(layer, dims, stream, operands[j]))
+        blocks = [((1, 4), haar_unitary(6, [s.substream(0) for s in streams])),
+                  ((2,), haar_unitary(3, [s.substream(1) for s in streams]))]
+        stack = layer_unitary(blocks, dims, operands)
+        for j in range(len(streams)):
+            assert np.array_equal(stack[j], layer_unitary(
+                [(clique, block[j]) for clique, block in blocks], dims, operands[j]))
 
     @pytest.mark.parametrize("bad", [0, 2])
     def test_every_draw_of_a_stack_is_checked(self, monkeypatch, bad):
@@ -388,3 +410,104 @@ class TestComponentFactors:
                                  (layer_of((1, 2), (3, 4)),))
         with pytest.raises(DimensionCapExceeded):
             evolution_unitary(graph, RandomStream(0, 0), dim_cap=8, particles=(1, 2))
+
+
+FOLD_GRAPHS = {
+    # Haar singletons on particles 1 and 3 before their first clique and
+    # after their last
+    "before_first_and_after_last": ((2, 3, 2), (
+        layer_of((1,), (2,), (3,)), layer_of((1, 2), (3,)), layer_of((1,), (2, 3)),
+        layer_of((1,), (2,), (3,)))),
+    # three singletons on particle 1 between two of its cliques
+    "consecutive_between_cliques": ((2, 2, 3), (
+        layer_of((1, 2), (3,)), layer_of((1,), (2,), (3,)), layer_of((1,), (2, 3)),
+        layer_of((1,), (2,), (3,)), layer_of((1, 2), (3,)))),
+    # particle 2 is touched by singletons only
+    "isolated_particle": ((2, 3, 2), (
+        layer_of((1, 3), (2,)), layer_of((1,), (2,), (3,)), layer_of((1, 3), (2,)),
+        layer_of((1,), (2,), (3,)))),
+    # identity-singleton layers between Haar singletons
+    "identity_singleton_layers": ((3, 2, 2), (
+        layer_of((1,), (2,), (3,)), layer_of((1,), (2, 3), singletons="identity"),
+        layer_of((1,), (2,), (3,), singletons="identity"), layer_of((1, 2), (3,)),
+        layer_of((1,), (2,), (3,)))),
+    # dims 1 to 3; three-particle, non-adjacent and wrap cliques
+    "mixed_dims_wide_cliques": ((3, 1, 2, 2, 3), (
+        layer_of((1, 3, 5), (2,), (4,)), layer_of((1,), (2, 4), (3,), (5,)),
+        layer_of((1, 5), (2,), (3,), (4,)), layer_of((1,), (2,), (3, 4), (5,)),
+        layer_of((1,), (2,), (3,), (4,), (5,)))),
+}
+
+
+class TestFoldedSingletons:
+    """The folded build agrees with the clique-by-clique oracle to rounding."""
+
+    @pytest.mark.parametrize("name", sorted(FOLD_GRAPHS))
+    def test_matches_the_clique_by_clique_oracle(self, name):
+        dims, layers = FOLD_GRAPHS[name]
+        graph = InteractionGraph(ParticleSystem(dims), layers)
+        streams = [RandomStream(19, t) for t in range(4)]
+        got = evolution_unitary(graph, streams)
+        assert np.abs(got - clique_by_clique(graph, streams)).max() <= 1e-13
+        assert np.abs(got[1] - oracle_evolution(graph, streams[1])).max() <= 1e-13
+
+    def test_factor_matches_the_oracle(self):
+        # components {1, 3} and {2, 4}, each with singletons around its cliques
+        graph = InteractionGraph(ParticleSystem((2, 3, 2, 2)), (
+            layer_of((1,), (2,), (3,), (4,)), layer_of((1, 3), (2,), (4,)),
+            layer_of((1,), (2, 4), (3,)), layer_of((1,), (2,), (3,), (4,))))
+        streams = [RandomStream(20, t) for t in range(3)]
+        for part in components(graph):
+            got = evolution_unitary(graph, streams, particles=part)
+            assert np.abs(got - clique_by_clique(graph, streams, part)).max() <= 1e-13
+
+    @given(layered_graphs(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_any_graph_matches_the_oracle(self, graph, seed):
+        streams = [RandomStream(seed, t) for t in range(2)]
+        assert np.abs(evolution_unitary(graph, streams)
+                      - clique_by_clique(graph, streams)).max() <= 1e-13
+
+    def test_graphs_without_haar_singletons_are_bit_identical(self):
+        streams = [RandomStream(21, t) for t in range(3)]
+        for graph in (ring_graph(6, 2), ring_graph(4, 3)):
+            assert np.array_equal(evolution_unitary(graph, streams),
+                                  clique_by_clique(graph, streams))
+
+    def test_bit_identical_across_stack_sizes(self, monkeypatch):
+        graph = InteractionGraph(ParticleSystem((2, 3, 2)),
+                                 FOLD_GRAPHS["before_first_and_after_last"][1])
+
+        def draws():
+            return np.concatenate([
+                evolution_unitary(graph, [RandomStream(22, t) for t in stack])
+                for stack in ensemble._stacks(graph.total_dim, 7)])
+        default = draws()
+        monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 1)
+        assert len(ensemble._stacks(graph.total_dim, 7)) == 7
+        assert np.array_equal(draws(), default)
+
+    def test_one_haar_call_per_block_order(self, monkeypatch):
+        # chain6 of qubits: 5 pair blocks and 20 singletons per draw, drawn
+        # by one call for order 4 and one for order 2
+        orders = []
+        haar = tensor.haar_unitary
+
+        def record(order, streams):
+            orders.append((order, len(streams)))
+            return haar(order, streams)
+        monkeypatch.setattr(tensor, "haar_unitary", record)
+        evolution_unitary(chain_graph(6, 2), [RandomStream(0, t) for t in range(3)])
+        assert sorted(orders) == [(2, 60), (4, 15)]
+
+    def test_every_block_is_applied_once_per_layer_call(self, monkeypatch):
+        # chain6 applies 5 blocks per draw, one per layer
+        calls = []
+        layer = tensor.layer_unitary
+
+        def record(blocks, dims, operand):
+            calls.append(len(blocks))
+            return layer(blocks, dims, operand)
+        monkeypatch.setattr(tensor, "layer_unitary", record)
+        evolution_unitary(chain_graph(6, 2), RandomStream(0, 0))
+        assert calls == [1] * 5
