@@ -10,12 +10,12 @@ matrix and every row of phases of a stack equals its per-draw computation
 bit for bit, so the stack size does not change a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
-matrices: it draws each connected component's factor from the same
-substreams, solves each factor stack with one eigenphases call and sums the
-phases (spectral.product_eigenphases). The factors, their product's
-unitarity bound and the product's trace identities are checked; a draw that
-fails the trace check is solved from its full matrix. These reports match
-the full-matrix solve to ~1e-13.
+matrices: it takes each stack's tensor factors, one per connected component
+(tensor.evolution_factors, which checks each factor and their product's
+unitarity bound), solves each factor stack with one eigenphases call and
+sums the phases (spectral.product_eigenphases). A draw whose summed phases
+fail the product's trace identities is solved from its full matrix. These
+reports match the full-matrix solve to ~1e-13.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ import numpy as np
 
 from . import entropy as ent
 from . import spectral
-from .graph import InteractionGraph, components, graph_hash
-from .rand import (RandomStream, UnitarityError, haar_unitary, random_phases_diagonal,
-                   sample_composed, unitarity_defects, unitarity_tolerance)
+from .graph import InteractionGraph, graph_hash, is_connected
+from .rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
 from .spectral import DEFAULT_SPACING_EDGES, Histogram, SpectralData
-from .tensor import DEFAULT_DIM_CAP, DimensionCapExceeded, evolution_unitary
+from .tensor import (DEFAULT_DIM_CAP, DimensionCapExceeded, evolution_factors,
+                     evolution_unitary)
 
 REFERENCE_KINDS = ("cue", "composed", "diagonal")
 
@@ -489,49 +489,18 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
             for a in spec.analyses}
 
 
-def _factored_components(spec: EnsembleSpec) -> list[tuple[int, ...]]:
-    """The connected components that a campaign solves one at a time: those
-    of a disconnected graph whose analyses all need only phases; else []."""
-    if (not isinstance(spec.source, InteractionGraph)
-            or {ANALYSES[a.kind].needs for a in spec.analyses} != {"phases"}):
-        return []
-    parts = components(spec.source)
-    return parts if len(parts) > 1 else []
-
-
-def _factored_phases(graph: InteractionGraph, parts: list[tuple[int, ...]],
-                     streams: list[RandomStream], dim_cap: int) -> np.ndarray:
-    """The (B, N) eigenphases of ``graph``'s draws from ``streams``, solved one
-    connected component at a time: the evolution is the Kronecker product of
-    its factors on ``parts``, each drawn from the same substreams.
-
-    Each factor passes require_unitary in evolution_unitary. The product's
-    max-norm defect is at most prod_c (1 + defect_c) - 1, which must meet the
-    tolerance of the whole dimension. A draw whose phases fail
-    product_eigenphases' trace check is solved from its full matrix.
-    """
-    factors = [evolution_unitary(graph, streams, dim_cap=dim_cap, particles=part)
-               for part in parts]
-    bound = float((np.prod([1.0 + unitarity_defects(u) for u in factors], axis=0)
-                   - 1.0).max())
-    tol = unitarity_tolerance(graph.total_dim)
-    if bound > tol:
-        raise UnitarityError(bound, tol)
-    phases, passed = spectral.product_eigenphases(factors)
-    if not passed.all():
-        redo = np.flatnonzero(~passed)
-        phases[redo] = spectral.eigenphases(evolution_unitary(
-            graph, [streams[j] for j in redo], dim_cap=dim_cap))
-    return phases
-
-
-def _run_stack(spec: EnsembleSpec, draws: range, parts: list[tuple[int, ...]]
-               ) -> list[dict]:
-    """Generate and analyze ``draws`` as one stack; given components
-    (``_factored_components``), solve the stack's phases one component at a time."""
+def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
+    """Generate and analyze ``draws`` as one stack; a phases-only campaign on
+    a disconnected graph solves the stack's tensor factors (module docstring)."""
     streams = [RandomStream(spec.master_seed, t) for t in draws]
-    if parts:
-        phases = _factored_phases(spec.source, parts, streams, spec.dim_cap)
+    if ({ANALYSES[a.kind].needs for a in spec.analyses} == {"phases"}
+            and isinstance(spec.source, InteractionGraph) and not is_connected(spec.source)):
+        factors = evolution_factors(spec.source, streams, spec.dim_cap)
+        phases, passed = spectral.product_eigenphases(factors)
+        if not passed.all():
+            redo = np.flatnonzero(~passed)
+            phases[redo] = spectral.eigenphases(evolution_unitary(
+                spec.source, [streams[j] for j in redo], dim_cap=spec.dim_cap))
         return _records(spec, [None] * len(phases),
                         [SpectralData(row, None) for row in phases])
     return _analyse(spec, _draw_matrices(spec.source, streams, spec.dim_cap))
@@ -548,12 +517,11 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     """
     start = time.perf_counter()
     stacks = _stacks(spec.dim, spec.draws)
-    parts = _factored_components(spec)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda draws: _run_stack(spec, draws, parts), stacks))
+            done = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
     else:
-        done = [_run_stack(spec, draws, parts) for draws in stacks]
+        done = [_run_stack(spec, draws) for draws in stacks]
     records = [record for stack in done for record in stack]
     analyses = _aggregate(spec, records)
     wall = time.perf_counter() - start

@@ -5,12 +5,13 @@ generated in any order (or concurrently) with bit-identical results.
 
 A stream's generator is PCG64 seeded by
 ``SeedSequence(master_seed, spawn_key=path)``. Every sampler takes one
-stream or a sequence and seeds the whole batch at once: it runs numpy's
-SeedSequence hash over the batch's spawn keys in one vectorized pass
-(``_stream_states``) and hands each PCG64 its precomputed state words. The
-generators are the ones ``RandomStream.generator()`` builds. A spot check
-(``_seeded_like_numpy``) compares the first stream of each batch with
-numpy's own SeedSequence; on a mismatch the batch is seeded stream by
+stream or a sequence and seeds a batch a group at a time: a group of two or
+more streams runs numpy's SeedSequence hash over its spawn keys in one
+vectorized pass (``_stream_states``) and hands each PCG64 its precomputed
+state words; a lone stream is seeded by ``RandomStream.generator()``
+itself. The generators are the ones ``generator()`` builds. A spot check
+(``_seeded_like_numpy``) compares the first stream of each vectorized group
+with numpy's own SeedSequence; on a mismatch the group is seeded stream by
 stream through ``generator()``, so the draws do not change, and a
 RuntimeWarning is issued (once, under the default warning filters).
 """
@@ -192,10 +193,11 @@ def _seeded_like_numpy(generator: np.random.Generator, stream: RandomStream) -> 
 def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
     """[s.generator() for s in streams], seeded a group at a time.
 
-    Streams that share a master seed and a spawn-key word count are hashed
-    in one ``_stream_states`` pass, and the group's first generator is
-    spot-checked against numpy's SeedSequence. A group that fails the check
-    is seeded stream by stream instead, with a RuntimeWarning.
+    Streams that share a master seed and a spawn-key word count form a
+    group. A group of one takes ``generator()``; a larger one is hashed in
+    one ``_stream_states`` pass, and its first generator is spot-checked
+    against numpy's SeedSequence. A group that fails the check is seeded
+    stream by stream instead, with a RuntimeWarning.
     """
     keys = [_spawn_words(s.path) for s in streams]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -203,6 +205,9 @@ def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
         groups.setdefault((s.master_seed, len(key)), []).append(j)
     generators = [None] * len(streams)
     for (master_seed, _), members in groups.items():
+        if len(members) == 1:
+            generators[members[0]] = streams[members[0]].generator()
+            continue
         states = _stream_states(master_seed,
                                 np.array([keys[j] for j in members], dtype=np.uint32))
         group = [np.random.Generator(np.random.PCG64(_StateWords(words)))

@@ -14,8 +14,8 @@ eigenpair residual. A matrix that fails the check twice falls back to
 eigendecompose. Campaigns whose analyses read only phases (spacing,
 phase_density, trace_moments) take this path; their reports differ from
 the eigendecompose phases by at most ~1e-13. product_eigenphases solves a
-stack of Kronecker products from their factors' eigenphases, with the same
-trace identities checked on the product.
+disconnected graph's draws from their tensor.evolution_factors stacks' phases,
+with the same trace identities checked on the Kronecker product.
 """
 
 from __future__ import annotations

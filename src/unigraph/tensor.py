@@ -29,11 +29,11 @@ applied to the operand stack in one ``apply_block`` call, and the finished
 stack gets one unitarity check against the per-matrix tolerance. Matrix j of
 the stack is bit-identical to the draw from streams[j] alone, whatever B is.
 
-Given ``particles``, a union of connected components of the graph, it builds
-only the evolution's tensor factor on those particles' legs. Clique c of
-layer i still draws from substream(i, c), c its index in the whole layer, so
-the factors of a disconnected graph's draw compose, by Kronecker product in
-component order, to that draw's full evolution.
+``evolution_factors`` builds a draw's tensor factors instead, one per
+connected component on its own legs, from the same one draw and fold of all
+blocks; a component skips the layers with no block on it. The factors
+compose, by Kronecker product in component order, to the full evolution,
+which is still built on all N legs, not from them.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import InteractionGraph
-from .rand import RandomStream, as_streams, haar_unitary, require_unitary
+from .graph import InteractionGraph, components
+from .rand import (RandomStream, UnitarityError, as_streams, haar_unitary, require_unitary,
+                   unitarity_defects, unitarity_tolerance)
 
 DEFAULT_DIM_CAP = 4096
 
@@ -102,16 +103,16 @@ def layer_unitary(blocks: Sequence[tuple[Sequence[int], np.ndarray]],
     return operand
 
 
-def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
-                   legs: dict[int, int]) -> list[list[tuple[list[int], np.ndarray]]]:
-    """Per layer, the (legs, (B, b, b) block stack) pairs that make up the
-    evolution on the particles of ``legs`` (particle -> 1-based leg): every
-    block drawn up front, then every Haar singleton folded (module docstring)."""
+def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream]
+                   ) -> list[list[tuple[tuple[int, ...], np.ndarray]]]:
+    """Per layer, the (particles, (B, b, b) block stack) pairs that make up
+    the evolution: every block drawn up front, then every Haar singleton
+    folded (module docstring)."""
     dims = graph.dims
     groups: dict[int, list[tuple[int, int]]] = {}
     for i, layer in enumerate(graph.layers):
         for c, clique in enumerate(layer.cliques):
-            if clique.particles[0] in legs and (len(clique) > 1 or layer.singletons == "haar"):
+            if len(clique) > 1 or layer.singletons == "haar":
                 groups.setdefault(prod(dims[p - 1] for p in clique), []).append((i, c))
     drawn = {}
     for order, members in groups.items():
@@ -143,32 +144,58 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
         folded[last[p]] = clique, product
     layers = [[] for _ in graph.layers]
     for i, c in sorted(folded):
-        layers[i].append(([legs[p] for p in folded[i, c][0]], folded[i, c][1]))
+        layers[i].append(folded[i, c])
     return layers
+
+
+def _evolutions(graph: InteractionGraph, streams: Sequence[RandomStream],
+                parts: Sequence[Sequence[int]], dim_cap: int) -> list[np.ndarray]:
+    """The checked (B, n, n) evolution stack on each union of components in
+    ``parts``, from one block draw; a layer with no block on a part is skipped."""
+    if graph.total_dim > dim_cap:
+        raise DimensionCapExceeded(graph.total_dim, dim_cap)
+    layers = _folded_blocks(graph, streams)
+    stacks = []
+    for part in parts:
+        legs = {p: k for k, p in enumerate(part, start=1)}
+        dims = [graph.dims[p - 1] for p in part]
+        u = np.tile(np.eye(prod(dims), dtype=complex), (len(streams), 1, 1))
+        for layer in layers:
+            blocks = [([legs[p] for p in clique], block)
+                      for clique, block in layer if clique[0] in legs]
+            if blocks:
+                u = layer_unitary(blocks, dims, u)
+        stacks.append(require_unitary(u))
+    return stacks
 
 
 def evolution_unitary(graph: InteractionGraph,
                       stream: RandomStream | Sequence[RandomStream],
-                      dim_cap: int = DEFAULT_DIM_CAP,
-                      particles: Sequence[int] | None = None) -> np.ndarray:
+                      dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Full evolution operator: layers[0] acts first, later layers multiply
     from the left. Clique c of layer i draws from stream.substream(i, c), Haar
-    singletons are folded (module docstring), and a layer is one layer_unitary.
+    singletons are folded (module docstring); a layer with blocks is one layer_unitary.
 
     Given a sequence of B streams, return the (B, N, N) stack whose j-th
     matrix is the evolution drawn from streams[j] alone; an empty sequence
-    raises ValueError. Given ``particles``, a union of connected components
-    (graph.components), return the evolution's factor on them alone, drawn
-    from the same substreams; the cap still applies to the whole graph.
+    raises ValueError.
     """
-    total = graph.total_dim
-    if total > dim_cap:
-        raise DimensionCapExceeded(total, dim_cap)
     single, streams = as_streams(stream)
-    legs = {p: k for k, p in enumerate(particles or range(1, len(graph.dims) + 1), start=1)}
-    dims = [graph.dims[p - 1] for p in legs]
-    u = np.tile(np.eye(prod(dims), dtype=complex), (len(streams), 1, 1))
-    for blocks in _folded_blocks(graph, streams, legs):
-        u = layer_unitary(blocks, dims, u)
-    u = require_unitary(u)
+    u, = _evolutions(graph, streams, [range(1, graph.num_particles + 1)], dim_cap)
     return u[0] if single else u
+
+
+def evolution_factors(graph: InteractionGraph, streams: Sequence[RandomStream],
+                      dim_cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
+    """The tensor factors of the evolution stack drawn from ``streams``: one
+    (B, n_c, n_c) stack per connected component, in components(graph) order.
+    Each factor passes require_unitary, and their Kronecker product's defect
+    bound, prod_c (1 + defect_c) - 1, must meet the tolerance of the whole
+    dimension, else UnitarityError."""
+    factors = _evolutions(graph, streams, components(graph), dim_cap)
+    bound = float((np.prod([1.0 + unitarity_defects(u) for u in factors], axis=0)
+                   - 1.0).max())
+    tol = unitarity_tolerance(graph.total_dim)
+    if bound > tol:
+        raise UnitarityError(bound, tol)
+    return factors

@@ -404,22 +404,27 @@ def assert_reports_close(got, expected, tol=1e-13, path="report"):
 
 @pytest.mark.parametrize("name", list(FACTORED_GRAPHS))
 class TestFactoredPhases:
-    def test_graph_is_disconnected(self, name):
+    def test_graph_is_disconnected(self, name, monkeypatch):
         graph = FACTORED_GRAPHS[name]
         assert len(components(graph)) > 1
-        assert ensemble._factored_components(phases_spec(graph)) == components(graph)
+        factored = []
+        factors = ensemble.evolution_factors
+        monkeypatch.setattr(ensemble, "evolution_factors",
+                            lambda *args: factored.append(factors(*args)) or factored[-1])
+        run_ensemble(phases_spec(graph, draws=2))
+        assert [len(stacks) for stacks in factored] == [len(components(graph))]
 
     def test_matches_the_full_matrix_solve(self, name, monkeypatch):
         spec = phases_spec(FACTORED_GRAPHS[name])
-        full = []
-        evolve = ensemble.evolution_unitary
-
-        def record(graph, streams, dim_cap, particles=None):
-            full.append(particles is None)
-            return evolve(graph, streams, dim_cap=dim_cap, particles=particles)
-        monkeypatch.setattr(ensemble, "evolution_unitary", record)
+        calls = []
+        for builder in ("evolution_factors", "evolution_unitary"):
+            def record(*args, builder=builder, build=getattr(ensemble, builder), **kwargs):
+                calls.append(builder)
+                return build(*args, **kwargs)
+            monkeypatch.setattr(ensemble, builder, record)
         got = run_ensemble(spec).to_dict(include_timing=False)
-        assert full and not any(full)  # drawn by component, with no fallback
+        # drawn by component, with no fallback
+        assert calls and set(calls) == {"evolution_factors"}
         assert_reports_close(got, full_matrix_report(spec))
 
     def test_stack_size_and_workers_do_not_matter(self, name, monkeypatch):
@@ -434,13 +439,19 @@ class TestFactoredPhases:
 class TestFactoredChecks:
     graph = FACTORED_GRAPHS["two_mixed_dims"]
 
-    def test_connected_and_eigensystem_campaigns_keep_the_full_matrix(self):
-        assert ensemble._factored_components(phases_spec(ring_graph(4, 2))) == []
+    def test_connected_and_eigensystem_campaigns_keep_the_full_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("evolution_factors called")
+        monkeypatch.setattr(ensemble, "evolution_factors", refuse)
+        run_ensemble(phases_spec(ring_graph(4, 2), draws=2))
         for analyses in ((Analysis("spacing"), Analysis("evec_entropy")),
                          (Analysis("spacing"), Analysis("element_entropy"))):
             spec = EnsembleSpec(source=self.graph, draws=2, master_seed=0,
                                 analyses=analyses)
-            assert ensemble._factored_components(spec) == []
+            run_ensemble(spec)
+        # the patch bites on a phases-only campaign of this graph
+        with pytest.raises(AssertionError, match="evolution_factors called"):
+            run_ensemble(phases_spec(self.graph, draws=2))
 
     def test_each_factor_passes_require_unitary(self, monkeypatch):
         checked = []
@@ -464,18 +475,20 @@ class TestFactoredChecks:
             run_ensemble(phases_spec(self.graph, draws=3))
 
     def test_the_product_is_checked(self, monkeypatch):
-        # each factor's defect, 6e-13, passes its own check, but the product
-        # U_1 (x) U_2 is off by 1.2e-12, which the whole dimension refuses
-        evolve = ensemble.evolution_unitary
+        # every layer call scales by 1 + 2e-13: the 4x4 factor takes one
+        # layer and the 9x9 factor two, so their defects, 4e-13 and 8e-13,
+        # pass their own checks, but the product U_1 (x) U_2 is off by
+        # 1.2e-12, which the whole dimension refuses
+        layer = tensor.layer_unitary
+        monkeypatch.setattr(tensor, "layer_unitary",
+                            lambda *args: layer(*args) * (1 + 2e-13))
         factors = []
-
-        def scaled(graph, streams, dim_cap, particles=None):
-            factors.append(evolve(graph, streams, dim_cap=dim_cap,
-                                  particles=particles) * (1 + 3e-13))
-            return factors[-1]
-        monkeypatch.setattr(ensemble, "evolution_unitary", scaled)
+        require = tensor.require_unitary
+        monkeypatch.setattr(tensor, "require_unitary",
+                            lambda u: factors.append(require(u)) or factors[-1])
         with pytest.raises(UnitarityError):
             run_ensemble(phases_spec(self.graph, draws=3))
+        assert [u.shape for u in factors] == [(3, 4, 4), (3, 9, 9)]
         assert all(unitarity_defect(u) <= unitarity_tolerance(u.shape[-1]) for u in factors)
         assert unitarity_defect(np.kron(factors[0][0], factors[1][0])) \
             > unitarity_tolerance(self.graph.total_dim)
@@ -494,10 +507,9 @@ class TestFactoredChecks:
         evolve = ensemble.evolution_unitary
         full = []
 
-        def record(graph, streams, dim_cap, particles=None):
-            if particles is None:
-                full.append([s.path for s in streams])
-            return evolve(graph, streams, dim_cap=dim_cap, particles=particles)
+        def record(graph, streams, dim_cap):
+            full.append([s.path for s in streams])
+            return evolve(graph, streams, dim_cap=dim_cap)
         monkeypatch.setattr(ensemble, "evolution_unitary", record)
         monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 36**2 * 4)  # stacks of 4
         spec = phases_spec(self.graph, draws=10)

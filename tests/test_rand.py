@@ -145,10 +145,23 @@ class TestSeedingSpotCheck:
                        for j in range(len(self.STREAMS)))
 
 
-class TestSeedingSpotCheckOneStream(TestSeedingSpotCheck):
-    """The same checks on a batch of one stream, which takes the same pass."""
+class TestOneStreamSeeding:
+    """A group of one stream is seeded by RandomStream.generator() itself,
+    without the vectorized pass."""
 
-    STREAMS = [RandomStream(3, (2, 1, 0))]
+    def test_a_lone_stream_skips_the_vectorized_pass(self, monkeypatch):
+        stream = RandomStream(3, (2, 1, 0))
+        expected = stream.generator().standard_normal(8)
+
+        def refuse(seed, keys):
+            raise AssertionError("vectorized pass on one stream")
+        monkeypatch.setattr(rand, "_stream_states", refuse)
+        generator, = rand._generators([stream])
+        assert np.array_equal(generator.standard_normal(8), expected)
+        # a lone stream in each group of a batch: two seeds, two key widths
+        batch = [stream, RandomStream(4, (2, 1, 0)), RandomStream(3, (2**40,))]
+        for generator, s in zip(rand._generators(batch), batch):
+            assert np.array_equal(generator.random(4), s.generator().random(4))
 
 
 class TestRequireUnitary:

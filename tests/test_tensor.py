@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -12,7 +13,7 @@ from unigraph.rand import (RandomStream, UnitarityError, as_streams, haar_unitar
                            unitarity_defect)
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import (BlockDimMismatch, DimensionCapExceeded, apply_block,
-                             evolution_unitary, layer_unitary)
+                             evolution_factors, evolution_unitary, layer_unitary)
 
 
 def layer_of(*cliques, color="c", singletons="haar"):
@@ -373,18 +374,46 @@ class TestStackedEvolution:
             evolution_unitary(ring_graph(4, 2), [RandomStream(14, t) for t in range(3)])
 
 
+@dataclass(frozen=True)
+class RenumberedStream(RandomStream):
+    """A stream whose substream(i, c) is the whole graph's substream(i,
+    index[i][c]): the stream that a component built alone draws from."""
+
+    index: tuple = ()
+
+    def substream(self, i, c):
+        return RandomStream(self.master_seed, self.path + (i, self.index[i][c]))
+
+
+def component_alone(graph, part):
+    """The connected component ``part`` as a graph of its own (particles
+    renumbered 1..len(part), every layer kept) and, per layer, the index in
+    the whole layer of each of its cliques."""
+    number = {p: k for k, p in enumerate(part, start=1)}
+    layers, index = [], []
+    for layer in graph.layers:
+        kept = [c for c, clique in enumerate(layer.cliques) if clique.particles[0] in number]
+        layers.append(Layer(layer.color, tuple(
+            Clique(tuple(number[p] for p in layer.cliques[c].particles)) for c in kept),
+            layer.singletons))
+        index.append(tuple(kept))
+    dims = tuple(graph.dims[p - 1] for p in part)
+    return InteractionGraph(ParticleSystem(dims), tuple(layers)), tuple(index)
+
+
 class TestComponentFactors:
-    """evolution_unitary(..., particles=component) is the evolution's tensor
-    factor on that connected component, drawn from the same substreams."""
+    """evolution_factors(graph, streams) are the evolution's tensor factors
+    on its connected components, drawn from the same substreams."""
 
     @given(layered_graphs(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_factors_compose_to_the_evolution(self, graph, seed):
         streams = [RandomStream(seed, t) for t in range(2)]
         parts = components(graph)
+        factors = evolution_factors(graph, streams)
+        assert len(factors) == len(parts)
         product = np.ones((2, 1, 1), dtype=complex)
-        for part in parts:
-            factor = evolution_unitary(graph, streams, particles=part)
+        for part, factor in zip(parts, factors):
             size = prod(graph.dims[p - 1] for p in part)
             assert factor.shape == (2, size, size)
             product = np.einsum("bij,bkl->bikjl", product, factor).reshape(
@@ -402,14 +431,66 @@ class TestComponentFactors:
         graph = InteractionGraph(ParticleSystem((2, 2, 3, 2)),
                                  (layer_of((1, 2), (3, 4)),))
         stream = RandomStream(5, 0)
-        factor = evolution_unitary(graph, stream, particles=(3, 4))
+        factor = evolution_factors(graph, [stream])[1][0]
         assert np.array_equal(factor, haar_unitary(6, stream.substream(0, 1)))
 
     def test_cap_is_the_whole_dimension(self):
         graph = InteractionGraph(ParticleSystem((2,) * 4),
                                  (layer_of((1, 2), (3, 4)),))
         with pytest.raises(DimensionCapExceeded):
-            evolution_unitary(graph, RandomStream(0, 0), dim_cap=8, particles=(1, 2))
+            evolution_factors(graph, [RandomStream(0, 0)], dim_cap=8)
+
+    @pytest.mark.parametrize("dims,layers", [
+        # components {1, 3} and {2, 4}, singletons around their cliques
+        ((2, 3, 2, 2), (layer_of((1,), (2,), (3,), (4,)), layer_of((1, 3), (2,), (4,)),
+                        layer_of((1,), (2, 4), (3,)), layer_of((1,), (2,), (3,), (4,)))),
+        # an idle particle and identity-singleton layers
+        ((3, 2, 2, 2, 3), (layer_of((1, 2), (3,), (4, 5), singletons="identity"),
+                           layer_of((1, 2), (3,), (4,), (5,), singletons="identity"),
+                           layer_of((1, 2), (4, 5), (3,)))),
+        # particle 2 is touched by singletons only
+        ((2, 3, 2), (layer_of((1, 3), (2,)), layer_of((1,), (2,), (3,)),
+                     layer_of((1, 3), (2,)), layer_of((1,), (2,), (3,)))),
+    ])
+    def test_each_factor_is_its_component_built_alone(self, dims, layers):
+        # drawn together with the other components' blocks, a factor keeps
+        # every bit of its component's evolution drawn on its own
+        graph = InteractionGraph(ParticleSystem(dims), layers)
+        assert len(components(graph)) > 1
+        streams = [RandomStream(23, t) for t in range(3)]
+        for part, factor in zip(components(graph), evolution_factors(graph, streams)):
+            alone, index = component_alone(graph, part)
+            assert np.array_equal(factor, evolution_unitary(
+                alone, [RenumberedStream(s.master_seed, s.path, index) for s in streams]))
+
+    def test_one_haar_call_per_block_order_for_all_components(self, monkeypatch):
+        # components (1, 2) and (3, 4) each draw blocks of orders 6, 2 and 3
+        orders = []
+        haar = tensor.haar_unitary
+
+        def record(order, streams):
+            orders.append((order, len(streams)))
+            return haar(order, streams)
+        monkeypatch.setattr(tensor, "haar_unitary", record)
+        graph = InteractionGraph(ParticleSystem((2, 3, 2, 3)), (
+            layer_of((1, 2), (3, 4)), layer_of((1,), (2,), (3,), (4,))))
+        evolution_factors(graph, [RandomStream(0, t) for t in range(3)])
+        assert sorted(orders) == [(2, 6), (3, 6), (6, 6)]
+
+    def test_no_layer_call_for_a_components_empty_layer(self, monkeypatch):
+        # the second layer is idle on component (3, 4)
+        calls = []
+        layer = tensor.layer_unitary
+
+        def record(blocks, dims, operand):
+            calls.append((len(blocks), operand.shape[-1]))
+            return layer(blocks, dims, operand)
+        monkeypatch.setattr(tensor, "layer_unitary", record)
+        graph = InteractionGraph(ParticleSystem((2, 2, 3, 3)), (
+            layer_of((1, 2), (3, 4)),
+            layer_of((1, 2), (3,), (4,), singletons="identity")))
+        evolution_factors(graph, [RandomStream(0, t) for t in range(3)])
+        assert calls == [(1, 4), (1, 4), (1, 9)]
 
 
 FOLD_GRAPHS = {
@@ -457,8 +538,7 @@ class TestFoldedSingletons:
             layer_of((1,), (2,), (3,), (4,)), layer_of((1, 3), (2,), (4,)),
             layer_of((1,), (2, 4), (3,)), layer_of((1,), (2,), (3,), (4,))))
         streams = [RandomStream(20, t) for t in range(3)]
-        for part in components(graph):
-            got = evolution_unitary(graph, streams, particles=part)
+        for part, got in zip(components(graph), evolution_factors(graph, streams)):
             assert np.abs(got - clique_by_clique(graph, streams, part)).max() <= 1e-13
 
     @given(layered_graphs(), st.integers(0, 2**32 - 1))
