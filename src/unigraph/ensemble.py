@@ -479,11 +479,6 @@ def _analyse(spec: EnsembleSpec, us: np.ndarray) -> list[dict]:
     return _records(spec, us, spectra)
 
 
-def _run_draw(spec: EnsembleSpec, u: np.ndarray) -> dict:
-    """One draw's record, analysed as a stack of one: the per-draw oracle."""
-    return _analyse(spec, u[None])[0]
-
-
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
     return {a.kind: ANALYSES[a.kind].summary(spec, a, [r[a.kind] for r in records])
             for a in spec.analyses}

@@ -301,7 +301,7 @@ def parse_graph_spec(text: str) -> InteractionGraph:
             raise InvalidDimension("dims must be a list of integers")
         system = ParticleSystem(tuple(dims))
     elif "n" in doc and "k" in doc:
-        system = ParticleSystem((_check_dim(doc["n"]),) * _check_dim(doc["k"]))
+        system, n, k = None, _check_dim(doc["n"]), _check_dim(doc["k"])
     else:
         raise GraphSpecError("graph spec needs dims, or both n and k")
 
@@ -327,6 +327,13 @@ def parse_graph_spec(text: str) -> InteractionGraph:
         layers.append(Layer(color,
                             tuple(Clique(tuple(c)) for c in entry["cliques"]),
                             entry.get("singletons", "haar")))
+    if system is None:
+        # every layer lists each particle once: refuse a k past the first
+        # layer's count before anything of size k is built
+        listed = sum(len(clique.particles) for clique in layers[0].cliques)
+        if k > listed:
+            raise GraphSpecError(f"k = {k} exceeds the particle count of layer 1 ({listed})")
+        system = ParticleSystem((n,) * k)
     return InteractionGraph(system, tuple(layers))
 
 

@@ -2,20 +2,22 @@
 
 Unitary matrices are normal, so the Cayley transform of a rotated unitary
 W = e^{i alpha} U, H = i (I + W)^{-1} (I - W), is Hermitian with the same
-eigenvectors and eigenvalues tan((theta + alpha)/2); eigendecompose solves
-H with a Hermitian eigensolver and falls back to the complex Schur form,
-which is diagonal for a normal matrix. Phases live in [0, 2pi) and spacings
-are scaled by N/(2pi) so the mean spacing is one.
+eigenvectors and eigenvalues tan((theta + alpha)/2). One checked solver
+(_solve) serves a stack of unitaries: at most two Cayley attempts per
+matrix, the second only for the matrices the first refused, then the
+complex Schur form, which is diagonal for a normal matrix, for a matrix
+refused twice. Phases live in [0, 2pi) and spacings are scaled by N/(2pi)
+so the mean spacing is one.
 
-eigenphases is the phases-only path for a stack of unitaries: the same
-Cayley solve, eigenvalues without eigenvectors, and the trace identities
-sum_j e^{i m theta_j} = Tr U^m (m = 1, 2) as its check in place of the
-eigenpair residual. A matrix that fails the check twice falls back to
-eigendecompose. Campaigns whose analyses read only phases (spacing,
-phase_density, trace_moments) take this path; their reports differ from
-the eigendecompose phases by at most ~1e-13. product_eigenphases solves a
-disconnected graph's draws from their tensor.evolution_factors stacks' phases,
-with the same trace identities checked on the Kronecker product.
+eigendecompose solves one matrix with eigh and checks each eigenpair's
+residual. eigenphases is the phases-only path for a stack: eigvalsh, with
+the trace identities sum_j e^{i m theta_j} = Tr U^m (m = 1, 2) as its check
+in place of the eigenpair residual. Campaigns whose analyses read only
+phases (spacing, phase_density, trace_moments) take this path; their
+reports differ from the eigendecompose phases by at most ~1e-13.
+product_eigenphases solves a disconnected graph's draws from their
+tensor.evolution_factors stacks' phases, with the same trace identities
+checked on the Kronecker product.
 """
 
 from __future__ import annotations
@@ -74,45 +76,77 @@ class SpectralData:
 
 
 def eigendecompose(u: np.ndarray) -> SpectralData:
-    """Full eigensystem of a unitary matrix via its Cayley transform.
-
-    The first attempt takes alpha = 0. It is retried once if I + W is
-    singular, if some |tan((theta + alpha)/2)| exceeds 4N (an eigenvalue
-    close to the pole -e^{-i alpha}), or if a check below fails; the retry
-    puts the pole in the middle of the widest gap between the phases just
-    found (alpha = 1 after a singular solve). If the retry fails too, the
-    complex Schur form is used. alpha depends only on U, so the result is
-    deterministic.
+    """Full eigensystem of a unitary matrix: _solve on the stack u[None].
 
     Inside an exactly degenerate eigenspace (identity-singleton layers,
     tensor products with an identity factor, diagonal sources) any
     orthonormal basis is an eigenbasis, and which one is returned depends
     on the solver: basis-dependent statistics of such sources, such as the
     eigenvector entropy, differ between solvers by more than rounding.
-
-    Raises ConvergenceFailure if every solver fails, or if the residual
-    ||U v_j - e^{i theta_j} v_j|| exceeds RESIDUAL_TOL * N for any column
-    or a column's norm differs from one by more than 1e-12.
+    Raises ConvergenceFailure if the Schur fallback fails its checks.
     """
-    dim = u.shape[0]
-    alpha = 0.0
-    for _ in range(2):
-        found = _cayley_eigensystem(u, alpha)
-        if found is None:
-            alpha = 1.0
-            continue
-        tangents, phases, vectors = found
-        if np.abs(tangents).max() <= 4 * dim:
-            try:
-                return _checked(u, phases, vectors)
-            except ConvergenceFailure:
-                pass
-        alpha = _widest_gap_alpha(phases)
-    try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return _checked(u, np.angle(np.diagonal(t)), z)
+    phases, vectors = _solve(u[None], with_vectors=True)
+    return SpectralData(phases[0], vectors[0])
+
+
+def eigenphases(us: np.ndarray) -> np.ndarray:
+    """Sorted eigenphases in [0, 2pi) of each unitary of a (B, N, N) stack,
+    as a (B, N) array: _solve without eigenvectors. LAPACK runs matrix by
+    matrix inside a stacked call, so each row equals eigenphases(u[None])[0]
+    bit for bit whatever else is in the stack."""
+    return _solve(np.asarray(us), with_vectors=False)[0]
+
+
+def _solve(us: np.ndarray, with_vectors: bool):
+    """Sorted phases in [0, 2pi), (B, N), of each unitary of a (B, N, N)
+    stack, and with_vectors their eigenvector columns, (B, N, N), else None.
+
+    The first attempt solves the whole stack's Cayley transforms at
+    alpha = 0. A matrix is refused if its I + W is singular, if some
+    |tan((theta + alpha)/2)| exceeds 4N (an eigenvalue close to the pole
+    -e^{-i alpha}), or if it fails its check: with vectors (eigh), the
+    eigenpair residual and norm checks; without (eigvalsh), the trace
+    identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2.
+    Only the refused matrices are solved again, each with its pole in the
+    middle of the widest gap between its refused phases, or at alpha = 1
+    after a singular solve. A matrix refused twice gets the checked complex
+    Schur form. alpha depends only on U, so the result is deterministic.
+    """
+    dim = us.shape[-1]
+    traces = None if with_vectors else _traces(us)
+    alphas = np.zeros(len(us))
+    todo = np.arange(len(us))
+    stack = us  # a whole stack is solved without a copy
+    for attempt in range(2):
+        tangents, found_vectors = _cayley_eigen(stack, alphas[todo], with_vectors)
+        # rebinding found_vectors frees the unsorted columns before a retry
+        found, found_vectors = _sorted(2.0 * np.arctan(tangents) - alphas[todo, None],
+                                       found_vectors)
+        accepted = np.abs(tangents).max(axis=-1) <= 4 * dim  # False on a singular row
+        passed = slice(None) if accepted.all() else accepted  # views when all pass
+        accepted[passed] = (
+            _eigenpairs_pass(stack[passed], found[passed], found_vectors[passed])
+            if with_vectors else _traces_match(traces[todo[passed]], found[passed]))
+        if attempt == 0:
+            phases, vectors = found, found_vectors
+        else:
+            phases[todo] = found
+            if with_vectors:
+                vectors[todo] = found_vectors
+        refused = found[~accepted]
+        todo = todo[~accepted]
+        if not todo.size or attempt == 1:
+            break
+        # the middle of each widest circular gap; NaN, so alpha = 1, if singular
+        gaps = np.diff(refused, append=refused[:, :1] + TWO_PI)
+        middle = np.take_along_axis(refused + 0.5 * gaps, gaps.argmax(axis=-1)[:, None], -1)
+        alphas[todo] = np.where(np.isnan(middle[:, 0]), 1.0, np.pi - middle[:, 0])
+        stack = us if len(todo) == len(us) else us[todo]
+    for k in todo:
+        phases[k], schur_vectors = _schur(us[k])
+        if with_vectors:
+            vectors[k] = schur_vectors
+    return phases, vectors
 
 
 def _cayley_hermitian(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -132,98 +166,58 @@ def _cayley_hermitian(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return h
 
 
-def _cayley_eigensystem(u: np.ndarray, alpha: float):
-    """(tangents, phases, vectors) from the eigensystem of _cayley_hermitian,
-    whose eigenvalues are tangents = tan((theta + alpha)/2); None if a LAPACK
-    call fails, as it does when I + W is singular."""
+def _cayley_eigen(us: np.ndarray, alphas: np.ndarray, with_vectors: bool):
+    """(tangents, vectors): the eigh of _cayley_hermitian, or its eigvalsh
+    and None without vectors; tangents = tan((theta + alpha)/2), ascending.
+    A row is NaN where a LAPACK call fails, as it does when I + W is
+    singular; a stacked call that fails is redone matrix by matrix, so one
+    singular matrix costs only its own row."""
     try:
-        h = _cayley_hermitian(u[None], np.array([alpha]))[0]
-        tangents, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError:
-        return None
-    return tangents, 2.0 * np.arctan(tangents) - alpha, vectors
-
-
-def _widest_gap_alpha(phases: np.ndarray) -> float:
-    """The alpha whose Cayley pole -e^{-i alpha} sits in the middle of the
-    widest circular gap between ``phases``."""
-    ordered = np.sort(np.mod(phases, TWO_PI))
-    gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
-    widest = int(np.argmax(gaps))
-    return float(np.pi - (ordered[widest] + 0.5 * gaps[widest]))
-
-
-def _checked(u: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> SpectralData:
-    """Phases mapped to [0, 2pi) and sorted, with their columns, once every
-    eigenpair passes the residual and norm checks."""
-    dim = u.shape[0]
-    phases = np.mod(phases, TWO_PI)
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vectors = vectors[:, order]
-
-    residual = np.linalg.norm(u @ vectors - vectors * np.exp(1j * phases)[None, :], axis=0)
-    if residual.max() > RESIDUAL_TOL * dim:
-        raise ConvergenceFailure(
-            f"eigenpair residual {residual.max():.3e} exceeds {RESIDUAL_TOL * dim:.3e}")
-    norm_defect = np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max()
-    if norm_defect > 1e-12:
-        raise ConvergenceFailure(f"eigenvector norm defect {norm_defect:.3e}")
-    return SpectralData(phases, vectors)
-
-
-def eigenphases(us: np.ndarray) -> np.ndarray:
-    """Sorted eigenphases in [0, 2pi) of each unitary of a (B, N, N) stack,
-    as a (B, N) array, without eigenvectors.
-
-    The first attempt takes alpha = 0 for the whole stack: one solve and one
-    eigvalsh of the Cayley transforms. A matrix is refused if some
-    |tan((theta + alpha)/2)| exceeds 4N or its phases fail the trace
-    identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2
-    (Tr U^2 = sum_ij U_ij U_ji, so both cost O(N^2)). Only the refused
-    matrices are solved again, each with its pole in the middle of the
-    widest gap between its refused phases. A matrix refused twice, or whose
-    I + W is singular, gets eigendecompose(u).phases. LAPACK runs matrix by
-    matrix inside a stacked call, so each row equals eigenphases(u[None])[0]
-    bit for bit whatever else is in the stack.
-    """
-    us = np.asarray(us)
-    dim = us.shape[-1]
-    phases = np.empty(us.shape[:-1])
-    alphas = np.zeros(len(us))
-    done = np.zeros(len(us), dtype=bool)
-    todo = np.arange(len(us))
-    for _ in range(2):
-        tangents = _cayley_tangents(us[todo], alphas[todo])
-        solved = np.isfinite(tangents).all(axis=-1)
-        found = np.sort(np.mod(2.0 * np.arctan(tangents) - alphas[todo, None], TWO_PI))
-        accepted = solved.copy()
-        accepted[solved] = ((np.abs(tangents[solved]).max(axis=-1) <= 4 * dim)
-                            & _traces_match(_traces(us[todo[solved]]), found[solved]))
-        phases[todo[accepted]] = found[accepted]
-        done[todo[accepted]] = True
-        retry = solved & ~accepted
-        todo = todo[retry]
-        if not todo.size:
-            break
-        alphas[todo] = [_widest_gap_alpha(p) for p in found[retry]]
-    for k in np.flatnonzero(~done):
-        phases[k] = eigendecompose(us[k]).phases
-    return phases
-
-
-def _cayley_tangents(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """tan((theta + alpha)/2) for each matrix of a stack, ascending: the
-    eigvalsh of _cayley_hermitian. A row is NaN where a LAPACK call fails, as
-    it does when I + W is singular; a stacked call that fails is redone
-    matrix by matrix, so one singular matrix costs only its own row."""
-    try:
-        return np.linalg.eigvalsh(_cayley_hermitian(us, alphas))
+        h = _cayley_hermitian(us, alphas)
+        return np.linalg.eigh(h) if with_vectors else (np.linalg.eigvalsh(h), None)
     except np.linalg.LinAlgError:
         if len(us) == 1:
-            return np.full(us.shape[:-1], np.nan)
-        return np.concatenate([_cayley_tangents(us[k:k + 1], alphas[k:k + 1])
-                               for k in range(len(us))])
+            return (np.full(us.shape[:-1], np.nan),
+                    np.full(us.shape, np.nan, dtype=complex) if with_vectors else None)
+        tangents, vectors = zip(*[_cayley_eigen(us[k:k + 1], alphas[k:k + 1], with_vectors)
+                                  for k in range(len(us))])
+        return np.concatenate(tangents), np.concatenate(vectors) if with_vectors else None
+
+
+def _sorted(phases: np.ndarray, vectors: np.ndarray | None):
+    """Each row of ``phases`` mapped to [0, 2pi) and sorted, with its
+    matrix's eigenvector columns in the same order (None stays None), each
+    matrix column-major as one matrix's vectors[:, order] is."""
+    phases = np.mod(phases, TWO_PI)
+    order = np.argsort(phases, axis=-1, kind="stable")
+    rows = np.arange(len(phases))[:, None]
+    if vectors is not None:
+        vectors = np.swapaxes(vectors[rows, :, order], -1, -2)
+    return phases[rows, order], vectors
+
+
+def _eigenpairs_pass(us: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack: is every eigenpair residual
+    ||U v_j - e^{i theta_j} v_j|| within RESIDUAL_TOL * N, and every column
+    norm within 1e-12 of one?"""
+    residual = np.linalg.norm(us @ vectors - vectors * np.exp(1j * phases)[:, None, :], axis=-2)
+    norm_defect = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0)
+    return ((residual.max(axis=-1) <= RESIDUAL_TOL * us.shape[-1])
+            & (norm_defect.max(axis=-1) <= 1e-12))
+
+
+def _schur(u: np.ndarray):
+    """(phases, vectors) of one unitary from its complex Schur form, which
+    is diagonal for a normal matrix, sorted and checked as _solve's are;
+    ConvergenceFailure if the form or its checks fail."""
+    try:
+        t, z = scipy.linalg.schur(u, output="complex")
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    phases, vectors = _sorted(np.angle(np.diagonal(t))[None], z[None])
+    if not _eigenpairs_pass(u[None], phases, vectors)[0]:
+        raise ConvergenceFailure("Schur eigenpairs fail the residual or norm check")
+    return phases[0], vectors[0]
 
 
 def _traces(us: np.ndarray) -> np.ndarray:

@@ -43,6 +43,12 @@ class TestGen:
         assert main(["gen", "--graph", str(bad), "--out", str(tmp_path)]) == 2
         assert "particle 2" in capsys.readouterr().err
 
+    def test_shorthand_k_past_the_listed_particles_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "k": 1000000000000, "layers": [{"cliques": [[1]]}]}')
+        assert main(["validate", "--graph", str(bad)]) == 2
+        assert "exceeds the particle count of layer 1" in capsys.readouterr().err
+
     def test_cap_exceeded_exits_3(self, tmp_path, capsys):
         assert main(["gen", "--ring", "10", "--n", "2", "--dim-cap", "512",
                      "--out", str(tmp_path)]) == 3

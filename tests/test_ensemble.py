@@ -6,7 +6,7 @@ from unigraph import ensemble, spectral, tensor
 from unigraph import entropy as ent
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
                                EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
-                               _aggregate, _moments_from_eigvals, _run_draw,
+                               _aggregate, _analyse, _moments_from_eigvals,
                                benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
@@ -20,6 +20,11 @@ from unigraph.tensor import DimensionCapExceeded, evolution_unitary
 
 def pair_graph(n):
     return from_bond_vertex_graph([(1, 2)], [(1,), (2,)], n=n)
+
+
+def run_draw(spec, u):
+    """One draw's record, analysed as a stack of one: the per-draw oracle."""
+    return _analyse(spec, u[None])[0]
 
 
 def per_draw_matrix(source, stream):
@@ -156,7 +161,7 @@ class TestRunEnsemble:
         if isinstance(source, InteractionGraph):
             analyses += (Analysis("state_sample"),)
         spec = EnsembleSpec(source=source, draws=draws, master_seed=15, analyses=analyses)
-        records = [_run_draw(spec, per_draw_matrix(source, RandomStream(15, t)))
+        records = [run_draw(spec, per_draw_matrix(source, RandomStream(15, t)))
                    for t in range(draws)]
         expected = EnsembleReport(spec.source_description(), draws, 15,
                                   _aggregate(spec, records), 0.0)
@@ -377,8 +382,8 @@ def phases_spec(graph, draws=24, seed=31):
 
 def full_matrix_report(spec) -> dict:
     """The campaign with each draw's phases from its full matrix."""
-    records = [_run_draw(spec, evolution_unitary(spec.source,
-                                                 RandomStream(spec.master_seed, t)))
+    records = [run_draw(spec, evolution_unitary(spec.source,
+                                                RandomStream(spec.master_seed, t)))
                for t in range(spec.draws)]
     return EnsembleReport(spec.source_description(), spec.draws, spec.master_seed,
                           _aggregate(spec, records), 0.0).to_dict(include_timing=False)

@@ -235,6 +235,15 @@ class TestSpecFiles:
         g = parse_graph_spec('{"n": 2, "k": 4, "layers": [{"cliques":[[1,2],[3,4]]}]}')
         assert g.dims == (2, 2, 2, 2)
 
+    def test_shorthand_k_past_the_listed_particles_is_refused_unbuilt(self):
+        # (2,) * 10**12 could not be allocated: the refusal comes first
+        spec = '{"n": 2, "k": 1000000000000, "layers": [{"cliques": [[1]]}]}'
+        with pytest.raises(GraphSpecError, match=r"exceeds the particle count of layer 1 \(1\)"):
+            parse_graph_spec(spec)
+        with pytest.raises(MissingParticle):
+            parse_graph_spec('{"n": 2, "k": 2, "layers": [{"cliques": [[1, 2]]}, '
+                             '{"cliques": [[1]]}]}')
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(GraphSpecError):
             parse_graph_spec('{"dims": [2,2], "layers": [{"cliques":[[1,2]]}], "x": 1}')

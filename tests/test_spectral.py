@@ -131,17 +131,24 @@ class TestEigendecompose:
         data = assert_matches_oracle(u)
         assert np.abs(data.phases[::2] - data.phases[1::2]).max() <= 1e-12
 
+    def test_vectors_are_column_major(self):
+        # as one matrix's vectors[:, order] is: eigenvector_entropy sums in
+        # memory order, so the layout is part of a report's last bits
+        for u in (haar_unitary(12, RandomStream(0, 8)), -np.eye(4, dtype=complex)):
+            assert eigendecompose(u).vectors.flags.f_contiguous
+
     @staticmethod
     def solve_without_schur(u, monkeypatch):
         """eigendecompose(u), failing if Schur runs; also the alphas tried."""
         alphas = []
-        cayley = spectral._cayley_eigensystem
-        def spy(u, alpha):
-            alphas.append(alpha)
-            return cayley(u, alpha)
+        cayley = spectral._cayley_eigen
+        def spy(us, stack_alphas, with_vectors):
+            assert len(us) == 1 and with_vectors
+            alphas.append(float(stack_alphas[0]))
+            return cayley(us, stack_alphas, with_vectors)
         def no_schur(*args, **kwargs):
             raise AssertionError("the Cayley retry should have succeeded")
-        monkeypatch.setattr(spectral, "_cayley_eigensystem", spy)
+        monkeypatch.setattr(spectral, "_cayley_eigen", spy)
         monkeypatch.setattr(scipy.linalg, "schur", no_schur)
         data = eigendecompose(u)
         monkeypatch.undo()
@@ -175,31 +182,32 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("failure", ["singular", "wrong_vectors"])
     def test_schur_fallback(self, monkeypatch, failure):
-        cayley = spectral._cayley_eigensystem
-        def broken(u, alpha):
+        cayley = spectral._cayley_eigen
+        def broken(us, alphas, with_vectors):
+            tangents, vectors = cayley(us, alphas, with_vectors)
             if failure == "singular":
-                return None
-            tangents, phases, vectors = cayley(u, alpha)
-            return tangents, phases, np.roll(vectors, 1, axis=1)
-        monkeypatch.setattr(spectral, "_cayley_eigensystem", broken)
+                return np.full_like(tangents, np.nan), np.full_like(vectors, np.nan)
+            return tangents, np.roll(vectors, 1, axis=-1)
+        monkeypatch.setattr(spectral, "_cayley_eigen", broken)
         assert_matches_oracle(haar_unitary(24, RandomStream(0, 7)))
 
 
 class TestEigenphases:
     @staticmethod
     def solve(us, monkeypatch):
-        """eigenphases(us), the stack sizes and alphas of each Cayley solve,
-        and the matrices that fell back to eigendecompose."""
+        """eigenphases(us), the stacks and alphas of each Cayley solve, and
+        the matrices that fell back to the Schur form."""
         solves, fallbacks = [], []
-        tangents, full = spectral._cayley_tangents, spectral.eigendecompose
-        def spy_tangents(us, alphas):
-            solves.append((len(us), alphas.tolist()))
-            return tangents(us, alphas)
-        def spy_full(u):
+        cayley, schur = spectral._cayley_eigen, spectral._schur
+        def spy_cayley(us, alphas, with_vectors):
+            assert not with_vectors
+            solves.append((us.copy(), alphas.tolist()))
+            return cayley(us, alphas, with_vectors)
+        def spy_schur(u):
             fallbacks.append(u)
-            return full(u)
-        monkeypatch.setattr(spectral, "_cayley_tangents", spy_tangents)
-        monkeypatch.setattr(spectral, "eigendecompose", spy_full)
+            return schur(u)
+        monkeypatch.setattr(spectral, "_cayley_eigen", spy_cayley)
+        monkeypatch.setattr(spectral, "_schur", spy_schur)
         phases = eigenphases(us)
         monkeypatch.undo()
         return phases, solves, fallbacks
@@ -222,8 +230,8 @@ class TestEigenphases:
         assert fallbacks == []
         # some draws have an eigenvalue within 1/(2N) of -1: only they are
         # solved again, each at its own alpha
-        assert solves[0] == (count, [0.0] * count)
-        assert len(solves) == 2 and 0 < solves[1][0] < count
+        assert np.array_equal(solves[0][0], us) and solves[0][1] == [0.0] * count
+        assert len(solves) == 2 and 0 < len(solves[1][0]) < count
         assert all(alpha != 0.0 for alpha in solves[1][1])
         for u, row in zip(us, phases):
             assert np.array_equal(eigenphases(u[None])[0], row)
@@ -268,12 +276,16 @@ class TestEigenphases:
 
     def test_singular_member_costs_only_its_row(self, monkeypatch):
         # I + U is exactly singular for the third member, so the stacked solve
-        # raises and is redone matrix by matrix; only that member falls back
+        # raises and is redone matrix by matrix; only that member is retried
+        # at alpha = 1, under the trace check, and none falls back to Schur
         us = haar_unitary(8, [RandomStream(32, t) for t in range(6)])
         us[2] = np.diag([1.0, -1.0, 1j, -1j, 1.0, 1j, 1.0, 1.0])
-        phases, _, fallbacks = self.solve(us, monkeypatch)
-        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], us[2])
-        assert np.array_equal(phases[2], eigendecompose(us[2]).phases)
+        phases, solves, fallbacks = self.solve(us, monkeypatch)
+        assert fallbacks == []
+        # the last solve is the retry (the redo's one-matrix solves come first)
+        retried = [alpha for u, alpha in zip(*solves[-1]) if np.array_equal(u, us[2])]
+        assert retried == [1.0]
+        assert circular_distance(phases[2], eigendecompose(us[2]).phases) <= 1e-13
         for k in (0, 1, 3, 4, 5):
             assert np.array_equal(phases[k], eigenphases(us[k:k + 1])[0])
         self.assert_matches_eigendecompose(us, phases)
@@ -284,22 +296,34 @@ class TestEigenphases:
     ], ids=["one_phase_shifted", "one_dropped_one_duplicated"])
     def test_failed_trace_check_retries_then_falls_back(self, monkeypatch, corrupt):
         us = haar_unitary(12, [RandomStream(33, t) for t in range(5)])
-        expected = [eigendecompose(u).phases for u in us]
-        tangents = spectral._cayley_tangents
+        cayley = spectral._cayley_eigen
         calls = []
-        def first_corrupted(us, alphas):
+        def first_corrupted(us, alphas, with_vectors):
             calls.append(len(us))
-            found = tangents(us, alphas)
-            return corrupt(found) if len(calls) == 1 else found
-        monkeypatch.setattr(spectral, "_cayley_tangents", first_corrupted)
+            tangents, vectors = cayley(us, alphas, with_vectors)
+            return (corrupt(tangents) if len(calls) == 1 else tangents), vectors
+        monkeypatch.setattr(spectral, "_cayley_eigen", first_corrupted)
         phases = eigenphases(us)
         # every matrix was refused once and solved again
         assert calls == [5, 5]
         self.assert_matches_eigendecompose(us, phases)
-        monkeypatch.setattr(spectral, "_cayley_tangents",
-                            lambda us, alphas: corrupt(tangents(us, alphas)))
-        for row, full in zip(eigenphases(us), expected):
-            assert np.array_equal(row, full)
+        # refused twice: each matrix gets its checked Schur phases
+        def always_corrupted(us, alphas, with_vectors):
+            tangents, vectors = cayley(us, alphas, with_vectors)
+            return corrupt(tangents), vectors
+        monkeypatch.setattr(spectral, "_cayley_eigen", always_corrupted)
+        phases = eigenphases(us)
+        for u, row in zip(us, phases):
+            assert np.array_equal(row, spectral._schur(u)[0])
+        self.assert_matches_eigendecompose(us, phases)
+        # and the Schur form keeps its residual check
+        schur = scipy.linalg.schur
+        def rolled(u, output):
+            t, z = schur(u, output=output)
+            return t, np.roll(z, 1, axis=1)
+        monkeypatch.setattr(scipy.linalg, "schur", rolled)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eigenphases(us)
 
 
 class TestSpacings:
