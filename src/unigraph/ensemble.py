@@ -2,12 +2,13 @@
 
 Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
-worker count (timing fields aside). The matrices of a campaign are generated
-a stack of consecutive draws at a time (STACK_AMPLITUDES bounds a stack's
-size) and analysed one draw at a time, except that a campaign that reads
-only eigenphases solves each stack's phases in one eigenphases call. Every
-matrix and every row of phases of a stack equals its per-draw computation
-bit for bit, so the stack size does not change a report.
+worker count (timing fields aside). A stack of consecutive draws
+(STACK_AMPLITUDES bounds its size) is the unit of work from seeding to
+records: it is generated together, and each analysis kind takes it in one
+call that returns its B per-draw values (an eigensystem still costs one
+eigendecompose call per draw). Every matrix and per-draw value of a stack
+equals its per-draw computation bit for bit, so the stack size does not
+change a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
@@ -184,9 +185,10 @@ def _stacks(dim: int, draws: int) -> list[range]:
 
 
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:
-    """Tr(U^m) for m = 1..max_power from the eigenvalues of U."""
+    """Tr(U^m) for m = 1..max_power from the eigenvalues of U, or for each
+    row of a (B, N) stack of them, as a (B, max_power) array."""
     powers = np.arange(1, max_power + 1)
-    return (eigvals[None, :] ** powers[:, None]).sum(axis=1)
+    return (eigvals[..., None, :] ** powers[:, None]).sum(axis=-1)
 
 
 @dataclass
@@ -292,12 +294,11 @@ def _state_sample_check(spec: EnsembleSpec, analysis: Analysis) -> str | None:
     return _bipartition_check(spec, analysis) if analysis.arg else None
 
 
-def _reduced_pair(spec: EnsembleSpec, analysis: Analysis,
-                  stack: np.ndarray) -> tuple[float, float]:
-    """Mean entropy and purity of the keep set's reduced states of ``stack``'s rows."""
+def _reduced(spec: EnsembleSpec, analysis: Analysis,
+             states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies and purities of the keep set's reduced states of a stack of states."""
     keep0 = [p - 1 for p in _keep_set(spec, analysis)]
-    entropies, purities = ent.reduced_entropies(stack, spec.source.dims, keep0)
-    return float(entropies.mean()), float(purities.mean())
+    return ent.reduced_entropies(states, spec.source.dims, keep0)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -404,13 +405,15 @@ class AnalysisKind(NamedTuple):
     """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), "phases"
     (a stack's eigenphases, without eigenvectors), or "eigensystem" (one
     eigendecomposition per draw, which serves "phases" too). ``check`` returns the
-    IncompatibleAnalysis message for a bad request, else None. ``per_draw(spec,
-    analysis, u, data)`` is a draw's record; ``summary(spec, analysis, values)``."""
+    IncompatibleAnalysis message for a bad request, else None. ``per_stack(spec,
+    analysis, us, data)`` returns the B per-draw values of a (B, N, N) stack
+    (None on the factored path) from its SpectralData: (B, N) phases and a
+    list of B eigenvector matrices. ``summary(spec, analysis, values)``."""
 
     needs: str
     graph: bool  # needs a graph source
     check: Callable[[EnsembleSpec, Analysis], str | None]
-    per_draw: Callable
+    per_stack: Callable
     summary: Callable
 
 
@@ -418,40 +421,42 @@ class AnalysisKind(NamedTuple):
 ANALYSES = {
     "spacing": AnalysisKind(
         "phases", False, _spectrum_check,
-        lambda spec, a, u, data: spectral.spacings(
+        lambda spec, a, us, data: spectral.spacings(
             data.phases, include_wrap=spec.include_wrap),
         _spacing_summary),
     "phase_density": AnalysisKind(
         "phases", False, _spectrum_check,
-        lambda spec, a, u, data: data.phases,
+        lambda spec, a, us, data: data.phases,
         _phase_density_summary),
     "evec_entropy": AnalysisKind(
         "eigensystem", False, _no_parameter,
-        lambda spec, a, u, data: ent.eigenvector_entropy(data),
+        lambda spec, a, us, data: [ent.eigenvector_entropy(SpectralData(p, v))
+                                   for p, v in zip(data.phases, data.vectors)],
         lambda spec, a, values: {
             **_scalar_summary(values),
             "reference_mean": ent.mean_random_vector_entropy(spec.dim)}),
     "element_entropy": AnalysisKind(
         "matrix", False, _no_parameter,
-        lambda spec, a, u, data: ent.element_entropy(u),
+        lambda spec, a, us, data: ent.element_entropy(us),
         _element_entropy_summary),
     "trace_moments": AnalysisKind(
         "phases", False, _trace_moments_check,
-        lambda spec, a, u, data: _moments_from_eigvals(
+        lambda spec, a, us, data: _moments_from_eigvals(
             np.exp(1j * data.phases), a.arg[0]),
         _trace_moments_summary),
     "entanglement": AnalysisKind(
         "eigensystem", True, _bipartition_check,
-        lambda spec, a, u, data: _reduced_pair(spec, a, data.vectors.T),
+        lambda spec, a, us, data: [[x.mean() for x in _reduced(spec, a, v.T)]
+                                   for v in data.vectors],
         _entanglement_summary),
     "projection": AnalysisKind(
         "eigensystem", True, _projection_check,
-        lambda spec, a, u, data: _projection_stats(
-            data.vectors, spec.source.dims, a.arg[0], spec.weighted_projection),
+        lambda spec, a, us, data: [_projection_stats(
+            v, spec.source.dims, a.arg[0], spec.weighted_projection) for v in data.vectors],
         _projection_summary),
     "state_sample": AnalysisKind(
         "state", True, _state_sample_check,
-        lambda spec, a, u, data: _reduced_pair(spec, a, u[:, :1].T),
+        lambda spec, a, us, data: np.column_stack(_reduced(spec, a, us[:, :, 0])),
         _state_sample_summary),
 }
 
@@ -460,31 +465,35 @@ ANALYSES = {
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-def _records(spec: EnsembleSpec, us, spectra: list) -> list[dict]:
-    return [{a.kind: ANALYSES[a.kind].per_draw(spec, a, u, data) for a in spec.analyses}
-            for u, data in zip(us, spectra)]
+def _records(spec: EnsembleSpec, us, data) -> dict:
+    """Each kind's per-draw values of one stack, from one row call per kind."""
+    return {a.kind: ANALYSES[a.kind].per_stack(spec, a, us, data) for a in spec.analyses}
 
 
-def _analyse(spec: EnsembleSpec, us: np.ndarray) -> list[dict]:
-    """The record of each draw of the (B, N, N) stack ``us``. An eigensystem
-    costs one eigendecompose call per draw; phases alone, one eigenphases
-    call for the stack (each row equals that draw's solve on its own)."""
+def _analyse(spec: EnsembleSpec, us: np.ndarray) -> dict:
+    """The records of the (B, N, N) stack ``us``. An eigensystem costs one
+    eigendecompose call per draw; phases alone, one eigenphases call for the
+    stack (each row equals that draw's solve on its own)."""
     needs = {ANALYSES[a.kind].needs for a in spec.analyses}
     if "eigensystem" in needs:
         spectra = [spectral.eigendecompose(u) for u in us]
+        data = SpectralData(np.array([d.phases for d in spectra]),
+                            [d.vectors for d in spectra])
     elif "phases" in needs:
-        spectra = [SpectralData(phases, None) for phases in spectral.eigenphases(us)]
+        data = SpectralData(spectral.eigenphases(us), None)
     else:
-        spectra = [None] * len(us)
-    return _records(spec, us, spectra)
+        data = None
+    return _records(spec, us, data)
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
-    return {a.kind: ANALYSES[a.kind].summary(spec, a, [r[a.kind] for r in records])
-            for a in spec.analyses}
+    """Each kind's summary of the stacks' records, in draw order."""
+    return {a.kind: ANALYSES[a.kind].summary(
+        spec, a, [value for stack in records for value in stack[a.kind]])
+        for a in spec.analyses}
 
 
-def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
+def _run_stack(spec: EnsembleSpec, draws: range) -> dict:
     """Generate and analyze ``draws`` as one stack; a phases-only campaign on
     a disconnected graph solves the stack's tensor factors (module docstring)."""
     streams = [RandomStream(spec.master_seed, t) for t in draws]
@@ -496,8 +505,7 @@ def _run_stack(spec: EnsembleSpec, draws: range) -> list[dict]:
             redo = np.flatnonzero(~passed)
             phases[redo] = spectral.eigenphases(evolution_unitary(
                 spec.source, [streams[j] for j in redo], dim_cap=spec.dim_cap))
-        return _records(spec, [None] * len(phases),
-                        [SpectralData(row, None) for row in phases])
+        return _records(spec, None, SpectralData(phases, None))
     return _analyse(spec, _draw_matrices(spec.source, streams, spec.dim_cap))
 
 
@@ -514,10 +522,9 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     stacks = _stacks(spec.dim, spec.draws)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
+            records = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
     else:
-        done = [_run_stack(spec, draws) for draws in stacks]
-    records = [record for stack in done for record in stack]
+        records = [_run_stack(spec, draws) for draws in stacks]
     analyses = _aggregate(spec, records)
     wall = time.perf_counter() - start
     return EnsembleReport(spec.source_description(), spec.draws,

@@ -40,11 +40,8 @@ class InvalidReducedState(ValueError):
 
 
 def _plogp(p: np.ndarray) -> np.ndarray:
-    # 0 * log 0 := 0
-    out = np.zeros_like(p)
-    positive = p > 0
-    out[positive] = p[positive] * np.log(p[positive])
-    return out
+    # 0 * log 0 := 0, without indexing by a mask
+    return p * np.log(np.where(p > 0, p, 1.0))
 
 
 def eigenvector_entropy(spec) -> float:
@@ -54,11 +51,15 @@ def eigenvector_entropy(spec) -> float:
     return float(-_plogp(weights).sum() / spec.dim)
 
 
-def element_entropy(u: np.ndarray) -> float:
+def element_entropy(u: np.ndarray) -> float | np.ndarray:
     """Same functional applied to the matrix entries themselves; additive
-    over tensor products and so sensitive to graph structure."""
-    weights = np.abs(np.asarray(u)) ** 2
-    return float(-_plogp(weights).sum() / u.shape[0])
+    over tensor products and so sensitive to graph structure. |u_ij|^2 is
+    clipped to [0, 1] (rounding puts a unit-modulus entry at 1 + 2e-16).
+    For a (B, N, N) stack, the (B,) array of each matrix's entropy."""
+    u = np.asarray(u)
+    weights = np.clip(np.abs(u) ** 2, 0.0, 1.0).reshape(u.shape[:-2] + (-1,))
+    values = -_plogp(weights).sum(axis=-1) / u.shape[-1]
+    return values if values.ndim else float(values)
 
 
 def mean_random_vector_entropy(dim: int) -> float:

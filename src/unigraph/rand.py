@@ -4,16 +4,16 @@ Every draw is a pure function of a RandomStream, so ensembles can be
 generated in any order (or concurrently) with bit-identical results.
 
 A stream's generator is PCG64 seeded by
-``SeedSequence(master_seed, spawn_key=path)``. Every sampler takes one
-stream or a sequence and seeds a batch a group at a time: a group of two or
-more streams runs numpy's SeedSequence hash over its spawn keys in one
-vectorized pass (``_stream_states``) and hands each PCG64 its precomputed
-state words; a lone stream is seeded by ``RandomStream.generator()``
-itself. The generators are the ones ``generator()`` builds. A spot check
-(``_seeded_like_numpy``) compares the first stream of each vectorized group
-with numpy's own SeedSequence; on a mismatch the group is seeded stream by
-stream through ``generator()``, so the draws do not change, and a
-RuntimeWarning is issued (once, under the default warning filters).
+``SeedSequence(master_seed, spawn_key=path)``. A batch is seeded from key
+arrays, not stream objects (``_generators``): the keys (path words, then any
+substream indices) of streams that share a master seed and a key width are
+built by broadcasting into one (B, W) uint32 array, and numpy's SeedSequence
+hash runs over it in one vectorized pass (``_stream_states``); a lone key is
+seeded by numpy itself. A spot check (``_seeded_like_numpy``) compares each
+pass's first generator with numpy's; on a mismatch the pass is seeded key by
+key through numpy, so the draws do not change, and a RuntimeWarning is
+issued (once, under the default warning filters). Every sampler takes one
+stream, a sequence of streams, or a sequence of generators seeded that way.
 """
 
 from __future__ import annotations
@@ -190,34 +190,44 @@ def _seeded_like_numpy(generator: np.random.Generator, stream: RandomStream) -> 
     return generator.bit_generator.state == stream.generator().bit_generator.state
 
 
-def _generators(streams: Sequence[RandomStream]) -> list[np.random.Generator]:
-    """[s.generator() for s in streams], seeded a group at a time.
+def _keyed_generators(master_seed: int, keys: np.ndarray) -> list[np.random.Generator]:
+    """The generator of each row of ``keys``, a (B, W) uint32 array of
+    spawn-key words under ``master_seed``: one ``_stream_states`` pass whose
+    first generator is spot-checked; a pass that fails the check is seeded
+    key by key by numpy instead, with a RuntimeWarning, as is a single key.
+    numpy hashes a path's words, so the words name the stream as the path does."""
+    if len(keys) > 1:
+        generators = [np.random.Generator(np.random.PCG64(_StateWords(words)))
+                      for words in _stream_states(master_seed, keys)]
+        if _seeded_like_numpy(generators[0], RandomStream(master_seed, tuple(keys[0].tolist()))):
+            return generators
+        warnings.warn(_FALLBACK_WARNING, RuntimeWarning)
+    return [RandomStream(master_seed, tuple(key)).generator() for key in keys.tolist()]
 
-    Streams that share a master seed and a spawn-key word count form a
-    group. A group of one takes ``generator()``; a larger one is hashed in
-    one ``_stream_states`` pass, and its first generator is spot-checked
-    against numpy's SeedSequence. A group that fails the check is seeded
-    stream by stream instead, with a RuntimeWarning.
-    """
-    keys = [_spawn_words(s.path) for s in streams]
+
+def _generators(streams: Sequence[RandomStream], suffixes=None) -> np.ndarray:
+    """The (B,) object array of [s.generator() for s in streams]; given
+    ``suffixes``, a (K, S) array of indices below 2**32, the (B, K) array of
+    s.substream(*suffixes[k]).generator(), without making those streams.
+    Streams that share a master seed and a spawn-key word count form a group,
+    whose keys (path words, then a suffix) are built by broadcasting and
+    seeded in one ``_keyed_generators`` call. Generators are returned as
+    they are."""
+    if isinstance(streams[0], np.random.Generator):
+        return streams
+    tails = np.zeros((1, 0)) if suffixes is None else np.asarray(suffixes)
+    paths = [_spawn_words(s.path) for s in streams]
     groups: dict[tuple[int, int], list[int]] = {}
-    for j, (s, key) in enumerate(zip(streams, keys)):
-        groups.setdefault((s.master_seed, len(key)), []).append(j)
-    generators = [None] * len(streams)
-    for (master_seed, _), members in groups.items():
-        if len(members) == 1:
-            generators[members[0]] = streams[members[0]].generator()
-            continue
-        states = _stream_states(master_seed,
-                                np.array([keys[j] for j in members], dtype=np.uint32))
-        group = [np.random.Generator(np.random.PCG64(_StateWords(words)))
-                 for words in states]
-        if not _seeded_like_numpy(group[0], streams[members[0]]):
-            warnings.warn(_FALLBACK_WARNING, RuntimeWarning)
-            group = [streams[j].generator() for j in members]
-        for j, generator in zip(members, group):
-            generators[j] = generator
-    return generators
+    for j, (s, words) in enumerate(zip(streams, paths)):
+        groups.setdefault((s.master_seed, len(words)), []).append(j)
+    out = np.empty((len(streams), len(tails)), dtype=object)
+    for (master_seed, width), members in groups.items():
+        keys = np.empty((len(members), len(tails), width + tails.shape[1]), dtype=np.uint32)
+        keys[:, :, :width] = np.array([paths[j] for j in members], dtype=np.uint32)[:, None]
+        keys[:, :, width:] = tails
+        group = _keyed_generators(master_seed, keys.reshape(-1, keys.shape[-1]))
+        out[members] = np.array(group, dtype=object).reshape(len(members), len(tails))
+    return out[:, 0] if suffixes is None else out
 
 
 def unitarity_tolerance(dim: int) -> float:
@@ -261,10 +271,11 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
     """Draw a Haar-distributed unitary via a complex Ginibre matrix and a
     phase-corrected QR factorization (Q * diag(r_jj / |r_jj|)).
 
-    Given a sequence of streams, return the (len, dim, dim) stack whose
-    j-th matrix is the one drawn from streams[j] alone; the stack is
-    factorized and checked in single calls, and its streams are seeded in
-    vectorized groups (``_generators``). An empty sequence raises ValueError.
+    Given a sequence of streams, or of their generators, return the (len,
+    dim, dim) stack whose j-th matrix is the one drawn from streams[j] alone;
+    the stack is factorized and checked in single calls, and its streams are
+    seeded in vectorized groups (``_generators``). An empty sequence raises
+    ValueError.
     """
     if dim < 1:
         raise DimensionZero(dim)
@@ -296,13 +307,15 @@ def random_phases_diagonal(dim: int, stream: RandomStream | Sequence[RandomStrea
 
 def sample_composed(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.ndarray:
     """Two independent Poissonian diagonals mixed through a Haar rotation:
-    P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively; a
-    sequence of streams gives a stack, multiplied and checked in single calls."""
+    P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively, seeded
+    from one key array; a sequence of streams gives a stack, multiplied and
+    checked in single calls."""
     if dim < 1:
         raise DimensionZero(dim)
     single, streams = as_streams(stream)
-    p1 = random_phases_diagonal(dim, [s.substream(0) for s in streams])
-    p2 = random_phases_diagonal(dim, [s.substream(1) for s in streams])
-    x = haar_unitary(dim, [s.substream(2) for s in streams])
+    generators = _generators(streams, [(0,), (1,), (2,)])
+    p1 = random_phases_diagonal(dim, generators[:, 0])
+    p2 = random_phases_diagonal(dim, generators[:, 1])
+    x = haar_unitary(dim, generators[:, 2])
     u = require_unitary(p1 @ x @ p2 @ np.swapaxes(x.conj(), -1, -2))
     return u[0] if single else u

@@ -257,19 +257,20 @@ def product_eigenphases(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
 
 
 def spacings(phases: np.ndarray, include_wrap: bool = True) -> np.ndarray:
-    """Nearest-neighbour spacings of sorted phases, scaled by N/(2pi).
+    """Nearest-neighbour spacings of sorted phases, scaled by N/(2pi); for a
+    (B, N) stack, those of each row.
 
     With include_wrap (default) the circular gap from the last phase back to
     the first is appended, giving N spacings with mean exactly 1. Without it
     only the N-1 interior gaps are returned (strict-paper mode).
     """
     phases = np.asarray(phases, dtype=float)
-    n = len(phases)
+    n = phases.shape[-1]
     if n < 2:
         raise FewerThanTwoPhases(f"need at least two phases, got {n}")
     gaps = np.diff(phases)
     if include_wrap:
-        gaps = np.append(gaps, phases[0] + TWO_PI - phases[-1])
+        gaps = np.concatenate([gaps, phases[..., :1] + TWO_PI - phases[..., -1:]], axis=-1)
     return gaps * (n / TWO_PI)
 
 

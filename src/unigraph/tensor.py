@@ -14,14 +14,17 @@ order (``layer_unitary``), so neither a lifted block nor a layer matrix is
 ever formed.
 
 ``evolution_unitary`` draws all blocks first, clique c of layer i from
-substream(i, c), one ``haar_unitary`` call per block order. A Haar singleton
-V on particle p commutes with every block off p, so it is folded into a small
-block product: singletons since p's last multi-particle clique right-multiply
-the block W of p's next one, W (V on p's leg); later ones left-multiply p's
-last one; a particle in no such clique gets one block, the product of its
-singletons (later ones on the left), where its first singleton is. The result
-differs from the clique-by-clique product by rounding alone, and not at all
-without Haar singletons.
+substream(i, c), one ``haar_unitary`` call per block order. Their generators
+come from one key array per stack, the keys (t, i, c) of every stream and
+block built by broadcasting (``rand._generators``): no substream object is
+made, and one spot check covers the stack. A Haar singleton V on particle p
+commutes with every block off p, so it is folded into a small block product:
+singletons since p's last multi-particle clique right-multiply the block W of
+p's next one, W (V on p's leg); later ones left-multiply p's last one; a
+particle in no such clique gets one block, the product of its singletons
+(later ones on the left), where its first singleton is. The result differs
+from the clique-by-clique product by rounding alone, and not at all without
+Haar singletons.
 
 Given a sequence of B streams in place of one, ``evolution_unitary`` builds
 B independent draws as one (B, N, N) stack: each (B, b, b) block stack is
@@ -44,8 +47,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import InteractionGraph, components
-from .rand import (RandomStream, UnitarityError, as_streams, haar_unitary, require_unitary,
-                   unitarity_defects, unitarity_tolerance)
+from .rand import (RandomStream, UnitarityError, _generators, as_streams, haar_unitary,
+                   require_unitary, unitarity_defects, unitarity_tolerance)
 
 DEFAULT_DIM_CAP = 4096
 
@@ -109,16 +112,17 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream]
     the evolution: every block drawn up front, then every Haar singleton
     folded (module docstring)."""
     dims = graph.dims
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, layer in enumerate(graph.layers):
-        for c, clique in enumerate(layer.cliques):
-            if len(clique) > 1 or layer.singletons == "haar":
-                groups.setdefault(prod(dims[p - 1] for p in clique), []).append((i, c))
+    members = [(i, c) for i, layer in enumerate(graph.layers)
+               for c, clique in enumerate(layer.cliques)
+               if len(clique) > 1 or layer.singletons == "haar"]
+    generators = _generators(streams, np.reshape(members, (-1, 2)))
+    orders = [prod(dims[p - 1] for p in graph.layers[i].cliques[c]) for i, c in members]
     drawn = {}
-    for order, members in groups.items():
-        stack = haar_unitary(order, [s.substream(i, c) for s in streams for i, c in members])
-        stack = stack.reshape(len(streams), len(members), order, order)
-        drawn.update((key, stack[:, k]) for k, key in enumerate(members))
+    for order in dict.fromkeys(orders):
+        ks = [k for k, o in enumerate(orders) if o == order]
+        stack = haar_unitary(order, generators[:, ks].ravel())
+        stack = stack.reshape(len(streams), len(ks), order, order)
+        drawn.update((members[k], stack[:, n]) for n, k in enumerate(ks))
     # pending: particle -> its singletons' product since its last multi-particle
     # clique; last: particle -> that clique's place, else its first singleton's
     pending, last, folded = {}, {}, {}

@@ -1,3 +1,5 @@
+from math import prod
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -23,8 +25,8 @@ def pair_graph(n):
 
 
 def run_draw(spec, u):
-    """One draw's record, analysed as a stack of one: the per-draw oracle."""
-    return _analyse(spec, u[None])[0]
+    """One draw's records, analysed as a stack of one."""
+    return _analyse(spec, u[None])
 
 
 def per_draw_matrix(source, stream):
@@ -247,6 +249,77 @@ class TestRunEnsemble:
         states = evolution_unitary(graph, [RandomStream(2, t) for t in range(draws)])[:, :, 0]
         entropies, _ = ent.reduced_entropies(states, graph.dims, [0, 1])
         assert (entropies >= 0).all()
+
+    def test_unit_modulus_entries_give_no_negative_element_entropy(self):
+        # every nonzero |u_ij|^2 of a diagonal unitary is 1 to rounding, and
+        # 1 + 2e-16 once made an entropy of -9e-16, outside the histogram
+        source = ReferenceEnsemble("diagonal", 4)
+        spec = EnsembleSpec(source=source, draws=20, master_seed=3,
+                            analyses=(Analysis("element_entropy"),))
+        assert run_ensemble(spec).analyses["element_entropy"]["histogram"].overflow == 0
+        stack = random_phases_diagonal(4, [RandomStream(3, t) for t in range(20)])
+        assert (ent.element_entropy(stack) >= 0).all()
+        assert ent.element_entropy(haar_unitary(1, [RandomStream(3, t) for t in range(20)])) \
+            .min() >= 0
+
+
+# particle dims whose products are N = 16, 54, 64 and 81; odd N checks the
+# order of the stacked reductions
+ORACLE_DIMS = [(2, 2, 2, 2), (2, 3, 3, 3), (2, 2, 2, 2, 2, 2), (3, 3, 3, 3)]
+
+
+def brick_graph(dims):
+    """Two layers of neighbouring pairs, with Haar singletons left over."""
+    k = len(dims)
+    layers = tuple(Layer(color, tuple(Clique(c) for c in cliques)) for color, cliques in (
+        ("a", [(i, i + 1) for i in range(1, k, 2)]),
+        ("b", [(1,)] + [(i, i + 1) for i in range(2, k, 2)] + [(k,)] * (k % 2 == 0))))
+    return InteractionGraph(ParticleSystem(dims), layers)
+
+
+def oracle_values(spec, u):
+    """One draw's value of each stacked kind, from the single-matrix functions."""
+    phases = spectral.eigenphases(u[None])[0]
+    keep = [a.arg for a in spec.analyses if a.kind == "state_sample"][0] \
+        or range(1, len(spec.source.dims) // 2 + 1)
+    sigma = partial_trace(u[:, 0], spec.source.dims, keep)
+    return {"spacing": spectral.spacings(phases, include_wrap=spec.include_wrap),
+            "phase_density": phases,
+            "element_entropy": ent.element_entropy(u),
+            "trace_moments": _moments_from_eigvals(np.exp(1j * phases), 3),
+            "state_sample": (von_neumann_entropy(sigma), purity(sigma))}
+
+
+class TestStackedRows:
+    """Each kind's row takes a stack and returns its B per-draw values; each
+    value equals the draw's value from single-matrix functions."""
+
+    @pytest.mark.parametrize("draws", [1, 15, 16, 17])
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda dims: f"N{prod(dims)}")
+    @pytest.mark.parametrize("wrap,keep", [(True, ()), (False, (2, 4))])
+    def test_rows_equal_the_single_matrix_oracle(self, dims, draws, wrap, keep):
+        graph = brick_graph(dims)
+        spec = EnsembleSpec(source=graph, draws=draws, master_seed=17, include_wrap=wrap,
+                            analyses=(Analysis("spacing"), Analysis("phase_density"),
+                                      Analysis("element_entropy"),
+                                      Analysis("trace_moments", (3,)),
+                                      Analysis("state_sample", keep)))
+        us = evolution_unitary(graph, [RandomStream(17, t) for t in range(draws)])
+        records = _analyse(spec, us)
+        assert {kind: len(values) for kind, values in records.items()} \
+            == dict.fromkeys(records, draws)
+        keep0 = [p - 1 for p in (keep or range(1, len(dims) // 2 + 1))]
+        for j, u in enumerate(us):
+            expected = oracle_values(spec, u)
+            for kind in ("spacing", "phase_density", "element_entropy", "trace_moments"):
+                assert np.array_equal(records[kind][j], expected[kind]), kind
+            # partial_trace symmetrizes its reduced state, which moves the
+            # entropy and purity by rounding; the draw's state alone, as a
+            # stack of one, gives the same bits
+            assert np.abs(records["state_sample"][j] - expected["state_sample"]).max() <= 1e-14
+            alone = ent.reduced_entropies(u[:, :1].T, dims, keep0)
+            assert np.array_equal(records["state_sample"][j], np.concatenate(alone))
+
 
 class TestRandomGraphState:
     """The state U|0> of one sampled evolution: its unitary's first column."""

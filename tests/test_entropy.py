@@ -5,7 +5,7 @@ import pytest
 
 from unigraph.ensemble import _projection_stats
 from unigraph.entropy import (EmptyKeepSet, FullKeepSet, InvalidReducedState,
-                              NormViolation, OrderViolation, element_entropy,
+                              NormViolation, OrderViolation, _plogp, element_entropy,
                               eigenvector_entropy, mean_purity,
                               mean_random_vector_entropy, page_mean_entropy,
                               partial_trace, purity, reduced_entropies,
@@ -77,6 +77,36 @@ class TestElementEntropy:
         p = np.eye(6)[rng.permutation(6)]
         q = np.eye(6)[rng.permutation(6)]
         assert abs(element_entropy(p @ u @ q) - element_entropy(u)) < 1e-12
+
+
+    @pytest.mark.parametrize("dim", [16, 54, 64, 81])
+    def test_stack_is_the_per_matrix_values(self, dim):
+        # the stacked reduction must keep each matrix's summation order;
+        # odd N checks it
+        stack = haar_unitary(dim, [RandomStream(35, t) for t in range(17)])
+        values = element_entropy(stack)
+        assert values.shape == (17,)
+        assert [float(v) for v in values] == [element_entropy(u) for u in stack]
+
+    def test_unit_modulus_entries_are_not_negative(self):
+        # |e^{i phi}|^2 rounds to 1 + 2e-16 for some phi; clipped, each
+        # entry adds 0, not -2e-16
+        phases = np.linspace(0.0, 2 * np.pi, 4000, endpoint=False).reshape(1000, 4)
+        stack = np.zeros((1000, 4, 4), dtype=complex)
+        stack[:, np.arange(4), np.arange(4)] = np.exp(1j * phases)
+        assert (np.abs(stack) ** 2).max() > 1.0
+        values = element_entropy(stack)
+        assert (values >= 0).all() and values.max() < 1e-14
+        assert element_entropy(stack[0][:1, :1]) >= 0
+
+
+def test_plogp_is_the_masked_kernel():
+    # p log p with 0 log 0 := 0, bit for bit the kernel that indexes by a mask
+    p = np.abs(haar_unitary(16, [RandomStream(36, t) for t in range(4)])) ** 2
+    p[:, ::3] = 0.0
+    masked = np.zeros_like(p)
+    masked[p > 0] = p[p > 0] * np.log(p[p > 0])
+    assert np.array_equal(_plogp(p), masked)
 
 
 class TestMeanFormulas:
@@ -219,6 +249,16 @@ class TestReducedEntropies:
             sigma = partial_trace(state, dims, keep)
             assert abs(entropies[j] - von_neumann_entropy(sigma)) <= 1e-12
             assert abs(purities[j] - purity(sigma)) <= 1e-12
+
+    @pytest.mark.parametrize("dims, keep", [((2, 3, 3, 3), (1, 2)), ((3, 3, 3, 3), (2, 4)),
+                                            ((2,) * 6, (1, 2, 3))])
+    def test_stack_is_the_per_state_values(self, dims, keep):
+        total = int(np.prod(dims))
+        states = haar_unitary(total, [RandomStream(37, t) for t in range(17)])[:, :, 0]
+        entropies, purities = reduced_entropies(states, dims, [p - 1 for p in keep])
+        for j in range(17):
+            alone = reduced_entropies(states[j:j + 1], dims, [p - 1 for p in keep])
+            assert (entropies[j], purities[j]) == (alone[0][0], alone[1][0])
 
     def test_stack_with_a_state_of_norm_two_is_rejected(self):
         states = np.stack([random_state(8, 35), 2 * random_state(8, 36),

@@ -67,6 +67,28 @@ class TestRandomStream:
         assert np.array_equal(child.generator().random(8), made.generator().random(8))
 
 
+def counted_seeding(monkeypatch):
+    """Record the key-array shape of every vectorized pass and count the
+    spot checks; RandomStream.substream refuses to run."""
+    seen = {"passes": [], "checks": 0}
+    states, check = rand._stream_states, rand._seeded_like_numpy
+
+    def counted_states(seed, keys):
+        seen["passes"].append(keys.shape)
+        return states(seed, keys)
+
+    def counted_check(generator, stream):
+        seen["checks"] += 1
+        return check(generator, stream)
+
+    def refuse(self, *indices):
+        raise AssertionError("substream called")
+    monkeypatch.setattr(rand, "_stream_states", counted_states)
+    monkeypatch.setattr(rand, "_seeded_like_numpy", counted_check)
+    monkeypatch.setattr(RandomStream, "substream", refuse)
+    return seen
+
+
 class TestVectorizedSeeding:
     """haar_unitary seeds a batch of streams in one vectorized pass of
     SeedSequence's hash; RandomStream.generator() is the oracle."""
@@ -98,12 +120,64 @@ class TestVectorizedSeeding:
             expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
             assert np.array_equal(state, expected)
 
-    def test_evolution_across_the_two_word_boundary_is_per_stream(self):
+    def test_evolution_across_the_two_word_boundary_is_per_stream(self, monkeypatch):
+        # draw indices straddle 2**32: a block's key (t, i, c) takes three
+        # words below it and four from it on, one pass and one spot check
+        # per key width; chain3 has 4 blocks per draw
         graph = chain_graph(3, 2)
         streams = [RandomStream(11, t) for t in range(2**32 - 2, 2**32 + 2)]
+        seen = counted_seeding(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             stack = evolution_unitary(graph, streams)
+        assert sorted(seen["passes"]) == [(8, 3), (8, 4)] and seen["checks"] == 2
+        monkeypatch.undo()
+        for j, stream in enumerate(streams):
+            assert np.array_equal(stack[j], evolution_unitary(graph, stream))
+
+
+    @given(st.lists(st.tuples(SEED, PATH), min_size=1, max_size=5),
+           st.integers(1, 2).flatmap(lambda width: st.lists(
+               st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
+               min_size=1, max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_substream_generators_are_the_substreams_own(self, named, suffixes):
+        streams = [RandomStream(seed, path) for seed, path in named]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no fallback
+            generators = rand._generators(streams, suffixes)
+        assert generators.shape == (len(streams), len(suffixes))
+        for j, stream in enumerate(streams):
+            for k, suffix in enumerate(suffixes):
+                assert np.array_equal(generators[j, k].random(4),
+                                      stream.substream(*suffix).generator().random(4))
+
+
+class TestStackKeySeeding:
+    """evolution_unitary seeds all blocks of a stack from one key array per
+    master seed and key width: one vectorized pass and one spot check each,
+    and no substream object per block."""
+
+    def test_one_pass_and_one_spot_check_per_stack(self, monkeypatch):
+        # chain6: 25 blocks per draw, keys (t, i, c) of three words
+        graph = chain_graph(6, 2)
+        streams = [RandomStream(7, t) for t in range(16)]
+        seen = counted_seeding(monkeypatch)
+        stack = evolution_unitary(graph, streams)
+        assert seen == {"passes": [(400, 3)], "checks": 1}
+        monkeypatch.undo()
+        for j in (0, 9, 15):
+            assert np.array_equal(stack[j], evolution_unitary(graph, streams[j]))
+
+    def test_two_master_seeds_in_one_batch(self, monkeypatch):
+        graph = chain_graph(3, 2)
+        streams = [RandomStream(seed, t) for t in range(3) for seed in (5, 2**64 - 1)]
+        seen = counted_seeding(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            stack = evolution_unitary(graph, streams)
+        assert seen == {"passes": [(12, 3), (12, 3)], "checks": 2}
+        monkeypatch.undo()
         for j, stream in enumerate(streams):
             assert np.array_equal(stack[j], evolution_unitary(graph, stream))
 
@@ -143,6 +217,22 @@ class TestSeedingSpotCheck:
         stack = haar_unitary(3, self.STREAMS)
         assert not any(np.array_equal(stack[j], expected[j])
                        for j in range(len(self.STREAMS)))
+
+
+    @pytest.mark.parametrize("corrupt", [_flip_a_bit, _swap_words])
+    def test_a_wrong_word_in_a_stacks_key_array_is_caught(self, monkeypatch, corrupt):
+        graph = chain_graph(4, 2)
+        streams = [RandomStream(3, t) for t in range(3)]
+        expected = evolution_unitary(graph, streams)
+        states = rand._stream_states
+        monkeypatch.setattr(rand, "_stream_states",
+                            lambda seed, keys: corrupt(states(seed, keys)))
+        with pytest.warns(RuntimeWarning, match="vectorized SeedSequence seeding"):
+            stack = evolution_unitary(graph, streams)
+        assert np.array_equal(stack, expected)
+        # the spot check is what catches it
+        monkeypatch.setattr(rand, "_seeded_like_numpy", lambda generator, stream: True)
+        assert not np.array_equal(evolution_unitary(graph, streams), expected)
 
 
 class TestOneStreamSeeding:
