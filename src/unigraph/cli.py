@@ -15,7 +15,7 @@ import shlex
 import sys
 
 import numpy as np
-import scipy
+import scipy  # bare scipy only, for the version that provenance records
 
 from . import __version__
 from .ensemble import (REFERENCE_KINDS, Analysis, BenchmarkResult, EnsembleSpec,

@@ -22,7 +22,6 @@ reports match the full-matrix solve to ~1e-13.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, NamedTuple
@@ -521,6 +520,9 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     start = time.perf_counter()
     stacks = _stacks(spec.dim, spec.draws)
     if workers > 1:
+        # imported here: concurrent.futures loads logging, ~12 ms of start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
     else:

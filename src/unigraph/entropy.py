@@ -141,15 +141,16 @@ def reduced_entropies(states: np.ndarray, dims: Sequence[int],
 def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     """Eigenvalues of one density matrix or of a stack of them, clipped to
     [0, 1] (rounding puts a pure state's at 1 + 2e-16), once each is Hermitian
-    with unit trace and no eigenvalue below EIGENVALUE_FLOOR."""
+    with unit trace and no eigenvalue below EIGENVALUE_FLOOR. The checks are
+    written to fail on NaN, so a non-finite state is refused too."""
     sigma = np.asarray(sigma)
-    if np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))).max() > 1e-12:
+    if not np.abs(sigma - np.conj(np.swapaxes(sigma, -1, -2))).max() <= 1e-12:
         raise InvalidReducedState("matrix is not Hermitian")
     trace_defect = np.abs(np.trace(sigma, axis1=-2, axis2=-1).real - 1.0).max()
-    if trace_defect > 1e-10:
+    if not trace_defect <= 1e-10:
         raise InvalidReducedState(f"trace differs from 1 by {trace_defect:.3e}")
     eigs = np.linalg.eigvalsh(sigma)
-    if eigs.min() < EIGENVALUE_FLOOR:
+    if not eigs.min() >= EIGENVALUE_FLOOR:
         raise InvalidReducedState(f"eigenvalue {eigs.min()} below floor")
     return np.clip(eigs, 0.0, 1.0)
 

@@ -248,10 +248,11 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
     """``u``, a matrix or a stack of them, if every one is unitary to
-    unitarity_tolerance of its order; else raise UnitarityError."""
+    unitarity_tolerance of its order; else raise UnitarityError. A NaN or
+    inf entry makes the defect NaN, which fails the comparison."""
     tol = unitarity_tolerance(u.shape[-1])
     defect = unitarity_defect(u)
-    if defect > tol:
+    if not defect <= tol:
         raise UnitarityError(defect, tol)
     return u
 

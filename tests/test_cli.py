@@ -404,10 +404,68 @@ class TestLocalDimension:
                         " --format csv")
 
 
-def test_cold_import_leaves_out_scipy_stats():
-    # scipy.stats costs about a second of every CLI call's start-up
+COLD_START_PROBES = """
+import contextlib, io, json, sys
+
+import numpy as np
+
+SCIPY = ("scipy.linalg", "scipy.special", "scipy.stats")
+loaded = lambda: [name for name in SCIPY if name in sys.modules]
+quiet = lambda: contextlib.redirect_stdout(io.StringIO())
+probes = {}
+
+from unigraph.cli import main
+probes["import"] = loaded()
+
+with quiet():
+    main(["run", "--chain", "4", "--draws", "5", "--analyses",
+          "spacing,evec_entropy,element_entropy,trace_moments:2,entanglement:1,2,"
+          "projection:1,state_sample", "--out", sys.argv[1] + "/all"])
+probes["run"] = loaded()
+
+# 20 draws at N=16 pool 320 phases: enough for the chi-square p-value
+with quiet():
+    main(["run", "--cue", "16", "--draws", "20", "--analyses", "phase_density",
+          "--out", sys.argv[1] + "/phases"])
+probes["phase_density"] = loaded()
+
+from unigraph import spectral
+from unigraph.rand import RandomStream, haar_unitary
+
+u = haar_unitary(12, RandomStream(5, 0))
+spectral._cayley_eigen = lambda us, alphas, with_vectors: (
+    np.full(us.shape[:-1], np.nan),
+    np.full(us.shape, np.nan, dtype=complex) if with_vectors else None)
+data = spectral.eigendecompose(u)
+probes["schur"] = loaded()
+phases, vectors = spectral._schur(u)
+probes["schur_vectors_equal"] = bool(np.array_equal(data.vectors, vectors))
+probes["schur_phases_equal"] = bool(
+    np.array_equal(data.phases, phases)
+    and np.array_equal(spectral.eigenphases(u[None])[0], phases))
+print(json.dumps(probes))
+"""
+
+
+def test_scipy_is_loaded_only_where_used(tmp_path):
+    # scipy.stats costs about a second of start-up, and scipy.linalg with
+    # scipy.special over a third of a second: a fresh interpreter loads
+    # scipy.special only for the phase_density p-value, and scipy.linalg only
+    # for the Schur fallback, which still returns its checked result
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    probe = "import sys, unigraph.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", COLD_START_PROBES, str(tmp_path)],
+                         capture_output=True, text=True, check=True, env=env)
+    probes = json.loads(out.stdout)
+    assert probes["import"] == []
+    assert probes["run"] == []
+    # scipy before the gh-23420 fix loads scipy.linalg with scipy.special
+    # itself, so the p-value may load exactly what a bare import loads
+    bare = ("import json, sys, scipy.special; print(json.dumps([name for name in"
+            " ('scipy.linalg', 'scipy.special', 'scipy.stats') if name in sys.modules]))")
+    special = subprocess.run([sys.executable, "-c", bare], capture_output=True,
+                             text=True, check=True, env=env)
+    assert "scipy.special" in probes["phase_density"]
+    assert probes["phase_density"] == json.loads(special.stdout)
+    assert probes["schur"] == ["scipy.linalg", "scipy.special"]
+    assert probes["schur_vectors_equal"] and probes["schur_phases_equal"]

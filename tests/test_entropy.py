@@ -268,6 +268,17 @@ class TestReducedEntropies:
         with pytest.raises(InvalidReducedState, match="trace"):
             reduced_entropies(states[1:2] / 4, (2, 4), [1])
 
+    def test_stack_with_a_nan_amplitude_is_rejected(self):
+        # every check compares False on NaN, so each is written to fail then
+        states = np.stack([random_state(8, 38), random_state(8, 39), random_state(8, 40)])
+        states[1, 3] = np.nan
+        with pytest.raises(InvalidReducedState):
+            reduced_entropies(states, (2, 4), [0])
+
+    def test_nan_matrix_is_rejected(self):
+        with pytest.raises(InvalidReducedState):
+            von_neumann_entropy(np.full((2, 2), np.nan, dtype=complex))
+
     def test_eigenvalue_floor_is_checked(self):
         # unit trace and Hermitian, but not positive: the same rule guards
         # von_neumann_entropy and reduced_entropies

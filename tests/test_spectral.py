@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,6 +397,16 @@ class TestReferenceLaws:
         assert np.abs(reference_cdf("wigner", points) - oracle).max() < 1e-10
         for s, expected in zip(points, oracle):
             assert abs(reference_cdf("wigner", float(s)) - expected) < 1e-10
+
+    def test_cdf_against_scipy_erf(self):
+        # erf comes from math.erf: the law stays within 2 ulp of 1 of the same
+        # closed form with scipy's erf, for arrays and for scalars
+        points = np.linspace(0.0, 6.0, 10_000)
+        oracle = np.minimum(scipy.special.erf(2.0 * points / np.sqrt(np.pi))
+                            - (4.0 * points / np.pi) * np.exp(-4.0 * points**2 / np.pi), 1.0)
+        assert np.abs(reference_cdf("wigner", points) - oracle).max() <= 4.5e-16
+        scalars = np.array([reference_cdf("wigner", float(s)) for s in points])
+        assert np.abs(scalars - oracle).max() <= 4.5e-16
 
     def test_cdf_against_scaled_chi(self):
         # the surmise is a chi(3) law scaled by sqrt(pi/8)
