@@ -50,7 +50,8 @@ class UnitarityError(ArithmeticError):
     def __init__(self, defect: float, tol: float):
         self.defect = defect
         self.tol = tol
-        super().__init__(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
+        super().__init__(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}"
+                         if np.isfinite(defect) else f"unitarity defect {defect} is not finite")
 
 
 def _check_index(value: int, name: str) -> int:
@@ -238,7 +239,8 @@ def unitarity_tolerance(dim: int) -> float:
 def unitarity_defects(u: np.ndarray) -> np.ndarray:
     """Max-norm of U†U - I for each matrix of a stack (a 0-d array for one)."""
     dim = u.shape[-1]
-    return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # inf * 0 inside the matmul
+        return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

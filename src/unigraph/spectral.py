@@ -19,10 +19,10 @@ product_eigenphases solves a disconnected graph's draws from their
 tensor.evolution_factors stacks' phases, with the same trace identities
 checked on the Kronecker product.
 
-The module needs only numpy and the standard library to import: the Wigner
-CDF takes erf from math.erf, and scipy is imported on first use, by the
-Schur fallback (scipy.linalg) and by the phase_uniformity p-value
-(scipy.special).
+The module needs only numpy and the standard library: the Wigner CDF takes
+erf from math.erf, and the phase_uniformity p-value is the chi-square
+survival function in closed form. Only the Schur fallback imports scipy
+(scipy.linalg), on first use.
 """
 
 from __future__ import annotations
@@ -331,9 +331,25 @@ def ks_statistic(sample: np.ndarray, cdf) -> float:
     return float(max((steps[1:] - ref).max(), (ref - steps[:-1]).max()))
 
 
+def _chi2_sf(k: int, x: float) -> float:
+    """P(chi^2_k > x), integer k >= 1: the sums of Abramowitz & Stegun 26.4.4-5
+    in h = x/2, each term in log space so none underflows early; clipped at 1."""
+    h = x / 2.0
+    if h == 0.0:
+        return 1.0
+    term = lambda a: math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+    # even k: e^{-h} sum_{j<k/2} h^j/j!; odd k: erfc(sqrt h) + e^{-h}
+    # sum_{j=1}^{(k-1)/2} h^{j-1/2}/Gamma(j+1/2)
+    terms = ([term(j) for j in range(k // 2)] if k % 2 == 0 else
+             [math.erfc(math.sqrt(h)), *(term(j - 0.5) for j in range(1, (k + 1) // 2))])
+    return min(math.fsum(terms), 1.0)
+
+
 def phase_uniformity(phases: np.ndarray, bins: int = 32) -> tuple[float, float]:
     """Chi-square test of pooled eigenphases against the uniform density on
     [0, 2pi). Returns (statistic, p_value)."""
+    if bins < 2:
+        raise ValueError(f"a chi-square test needs at least 2 bins, got {bins}")
     phases = np.asarray(phases, dtype=float)
     n = len(phases)
     if n < 10 * bins:
@@ -341,12 +357,8 @@ def phase_uniformity(phases: np.ndarray, bins: int = 32) -> tuple[float, float]:
     counts, _ = np.histogram(phases, bins=bins, range=(0.0, TWO_PI))
     expected = n / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    # chi-square survival function; scipy.stats would cost ~1 s of import,
-    # and scipy.special, imported here, a third of a cold start's time
-    import scipy.special
-
-    p_value = float(scipy.special.chdtrc(bins - 1, statistic))
-    return statistic, p_value
+    # closed form: scipy.special's chdtrc would cost 0.15 s and 17 MB cold
+    return statistic, _chi2_sf(bins - 1, statistic)
 
 
 # ---------------------------------------------------------------------------

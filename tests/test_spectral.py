@@ -458,12 +458,31 @@ class TestPhaseUniformity:
         with pytest.raises(InsufficientData):
             phase_uniformity(np.linspace(0, 6, 50), bins=32)
 
+    @pytest.mark.parametrize("bins", [1, 0, -3])
+    def test_too_few_bins_rejected(self, bins):
+        # one bin has no degrees of freedom; zero or fewer, no histogram
+        with pytest.raises(ValueError, match=f"at least 2 bins, got {bins}$"):
+            phase_uniformity(np.linspace(0, 6, 50), bins=bins)
+
     @pytest.mark.parametrize("bins", [2, 10, 32])
     def test_p_value_is_the_chi_square_survival_function(self, bins):
         rng = np.random.default_rng(bins)
         phases = rng.uniform(0.0, TWO_PI, 20 * bins) ** 1.1 % TWO_PI
         statistic, p = phase_uniformity(phases, bins=bins)
-        assert p == scipy.stats.chi2.sf(statistic, bins - 1)
+        assert p == pytest.approx(scipy.stats.chi2.sf(statistic, bins - 1), rel=1e-12)
+
+    @pytest.mark.parametrize("bins", [*range(2, 65), 255, 1024])
+    def test_closed_form_against_chdtrc(self, bins):
+        # from 1e-8 out past the statistic where chdtrc underflows to 0
+        statistics = np.geomspace(1e-8, 1e4, 801)
+        expected = scipy.special.chdtrc(bins - 1, statistics)
+        assert expected[-1] == 0.0
+        got = np.array([spectral._chi2_sf(bins - 1, x) for x in statistics])
+        assert ((got >= 0) & (got <= 1)).all()
+        normal = expected >= 1e-300
+        rel = np.abs(got[normal] - expected[normal]) / expected[normal]
+        assert rel.max() <= (1e-12 if bins <= 64 else 1e-11)
+        assert spectral._chi2_sf(bins - 1, 0.0) == 1.0
 
     def test_pooled_cue_phases_look_uniform(self):
         pooled = np.concatenate([
