@@ -173,6 +173,23 @@ def _dim_cap(args) -> int:
     return DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
 
 
+def _resolve_dim_cap(args) -> None:
+    """Fill --dim-cap from UNIGRAPH_DIM_CAP when the flag is absent, so that
+    the re-run line carries it; refuse a cap that is not an integer >= 1."""
+    name, value = "--dim-cap", args.dim_cap
+    if value is None and os.environ.get("UNIGRAPH_DIM_CAP"):
+        name, value = "UNIGRAPH_DIM_CAP", os.environ["UNIGRAPH_DIM_CAP"]
+    if value is None:
+        return
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0  # refused below
+    if cap < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    args.dim_cap = cap
+
+
 def _command(args, seed: int) -> str:
     """The shell-quoted command line that reproduces this output: every given
     flag in parser order, with the resolved seed and without --out. Each flag
@@ -328,9 +345,7 @@ def main(argv=None) -> int:
         # gen, run and bench: the seed is printed before any work can fail
         seed = _resolve_seed(args.seed)
         print(f"seed: {seed}")
-        env_cap = os.environ.get("UNIGRAPH_DIM_CAP")
-        if args.dim_cap is None and env_cap:
-            args.dim_cap = int(env_cap)
+        _resolve_dim_cap(args)
         source, spec_hash = _source(args)
         command = _command(args, seed)
         if args.out is not None:

@@ -4,11 +4,11 @@ Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). A stack of consecutive draws
 (STACK_AMPLITUDES bounds its size) is the unit of work from seeding to
-records: it is generated together, and each analysis kind takes it in one
-call that returns its B per-draw values (an eigensystem still costs one
-eigendecompose call per draw). Every matrix and per-draw value of a stack
-equals its per-draw computation bit for bit, so the stack size does not
-change a report.
+records. The campaign's plan (_plan), chosen once, generates each stack in
+one call and solves it in one (eigendecompose, eigenphases or nothing), and
+each analysis kind takes it in one call that returns its B per-draw values.
+Every matrix and per-draw value of a stack equals its per-draw computation
+bit for bit, so the stack size does not change a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
@@ -79,7 +79,10 @@ class Analysis:
     @classmethod
     def parse(cls, text: str) -> "Analysis":
         kind, _, rest = text.partition(":")
-        arg = tuple(int(v) for v in rest.split(",") if v) if rest else ()
+        try:
+            arg = tuple(int(v) for v in rest.split(",") if v)
+        except ValueError:
+            raise ValueError(f"analysis {text!r}: parameters are integers") from None
         return cls(kind.strip(), arg)
 
 
@@ -103,17 +106,14 @@ class EnsembleSpec:
         if not self.analyses:
             raise ValueError("at least one analysis is required")
         for analysis in self.analyses:
-            self._check_analysis(analysis)
-
-    def _check_analysis(self, analysis: Analysis) -> None:
-        kind = ANALYSES[analysis.kind]
-        if kind.graph and not isinstance(self.source, InteractionGraph):
-            raise IncompatibleAnalysis(
-                f"{analysis.kind} needs a graph source (reference ensembles "
-                "carry no particle structure)")
-        message = kind.check(self, analysis)
-        if message:
-            raise IncompatibleAnalysis(message)
+            kind = ANALYSES[analysis.kind]
+            if kind.graph and not isinstance(self.source, InteractionGraph):
+                raise IncompatibleAnalysis(
+                    f"{analysis.kind} needs a graph source (reference ensembles "
+                    "carry no particle structure)")
+            message = kind.check(self, analysis)
+            if message:
+                raise IncompatibleAnalysis(message)
 
     @property
     def dim(self) -> int:
@@ -176,11 +176,13 @@ def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
     return sampler(source.dim, streams)
 
 
-def _stacks(dim: int, draws: int) -> list[range]:
-    """Draws 0..draws-1 in stacks of max(1, STACK_AMPLITUDES // dim**2)
-    consecutive draws: the unit in which matrices are generated."""
+def _stacks(master_seed: int, dim: int, draws: int) -> list[list[RandomStream]]:
+    """The streams of draws 0..draws-1, RandomStream(master_seed, t), in
+    stacks of max(1, STACK_AMPLITUDES // dim**2) consecutive draws: the unit
+    in which matrices are generated."""
     size = max(1, STACK_AMPLITUDES // dim**2)
-    return [range(first, min(first + size, draws)) for first in range(0, draws, size)]
+    return [[RandomStream(master_seed, t) for t in range(first, min(first + size, draws))]
+            for first in range(0, draws, size)]
 
 
 def _moments_from_eigvals(eigvals: np.ndarray, max_power: int) -> np.ndarray:
@@ -212,8 +214,7 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
-    stacks = [[RandomStream(master_seed, t) for t in stack]
-              for stack in _stacks(dim, draws)]
+    stacks = _stacks(master_seed, dim, draws)
     seconds = []
     for source in (graph, ReferenceEnsemble("cue", dim)):
         start = time.perf_counter()
@@ -402,12 +403,13 @@ def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: list) 
 
 class AnalysisKind(NamedTuple):
     """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), "phases"
-    (a stack's eigenphases, without eigenvectors), or "eigensystem" (one
-    eigendecomposition per draw, which serves "phases" too). ``check`` returns the
-    IncompatibleAnalysis message for a bad request, else None. ``per_stack(spec,
-    analysis, us, data)`` returns the B per-draw values of a (B, N, N) stack
-    (None on the factored path) from its SpectralData: (B, N) phases and a
-    list of B eigenvector matrices. ``summary(spec, analysis, values)``."""
+    (a stack's eigenphases, without eigenvectors), or "eigensystem" (a
+    stack's eigenphases and eigenvectors, which serves "phases" too).
+    ``check`` returns the IncompatibleAnalysis message for a bad request,
+    else None. ``per_stack(spec, analysis, us, data)`` returns the B
+    per-draw values of a (B, N, N) stack (None on the factored path) from
+    its SpectralData: (B, N) phases and (B, N, N) eigenvector columns.
+    ``summary(spec, analysis, values)``."""
 
     needs: str
     graph: bool  # needs a graph source
@@ -464,25 +466,34 @@ ANALYSES = {
 # Campaign driver
 # ---------------------------------------------------------------------------
 
+def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], tuple]:
+    """The campaign's route, chosen once from its analyses' needs and its
+    source: a function from a stack's streams to its matrices (None on the
+    factored path) and SpectralData (None if no kind reads the spectrum)."""
+    needs = {ANALYSES[a.kind].needs for a in spec.analyses}
+    source, cap = spec.source, spec.dim_cap
+    if needs == {"phases"} and isinstance(source, InteractionGraph) and not is_connected(source):
+        def factored(streams):
+            factors = evolution_factors(source, streams, cap)
+            phases, passed = spectral.product_eigenphases(factors)
+            if not passed.all():
+                redo = np.flatnonzero(~passed)
+                phases[redo] = spectral.eigenphases(evolution_unitary(
+                    source, [streams[j] for j in redo], dim_cap=cap))
+            return None, SpectralData(phases, None)
+        return factored
+
+    def whole(streams):
+        us = _draw_matrices(source, streams, cap)
+        if "eigensystem" in needs:
+            return us, spectral.eigendecompose(us)
+        return us, SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
+    return whole
+
+
 def _records(spec: EnsembleSpec, us, data) -> dict:
     """Each kind's per-draw values of one stack, from one row call per kind."""
     return {a.kind: ANALYSES[a.kind].per_stack(spec, a, us, data) for a in spec.analyses}
-
-
-def _analyse(spec: EnsembleSpec, us: np.ndarray) -> dict:
-    """The records of the (B, N, N) stack ``us``. An eigensystem costs one
-    eigendecompose call per draw; phases alone, one eigenphases call for the
-    stack (each row equals that draw's solve on its own)."""
-    needs = {ANALYSES[a.kind].needs for a in spec.analyses}
-    if "eigensystem" in needs:
-        spectra = [spectral.eigendecompose(u) for u in us]
-        data = SpectralData(np.array([d.phases for d in spectra]),
-                            [d.vectors for d in spectra])
-    elif "phases" in needs:
-        data = SpectralData(spectral.eigenphases(us), None)
-    else:
-        data = None
-    return _records(spec, us, data)
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
@@ -490,22 +501,6 @@ def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
     return {a.kind: ANALYSES[a.kind].summary(
         spec, a, [value for stack in records for value in stack[a.kind]])
         for a in spec.analyses}
-
-
-def _run_stack(spec: EnsembleSpec, draws: range) -> dict:
-    """Generate and analyze ``draws`` as one stack; a phases-only campaign on
-    a disconnected graph solves the stack's tensor factors (module docstring)."""
-    streams = [RandomStream(spec.master_seed, t) for t in draws]
-    if ({ANALYSES[a.kind].needs for a in spec.analyses} == {"phases"}
-            and isinstance(spec.source, InteractionGraph) and not is_connected(spec.source)):
-        factors = evolution_factors(spec.source, streams, spec.dim_cap)
-        phases, passed = spectral.product_eigenphases(factors)
-        if not passed.all():
-            redo = np.flatnonzero(~passed)
-            phases[redo] = spectral.eigenphases(evolution_unitary(
-                spec.source, [streams[j] for j in redo], dim_cap=spec.dim_cap))
-        return _records(spec, None, SpectralData(phases, None))
-    return _analyse(spec, _draw_matrices(spec.source, streams, spec.dim_cap))
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
@@ -518,15 +513,17 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     results are identical to a serial run).
     """
     start = time.perf_counter()
-    stacks = _stacks(spec.dim, spec.draws)
+    plan = _plan(spec)
+    run_stack = lambda streams: _records(spec, *plan(streams))
+    stacks = _stacks(spec.master_seed, spec.dim, spec.draws)
     if workers > 1:
         # imported here: concurrent.futures loads logging, ~12 ms of start-up
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda draws: _run_stack(spec, draws), stacks))
+            records = list(pool.map(run_stack, stacks))
     else:
-        records = [_run_stack(spec, draws) for draws in stacks]
+        records = [run_stack(streams) for streams in stacks]
     analyses = _aggregate(spec, records)
     wall = time.perf_counter() - start
     return EnsembleReport(spec.source_description(), spec.draws,

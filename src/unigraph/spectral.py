@@ -9,10 +9,10 @@ complex Schur form, which is diagonal for a normal matrix, for a matrix
 refused twice. Phases live in [0, 2pi) and spacings are scaled by N/(2pi)
 so the mean spacing is one.
 
-eigendecompose solves one matrix with eigh and checks each eigenpair's
-residual. eigenphases is the phases-only path for a stack: eigvalsh, with
-the trace identities sum_j e^{i m theta_j} = Tr U^m (m = 1, 2) as its check
-in place of the eigenpair residual. Campaigns whose analyses read only
+eigendecompose solves one matrix or a stack with eigh and checks each
+eigenpair's residual. eigenphases is the phases-only path for a stack:
+eigvalsh, checked by the trace identities sum_j e^{i m theta_j} = Tr U^m
+(m = 1, 2) in place of the eigenpair residual. Campaigns reading only
 phases (spacing, phase_density, trace_moments) take this path; their
 reports differ from the eigendecompose phases by at most ~1e-13.
 product_eigenphases solves a disconnected graph's draws from their
@@ -68,19 +68,20 @@ class InsufficientData(ValueError):
 
 @dataclass
 class SpectralData:
-    """Sorted eigenphases in [0, 2pi) with matching eigenvector columns
-    (None where only the phases were computed, by eigenphases)."""
+    """Sorted eigenphases in [0, 2pi), (N,) or (B, N) for a stack, with
+    matching eigenvector columns (None where only the phases were computed)."""
 
     phases: np.ndarray
     vectors: np.ndarray | None
 
     @property
     def dim(self) -> int:
-        return len(self.phases)
+        return self.phases.shape[-1]
 
 
 def eigendecompose(u: np.ndarray) -> SpectralData:
-    """Full eigensystem of a unitary matrix: _solve on the stack u[None].
+    """Full eigensystem of a unitary matrix, or of each matrix of a (B, N, N)
+    stack with the bits of its solve alone: one _solve call.
 
     Inside an exactly degenerate eigenspace (identity-singleton layers,
     tensor products with an identity factor, diagonal sources) any
@@ -89,8 +90,8 @@ def eigendecompose(u: np.ndarray) -> SpectralData:
     eigenvector entropy, differ between solvers by more than rounding.
     Raises ConvergenceFailure if the Schur fallback fails its checks.
     """
-    phases, vectors = _solve(u[None], with_vectors=True)
-    return SpectralData(phases[0], vectors[0])
+    phases, vectors = _solve(u if u.ndim == 3 else u[None], with_vectors=True)
+    return SpectralData(phases, vectors) if u.ndim == 3 else SpectralData(phases[0], vectors[0])
 
 
 def eigenphases(us: np.ndarray) -> np.ndarray:

@@ -139,8 +139,8 @@ def stacked_phases(graph, draws):
     """The checked eigenphases of draws 0..draws-1 of ``graph``, generated and
     solved in the stacks of draws that campaigns use."""
     return np.concatenate([
-        eigenphases(evolution_unitary(graph, [RandomStream(SEED, t) for t in stack]))
-        for stack in _stacks(graph.total_dim, draws)])
+        eigenphases(evolution_unitary(graph, streams))
+        for streams in _stacks(SEED, graph.total_dim, draws)])
 
 
 def test_c03_disconnected_graph_is_poissonian():

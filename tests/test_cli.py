@@ -90,6 +90,25 @@ class TestGen:
             assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
             capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, env_cap, named", [
+        (["--dim-cap", "0"], None, "--dim-cap"),
+        (["--dim-cap", "-5"], None, "--dim-cap"),
+        ([], "abc", "UNIGRAPH_DIM_CAP"),
+        ([], "0", "UNIGRAPH_DIM_CAP"),
+    ], ids=["flag_0", "flag_-5", "env_abc", "env_0"])
+    def test_cap_below_one_or_not_an_integer_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                     flags, env_cap, named):
+        if env_cap is None:
+            monkeypatch.delenv("UNIGRAPH_DIM_CAP", raising=False)
+        else:
+            monkeypatch.setenv("UNIGRAPH_DIM_CAP", env_cap)
+        assert main(["run", "--cue", "8", "--draws", "2", "--analyses", "spacing",
+                     *flags, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("seed: ")
+        assert f"{named} must be an integer >= 1" in err
+        assert not os.path.exists(tmp_path / "report.json")
+
     def test_failed_gen_still_prints_its_seed(self, tmp_path, capsys):
         assert main(["gen", "--ring", "10", "--dim-cap", "512", "--seed", "random",
                      "--out", str(tmp_path)]) == 3

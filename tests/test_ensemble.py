@@ -8,7 +8,7 @@ from unigraph import ensemble, spectral, tensor
 from unigraph import entropy as ent
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
                                EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
-                               _aggregate, _analyse, _moments_from_eigvals,
+                               _aggregate, _moments_from_eigvals, _records,
                                benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
@@ -16,7 +16,7 @@ from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
 from unigraph.rand import (RandomStream, UnitarityError, haar_unitary,
                            random_phases_diagonal, sample_composed, unitarity_defect,
                            unitarity_tolerance)
-from unigraph.spectral import eigendecompose
+from unigraph.spectral import SpectralData, eigendecompose
 from unigraph.tensor import DimensionCapExceeded, evolution_unitary
 
 
@@ -24,9 +24,15 @@ def pair_graph(n):
     return from_bond_vertex_graph([(1, 2)], [(1,), (2,)], n=n)
 
 
+def phases_records(spec, us):
+    """The records of a (B, N, N) stack solved by eigenphases: the solve of
+    every campaign here that reads phases but no eigenvectors."""
+    return _records(spec, us, SpectralData(spectral.eigenphases(us), None))
+
+
 def run_draw(spec, u):
     """One draw's records, analysed as a stack of one."""
-    return _analyse(spec, u[None])
+    return phases_records(spec, u[None])
 
 
 def per_draw_matrix(source, stream):
@@ -71,9 +77,9 @@ class TestAnalysisTable:
         # N=64: stacks of 16, 16 and 8 draws, one eigenphases call each
         ((Analysis("spacing"), Analysis("phase_density"), Analysis("trace_moments", (2,))),
          {"eigenphases": [16, 16, 8], "eigendecompose": []}),
-        # an eigensystem serves the phases too: one eigendecompose call per draw
+        # an eigensystem serves the phases too: one eigendecompose call per stack
         ((Analysis("evec_entropy"), Analysis("spacing")),
-         {"eigenphases": [], "eigendecompose": [1] * 40}),
+         {"eigenphases": [], "eigendecompose": [16, 16, 8]}),
     ], ids=["phases_only", "evec_entropy"])
     def test_eigensolve_calls(self, monkeypatch, analyses, expected):
         calls = {name: [] for name in expected}
@@ -96,6 +102,10 @@ class TestAnalysisParsing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             Analysis.parse("frobnicate")
+
+    def test_non_integer_parameter_is_named(self):
+        with pytest.raises(ValueError, match="'trace_moments:x': parameters are integers"):
+            Analysis.parse("trace_moments:x")
 
 
 class TestSpecValidation:
@@ -305,7 +315,7 @@ class TestStackedRows:
                                       Analysis("trace_moments", (3,)),
                                       Analysis("state_sample", keep)))
         us = evolution_unitary(graph, [RandomStream(17, t) for t in range(draws)])
-        records = _analyse(spec, us)
+        records = phases_records(spec, us)
         assert {kind: len(values) for kind, values in records.items()} \
             == dict.fromkeys(records, draws)
         keep0 = [p - 1 for p in (keep or range(1, len(dims) // 2 + 1))]
@@ -530,6 +540,18 @@ class TestFactoredChecks:
         # the patch bites on a phases-only campaign of this graph
         with pytest.raises(AssertionError, match="evolution_factors called"):
             run_ensemble(phases_spec(self.graph, draws=2))
+
+    def test_the_route_is_chosen_once(self, monkeypatch):
+        # three stacks of 4 draws: one connectivity test for the campaign
+        tested, factored = [], []
+        connected, factors = ensemble.is_connected, ensemble.evolution_factors
+        monkeypatch.setattr(ensemble, "is_connected",
+                            lambda graph: tested.append(graph) or connected(graph))
+        monkeypatch.setattr(ensemble, "evolution_factors",
+                            lambda *args: factored.append(args) or factors(*args))
+        monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 36**2 * 4)
+        run_ensemble(phases_spec(self.graph, draws=10))
+        assert len(factored) == 3 and tested == [self.graph]
 
     def test_each_factor_passes_require_unitary(self, monkeypatch):
         checked = []

@@ -192,6 +192,35 @@ class TestEigendecompose:
         monkeypatch.setattr(spectral, "_cayley_eigen", broken)
         assert_matches_oracle(haar_unitary(24, RandomStream(0, 7)))
 
+    def test_stack_rows_equal_each_matrix_alone(self, monkeypatch):
+        # row 1 has an eigenvalue within 1e-12 of the alpha = 0 pole, so it
+        # needs the retry; row 3's eigenvectors are refused on both attempts,
+        # so it reaches the Schur fallback; each row keeps its bits alone
+        us = haar_unitary(8, [RandomStream(34, t) for t in range(6)])
+        us[1] = with_phases([np.pi - 5e-13, 1e-13, TWO_PI - 1e-13, 1.0, 2.5, 4.0, 5.0, 5.9], 5)
+        cayley, schur = spectral._cayley_eigen, spectral._schur
+        solved, fallbacks = [], []
+        def refuse_row_3(stack, alphas, with_vectors):
+            solved.append([k for k, u in enumerate(us)
+                           if any(np.array_equal(u, v) for v in stack)])
+            tangents, vectors = cayley(stack, alphas, with_vectors)
+            hit = np.array([np.array_equal(v, us[3]) for v in stack])
+            vectors[hit] = np.roll(vectors[hit], 1, axis=-1)
+            return tangents, vectors
+        monkeypatch.setattr(spectral, "_cayley_eigen", refuse_row_3)
+        monkeypatch.setattr(spectral, "_schur", lambda u: fallbacks.append(u) or schur(u))
+        data = eigendecompose(us)
+        assert solved == [list(range(6)), [1, 3]]
+        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], us[3])
+        assert data.phases.shape == (6, 8) and data.vectors.shape == (6, 8, 8)
+        assert data.dim == 8
+        for u, phases, vectors in zip(us, data.phases, data.vectors):
+            alone = eigendecompose(u)
+            assert np.array_equal(phases, alone.phases)
+            assert np.array_equal(vectors, alone.vectors)
+            assert vectors.strides == alone.vectors.strides
+            assert_matches_oracle(u, alone)
+
 
 class TestEigenphases:
     @staticmethod

@@ -558,11 +558,11 @@ class TestFoldedSingletons:
 
         def draws():
             return np.concatenate([
-                evolution_unitary(graph, [RandomStream(22, t) for t in stack])
-                for stack in ensemble._stacks(graph.total_dim, 7)])
+                evolution_unitary(graph, streams)
+                for streams in ensemble._stacks(22, graph.total_dim, 7)])
         default = draws()
         monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 1)
-        assert len(ensemble._stacks(graph.total_dim, 7)) == 7
+        assert len(ensemble._stacks(22, graph.total_dim, 7)) == 7
         assert np.array_equal(draws(), default)
 
     def test_one_haar_call_per_block_order(self, monkeypatch):
