@@ -8,6 +8,7 @@ printed command reproduces the file, timing fields aside.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -70,7 +71,10 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
                         help="total-dimension cap (default 4096, or UNIGRAPH_DIM_CAP)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="unigraph",
         description="Random unitary ensembles structured by interaction graphs")

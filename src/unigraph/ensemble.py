@@ -3,12 +3,15 @@
 Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). A stack of consecutive draws
-(STACK_AMPLITUDES bounds its size) is the unit of work from seeding to
-records. The campaign's plan (_plan), chosen once, generates each stack in
-one call and solves it in one (eigendecompose, eigenphases or nothing), and
-each analysis kind takes it in one call that returns its B per-draw values.
-Every matrix and per-draw value of a stack equals its per-draw computation
-bit for bit, so the stack size does not change a report.
+(STACK_AMPLITUDES) is the unit of seeding, block sampling and folding, and
+the unit that workers take. Its N x N work runs in tiles of consecutive
+draws (TILE_AMPLITUDES): the campaign's plan (_plan), chosen once, builds
+each tile in one call from the stack's blocks, solves it in one
+(eigendecompose, eigenphases or nothing), and each analysis kind takes it
+in one call that returns its per-draw values, before the next tile is
+built. A reference source samples N x N matrices, so its stack is one tile.
+Every matrix and per-draw value equals its per-draw computation bit for
+bit, so neither size changes a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
@@ -22,9 +25,10 @@ reports match the full-matrix solve to ~1e-13.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,16 +37,21 @@ from . import spectral
 from .graph import InteractionGraph, graph_hash, is_connected
 from .rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
 from .spectral import DEFAULT_SPACING_EDGES, Histogram, SpectralData
-from .tensor import (DEFAULT_DIM_CAP, DimensionCapExceeded, evolution_factors,
-                     evolution_unitary)
+from .tensor import (DEFAULT_DIM_CAP, DimensionCapExceeded, _folded_blocks,
+                     evolution_factors, evolution_unitary)
 
 REFERENCE_KINDS = ("cue", "composed", "diagonal")
 
 PHASE_BINS = 32
 
-# complex amplitudes per stack of generated matrices: a stack holds
-# max(1, STACK_AMPLITUDES // N**2) draws, so N >= 256 generates one at a time
-STACK_AMPLITUDES = 2**16
+# A graph's stack of max(1, STACK_AMPLITUDES // N**2) draws is seeded, sampled
+# and folded at once and holds only its blocks; its N x N work runs in tiles of
+# max(1, TILE_AMPLITUDES // N**2) draws, whose (T, N, N) arrays of at most
+# 128 KiB (up to N = 90) stay on the allocator's heap (512 KiB tiles were
+# trimmed and re-faulted every tile under glibc's default thresholds). N = 64:
+# 32-draw stacks and 2-draw tiles; N = 256: 2-draw stacks and 1-draw tiles.
+STACK_AMPLITUDES = 2**17
+TILE_AMPLITUDES = 2**13
 
 
 class IncompatibleAnalysis(ValueError):
@@ -100,6 +109,8 @@ class EnsembleSpec:
         object.__setattr__(self, "analyses", tuple(self.analyses))
         if self.draws < 1:
             raise ValueError(f"draws must be >= 1, got {self.draws}")
+        if self.dim_cap < 1:
+            raise ValueError(f"dim_cap must be >= 1, got {self.dim_cap}")
         kinds = [a.kind for a in self.analyses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("each analysis kind may be requested once")
@@ -164,23 +175,35 @@ class EnsembleReport:
 # ---------------------------------------------------------------------------
 
 def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
-                   streams: list[RandomStream], dim_cap: int) -> np.ndarray:
-    """The (len(streams), N, N) stack of ``source``'s draws from ``streams``,
-    from one evolution_unitary call or one call of the reference's sampler."""
+                   streams: list[RandomStream], dim_cap: int) -> Iterator[np.ndarray]:
+    """The checked (T, N, N) tiles of ``source``'s draws from ``streams``, in
+    draw order. A graph's blocks are drawn and folded once for the stack, and
+    each tile of max(1, TILE_AMPLITUDES // N**2) draws is built from them by
+    one evolution_unitary call. A reference source's stack is one tile, from
+    one call of its sampler."""
     if isinstance(source, InteractionGraph):
-        return evolution_unitary(source, streams, dim_cap=dim_cap)
+        blocks = _folded_blocks(source, streams, dim_cap)
+        tile = max(1, TILE_AMPLITUDES // source.total_dim**2)
+        for first in range(0, len(streams), tile):
+            yield evolution_unitary(source, blocks[first:first + tile], dim_cap=dim_cap)
+        return
     if source.dim > dim_cap:
         raise DimensionCapExceeded(source.dim, dim_cap)
     sampler = {"cue": haar_unitary, "composed": sample_composed,
                "diagonal": random_phases_diagonal}[source.kind]
-    return sampler(source.dim, streams)
+    yield sampler(source.dim, streams)
 
 
-def _stacks(master_seed: int, dim: int, draws: int) -> list[list[RandomStream]]:
+def _stacks(master_seed: int, source: InteractionGraph | ReferenceEnsemble,
+            draws: int) -> list[list[RandomStream]]:
     """The streams of draws 0..draws-1, RandomStream(master_seed, t), in
-    stacks of max(1, STACK_AMPLITUDES // dim**2) consecutive draws: the unit
-    in which matrices are generated."""
-    size = max(1, STACK_AMPLITUDES // dim**2)
+    stacks of consecutive draws: max(1, STACK_AMPLITUDES // N**2) for a graph,
+    whose stack holds its blocks and one tile, and max(1, TILE_AMPLITUDES //
+    N**2) for a reference source, which samples N x N Ginibre matrices and so
+    is one tile."""
+    graph = isinstance(source, InteractionGraph)
+    dim = source.total_dim if graph else source.dim
+    size = max(1, (STACK_AMPLITUDES if graph else TILE_AMPLITUDES) // dim**2)
     return [[RandomStream(master_seed, t) for t in range(first, min(first + size, draws))]
             for first in range(0, draws, size)]
 
@@ -209,17 +232,18 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
                          dim_cap: int = DEFAULT_DIM_CAP) -> BenchmarkResult:
     """Wall-clock comparison of generating (not diagonalizing) ``draws``
     structured matrices versus direct CUE matrices of the same dimension, both
-    through ``_draw_matrices`` over the stacks of draws campaigns use. A graph
-    over ``dim_cap`` raises DimensionCapExceeded on the first stack."""
+    through ``_draw_matrices`` over the stacks and tiles of draws campaigns
+    use. A graph over ``dim_cap`` raises DimensionCapExceeded on the first
+    stack."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     dim = graph.total_dim
-    stacks = _stacks(master_seed, dim, draws)
     seconds = []
     for source in (graph, ReferenceEnsemble("cue", dim)):
+        stacks = _stacks(master_seed, source, draws)
         start = time.perf_counter()
         for streams in stacks:
-            _draw_matrices(source, streams, dim_cap)
+            deque(_draw_matrices(source, streams, dim_cap), maxlen=0)  # drop each tile
         seconds.append(time.perf_counter() - start)
     return BenchmarkResult(dim, draws, *seconds)
 
@@ -403,13 +427,13 @@ def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: list) 
 
 class AnalysisKind(NamedTuple):
     """One analysis kind. ``needs``: "state" (U|0>), "matrix" (U), "phases"
-    (a stack's eigenphases, without eigenvectors), or "eigensystem" (a
-    stack's eigenphases and eigenvectors, which serves "phases" too).
+    (a tile's eigenphases, without eigenvectors), or "eigensystem" (a
+    tile's eigenphases and eigenvectors, which serves "phases" too).
     ``check`` returns the IncompatibleAnalysis message for a bad request,
-    else None. ``per_stack(spec, analysis, us, data)`` returns the B
-    per-draw values of a (B, N, N) stack (None on the factored path) from
-    its SpectralData: (B, N) phases and (B, N, N) eigenvector columns.
-    ``summary(spec, analysis, values)``."""
+    else None. ``per_stack(spec, analysis, us, data)`` returns the T
+    per-draw values of a (T, N, N) tile of draws (None on the factored path,
+    whose one tile is the whole stack) from its SpectralData: (T, N) phases
+    and (T, N, N) eigenvector columns. ``summary(spec, analysis, values)``."""
 
     needs: str
     graph: bool  # needs a graph source
@@ -466,10 +490,12 @@ ANALYSES = {
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], tuple]:
+def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], list[dict]]:
     """The campaign's route, chosen once from its analyses' needs and its
-    source: a function from a stack's streams to its matrices (None on the
-    factored path) and SpectralData (None if no kind reads the spectrum)."""
+    source: a function from a stack's streams to its records, one dict per
+    tile (one for the whole stack on the factored path). Each tile is
+    generated, solved (eigendecompose, eigenphases or nothing) and taken to
+    records before the next tile is built."""
     needs = {ANALYSES[a.kind].needs for a in spec.analyses}
     source, cap = spec.source, spec.dim_cap
     if needs == {"phases"} and isinstance(source, InteractionGraph) and not is_connected(source):
@@ -480,42 +506,44 @@ def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], tuple]:
                 redo = np.flatnonzero(~passed)
                 phases[redo] = spectral.eigenphases(evolution_unitary(
                     source, [streams[j] for j in redo], dim_cap=cap))
-            return None, SpectralData(phases, None)
+            return [_records(spec, None, SpectralData(phases, None))]
         return factored
 
-    def whole(streams):
-        us = _draw_matrices(source, streams, cap)
+    def tile_records(us):
         if "eigensystem" in needs:
-            return us, spectral.eigendecompose(us)
-        return us, SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
-    return whole
+            return _records(spec, us, spectral.eigendecompose(us))
+        data = SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
+        return _records(spec, us, data)
+
+    # map holds no tile once its records are taken, so one tile is alive at a time
+    return lambda streams: list(map(tile_records, _draw_matrices(source, streams, cap)))
 
 
 def _records(spec: EnsembleSpec, us, data) -> dict:
-    """Each kind's per-draw values of one stack, from one row call per kind."""
+    """Each kind's per-draw values of one tile, from one row call per kind."""
     return {a.kind: ANALYSES[a.kind].per_stack(spec, a, us, data) for a in spec.analyses}
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
-    """Each kind's summary of the stacks' records, in draw order."""
+    """Each kind's summary of the tiles' records, in draw order."""
     return {a.kind: ANALYSES[a.kind].summary(
-        spec, a, [value for stack in records for value in stack[a.kind]])
+        spec, a, [value for tile in records for value in tile[a.kind]])
         for a in spec.analyses}
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     """Run the campaign: draw, analyze, and merge in draw order.
 
-    Draws are generated in stacks of max(1, STACK_AMPLITUDES // N**2)
-    consecutive draws; the report is bit-identical for any stack size. A
-    failed draw aborts the whole campaign so seed-indexed reproducibility
-    stays exact. ``workers`` > 1 runs stacks concurrently (the numerical
-    results are identical to a serial run).
+    Draws are generated in stacks and built and analysed in tiles of
+    consecutive draws (STACK_AMPLITUDES, TILE_AMPLITUDES); the report is
+    bit-identical for any stack or tile size. A failed draw aborts the whole
+    campaign so seed-indexed reproducibility stays exact. ``workers`` > 1
+    runs stacks concurrently (the numerical results are identical to a
+    serial run); the tiles of a stack run in draw order.
     """
     start = time.perf_counter()
-    plan = _plan(spec)
-    run_stack = lambda streams: _records(spec, *plan(streams))
-    stacks = _stacks(spec.master_seed, spec.dim, spec.draws)
+    run_stack = _plan(spec)
+    stacks = _stacks(spec.master_seed, spec.source, spec.draws)
     if workers > 1:
         # imported here: concurrent.futures loads logging, ~12 ms of start-up
         from concurrent.futures import ThreadPoolExecutor
@@ -524,7 +552,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
             records = list(pool.map(run_stack, stacks))
     else:
         records = [run_stack(streams) for streams in stacks]
-    analyses = _aggregate(spec, records)
+    analyses = _aggregate(spec, [tile for stack in records for tile in stack])
     wall = time.perf_counter() - start
     return EnsembleReport(spec.source_description(), spec.draws,
                           spec.master_seed, analyses, wall)

@@ -237,10 +237,17 @@ def unitarity_tolerance(dim: int) -> float:
 
 
 def unitarity_defects(u: np.ndarray) -> np.ndarray:
-    """Max-norm of U†U - I for each matrix of a stack (a 0-d array for one)."""
+    """Max-norm of U†U - I for each matrix of a stack (a 0-d array for one),
+    as the square root of the largest squared modulus. U†U - I is formed in
+    U†U's own array, and the squared moduli in its real and imaginary
+    slots; a NaN or inf entry gives a NaN or inf defect."""
     dim = u.shape[-1]
     with np.errstate(invalid="ignore"):  # inf * 0 inside the matmul
-        return np.abs(np.swapaxes(u.conj(), -1, -2) @ u - np.eye(dim)).max(axis=(-2, -1))
+        gram = np.swapaxes(u.conj(), -1, -2) @ u
+        gram.reshape(gram.shape[:-2] + (-1,))[..., ::dim + 1] -= 1.0
+        parts = gram.view(float)
+        np.square(parts, out=parts)
+        return np.sqrt((parts[..., ::2] + parts[..., 1::2]).max(axis=(-2, -1)))
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -28,9 +28,13 @@ Haar singletons.
 
 Given a sequence of B streams in place of one, ``evolution_unitary`` builds
 B independent draws as one (B, N, N) stack: each (B, b, b) block stack is
-applied to the operand stack in one ``apply_block`` call, and the finished
-stack gets one unitarity check against the per-matrix tolerance. Matrix j of
-the stack is bit-identical to the draw from streams[j] alone, whatever B is.
+applied to the operand stack in one ``apply_block`` call, the first layer's
+to a broadcast identity, and the finished stack gets one unitarity check
+against the per-matrix tolerance. Matrix j of the stack is bit-identical to
+the draw from streams[j] alone, whatever B is. A campaign draws and folds a
+stack's blocks once (``_folded_blocks``) and builds the stack in tiles of
+consecutive draws, one ``evolution_unitary`` call and one check per tile,
+from slices of those blocks (``FoldedBlocks``).
 
 ``evolution_factors`` builds a draw's tensor factors instead, one per
 connected component on its own legs, from the same one draw and fold of all
@@ -106,11 +110,34 @@ def layer_unitary(blocks: Sequence[tuple[Sequence[int], np.ndarray]],
     return operand
 
 
-def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream]
-                   ) -> list[list[tuple[tuple[int, ...], np.ndarray]]]:
-    """Per layer, the (particles, (B, b, b) block stack) pairs that make up
-    the evolution: every block drawn up front, then every Haar singleton
-    folded (module docstring)."""
+class FoldedBlocks:
+    """A stack's blocks, every one drawn and every Haar singleton folded
+    (``_folded_blocks``): per layer, the (particles, (B, b, b) block stack)
+    pairs. Slicing takes the blocks of consecutive draws, as slicing takes
+    their streams."""
+
+    def __init__(self, layers: list[list[tuple[tuple[int, ...], np.ndarray]]], draws: int):
+        self.layers = layers
+        self.draws = draws
+
+    def __getitem__(self, index: slice) -> "FoldedBlocks":
+        return FoldedBlocks([[(clique, block[index]) for clique, block in layer]
+                             for layer in self.layers], len(range(self.draws)[index]))
+
+
+def _check_cap(graph: InteractionGraph, dim_cap: int) -> None:
+    if dim_cap < 1:
+        raise ValueError(f"dim_cap must be >= 1, got {dim_cap}")
+    if graph.total_dim > dim_cap:
+        raise DimensionCapExceeded(graph.total_dim, dim_cap)
+
+
+def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
+                   dim_cap: int) -> FoldedBlocks:
+    """The blocks of the evolutions drawn from ``streams``: every block drawn
+    up front, then every Haar singleton folded (module docstring). A graph
+    over ``dim_cap`` raises before any draw."""
+    _check_cap(graph, dim_cap)
     dims = graph.dims
     members = [(i, c) for i, layer in enumerate(graph.layers)
                for c, clique in enumerate(layer.cliques)
@@ -149,32 +176,32 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream]
     layers = [[] for _ in graph.layers]
     for i, c in sorted(folded):
         layers[i].append(folded[i, c])
-    return layers
+    return FoldedBlocks(layers, len(streams))
 
 
-def _evolutions(graph: InteractionGraph, streams: Sequence[RandomStream],
-                parts: Sequence[Sequence[int]], dim_cap: int) -> list[np.ndarray]:
+def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks,
+                parts: Sequence[Sequence[int]]) -> list[np.ndarray]:
     """The checked (B, n, n) evolution stack on each union of components in
-    ``parts``, from one block draw; a layer with no block on a part is skipped."""
-    if graph.total_dim > dim_cap:
-        raise DimensionCapExceeded(graph.total_dim, dim_cap)
-    layers = _folded_blocks(graph, streams)
+    ``parts``, from one stack's blocks; a layer with no block on a part is
+    skipped. The first layer multiplies into a broadcast identity."""
     stacks = []
     for part in parts:
         legs = {p: k for k, p in enumerate(part, start=1)}
         dims = [graph.dims[p - 1] for p in part]
-        u = np.tile(np.eye(prod(dims), dtype=complex), (len(streams), 1, 1))
-        for layer in layers:
-            blocks = [([legs[p] for p in clique], block)
-                      for clique, block in layer if clique[0] in legs]
-            if blocks:
-                u = layer_unitary(blocks, dims, u)
-        stacks.append(require_unitary(u))
+        n = prod(dims)
+        u = np.broadcast_to(np.eye(n, dtype=complex), (blocks.draws, n, n))
+        for layer in blocks.layers:
+            applied = [([legs[p] for p in clique], block)
+                       for clique, block in layer if clique[0] in legs]
+            if applied:
+                u = layer_unitary(applied, dims, u)
+        # a part without blocks is still the read-only broadcast identity
+        stacks.append(require_unitary(np.require(u, requirements="W")))
     return stacks
 
 
 def evolution_unitary(graph: InteractionGraph,
-                      stream: RandomStream | Sequence[RandomStream],
+                      stream: RandomStream | Sequence[RandomStream] | FoldedBlocks,
                       dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Full evolution operator: layers[0] acts first, later layers multiply
     from the left. Clique c of layer i draws from stream.substream(i, c), Haar
@@ -182,10 +209,16 @@ def evolution_unitary(graph: InteractionGraph,
 
     Given a sequence of B streams, return the (B, N, N) stack whose j-th
     matrix is the evolution drawn from streams[j] alone; an empty sequence
-    raises ValueError.
+    raises ValueError. Given a stack's FoldedBlocks, or a slice of them,
+    build the stack of those draws from the blocks already drawn.
     """
-    single, streams = as_streams(stream)
-    u, = _evolutions(graph, streams, [range(1, graph.num_particles + 1)], dim_cap)
+    if isinstance(stream, FoldedBlocks):
+        _check_cap(graph, dim_cap)
+        single, blocks = False, stream
+    else:
+        single, streams = as_streams(stream)
+        blocks = _folded_blocks(graph, streams, dim_cap)
+    u, = _evolutions(graph, blocks, [range(1, graph.num_particles + 1)])
     return u[0] if single else u
 
 
@@ -196,7 +229,8 @@ def evolution_factors(graph: InteractionGraph, streams: Sequence[RandomStream],
     Each factor passes require_unitary, and their Kronecker product's defect
     bound, prod_c (1 + defect_c) - 1, must meet the tolerance of the whole
     dimension, else UnitarityError."""
-    factors = _evolutions(graph, streams, components(graph), dim_cap)
+    factors = _evolutions(graph, _folded_blocks(graph, streams, dim_cap),
+                          components(graph))
     bound = float((np.prod([1.0 + unitarity_defects(u) for u in factors], axis=0)
                    - 1.0).max())
     tol = unitarity_tolerance(graph.total_dim)

@@ -140,7 +140,7 @@ def stacked_phases(graph, draws):
     solved in the stacks of draws that campaigns use."""
     return np.concatenate([
         eigenphases(evolution_unitary(graph, streams))
-        for streams in _stacks(SEED, graph.total_dim, draws)])
+        for streams in _stacks(SEED, graph, draws)])
 
 
 def test_c03_disconnected_graph_is_poissonian():

@@ -232,6 +232,31 @@ class TestRun:
         assert abs(doc["analyses"]["evec_entropy"]["reference_mean"]
                    - sum(1 / j for j in range(2, 9))) < 1e-12
 
+    def test_one_parser_per_process_keeps_no_state(self, tmp_path, capsys):
+        # flags of one call must not reach the next: each report and its
+        # display equal what a freshly built parser gives
+        assert build_parser() is build_parser()
+        base = ["run", "--chain", "3", "--n", "2", "--draws", "4", "--seed", "5",
+                "--analyses", "spacing,evec_entropy"]
+        runs = (base + ["--bits", "--strict-paper-spacing"], base)
+
+        def outputs(fresh: bool, name: str) -> list:
+            got = []
+            for k, argv in enumerate(runs):
+                if fresh:
+                    build_parser.cache_clear()
+                out = tmp_path / f"{name}{k}"
+                assert main(argv + ["--out", str(out)]) == 0
+                doc = json.loads(read(out / "report.json"))
+                doc.pop("wall_seconds")
+                shown = [l for l in capsys.readouterr().out.splitlines()
+                         if not l.startswith("wrote ")]
+                got.append((doc, shown))
+            return got
+        shared = outputs(False, "shared")
+        assert shared == outputs(True, "fresh")
+        assert shared[0] != shared[1]
+
 
 def rerun_command(out: str) -> list[str]:
     """The arguments of the printed ``re-run:`` command, without ``unigraph``."""

@@ -6,10 +6,10 @@ import scipy.stats
 
 from unigraph import ensemble, spectral, tensor
 from unigraph import entropy as ent
-from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, Analysis, EnsembleReport,
-                               EnsembleSpec, IncompatibleAnalysis, ReferenceEnsemble,
-                               _aggregate, _moments_from_eigvals, _records,
-                               benchmark_generation, run_ensemble)
+from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, TILE_AMPLITUDES, Analysis,
+                               EnsembleReport, EnsembleSpec, IncompatibleAnalysis,
+                               ReferenceEnsemble, _aggregate, _moments_from_eigvals,
+                               _records, benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, components, from_bond_vertex_graph, ring_graph)
@@ -17,7 +17,7 @@ from unigraph.rand import (RandomStream, UnitarityError, haar_unitary,
                            random_phases_diagonal, sample_composed, unitarity_defect,
                            unitarity_tolerance)
 from unigraph.spectral import SpectralData, eigendecompose
-from unigraph.tensor import DimensionCapExceeded, evolution_unitary
+from unigraph.tensor import DimensionCapExceeded, evolution_factors, evolution_unitary
 
 
 def pair_graph(n):
@@ -74,12 +74,12 @@ class TestAnalysisTable:
                                           master_seed=0, analyses=(kind,)))
 
     @pytest.mark.parametrize("analyses, expected", [
-        # N=64: stacks of 16, 16 and 8 draws, one eigenphases call each
+        # N=64: stacks of 32 and 8 draws in tiles of 2, one eigenphases call per tile
         ((Analysis("spacing"), Analysis("phase_density"), Analysis("trace_moments", (2,))),
-         {"eigenphases": [16, 16, 8], "eigendecompose": []}),
-        # an eigensystem serves the phases too: one eigendecompose call per stack
+         {"eigenphases": [2] * 20, "eigendecompose": []}),
+        # an eigensystem serves the phases too: one eigendecompose call per tile
         ((Analysis("evec_entropy"), Analysis("spacing")),
-         {"eigenphases": [], "eigendecompose": [16, 16, 8]}),
+         {"eigenphases": [], "eigendecompose": [2] * 20}),
     ], ids=["phases_only", "evec_entropy"])
     def test_eigensolve_calls(self, monkeypatch, analyses, expected):
         calls = {name: [] for name in expected}
@@ -106,6 +106,23 @@ class TestAnalysisParsing:
     def test_non_integer_parameter_is_named(self):
         with pytest.raises(ValueError, match="'trace_moments:x': parameters are integers"):
             Analysis.parse("trace_moments:x")
+
+
+@pytest.mark.parametrize("build", [
+    lambda cap: EnsembleSpec(source=ReferenceEnsemble("cue", 8), draws=2, master_seed=1,
+                             analyses=(Analysis("spacing"),), dim_cap=cap),
+    lambda cap: evolution_unitary(chain_graph(3, 2), RandomStream(1, 0), dim_cap=cap),
+    lambda cap: evolution_factors(chain_graph(3, 2), [RandomStream(1, 0)], dim_cap=cap),
+    lambda cap: benchmark_generation(chain_graph(3, 2), 2, dim_cap=cap),
+], ids=["spec", "evolution_unitary", "evolution_factors", "benchmark_generation"])
+@pytest.mark.parametrize("cap", [0, -5])
+def test_dim_cap_below_one_is_refused_before_any_draw(monkeypatch, build, cap):
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+    monkeypatch.setattr(tensor, "haar_unitary", refuse)
+    monkeypatch.setattr(ensemble, "haar_unitary", refuse)
+    with pytest.raises(ValueError, match=f"dim_cap must be >= 1, got {cap}"):
+        build(cap)
 
 
 class TestSpecValidation:
@@ -151,7 +168,7 @@ class TestRunEnsemble:
 
     def test_parallel_equals_serial(self):
         spec = EnsembleSpec(
-            source=chain_graph(6, 2), draws=40, master_seed=10,
+            source=chain_graph(6, 2), draws=70, master_seed=10,
             analyses=(Analysis("spacing"), Analysis("projection", (2,)),
                       Analysis("phase_density")))
         assert spec.draws > 2 * (STACK_AMPLITUDES // spec.dim**2)  # three stacks
@@ -165,9 +182,10 @@ class TestRunEnsemble:
         (ReferenceEnsemble("cue", 64), 17), (ReferenceEnsemble("composed", 64), 17),
         (ReferenceEnsemble("diagonal", 64), 17)])
     def test_stacks_equal_the_per_draw_oracle(self, source, draws):
-        # N=64 gives stacks of 16 draws, so these counts end inside, at and
-        # past a stack boundary
-        assert STACK_AMPLITUDES // 64**2 == 16
+        # at N=64 a graph takes stacks of 32 draws in tiles of 2, and a
+        # reference source stacks of 2, so these counts end inside, at and past
+        # a tile boundary, and 40 past a graph's stack boundary
+        assert (STACK_AMPLITUDES // 64**2, TILE_AMPLITUDES // 64**2) == (32, 2)
         analyses = (Analysis("spacing"), Analysis("element_entropy"),
                     Analysis("trace_moments", (2,)))
         if isinstance(source, InteractionGraph):
@@ -179,6 +197,34 @@ class TestRunEnsemble:
                                   _aggregate(spec, records), 0.0)
         assert run_ensemble(spec).to_dict(include_timing=False) \
             == expected.to_dict(include_timing=False)
+
+    @pytest.mark.parametrize("analyses", [
+        "evec_entropy,entanglement:1,2", "spacing,trace_moments:2",
+        "element_entropy,state_sample"])
+    def test_tile_size_and_workers_do_not_matter(self, monkeypatch, analyses):
+        # 40 draws at N=64: stacks of 32 and 8 draws, cut in tiles of 1, of 3
+        # (the 8-draw stack ends inside a tile) and of a whole stack
+        spec = EnsembleSpec(source=chain_graph(6, 2), draws=40, master_seed=16,
+                            analyses=tuple(map(Analysis.parse, analyses.split(",", 1))))
+        default = run_ensemble(spec).to_dict(include_timing=False)
+        for tile in (1, 3, STACK_AMPLITUDES // 64**2):
+            monkeypatch.setattr(ensemble, "TILE_AMPLITUDES", tile * 64**2)
+            for workers in (1, 4):
+                assert run_ensemble(spec, workers=workers).to_dict(
+                    include_timing=False) == default, (tile, workers)
+
+    @pytest.mark.parametrize("tile", [1, 3, 32])
+    def test_blocks_are_drawn_once_per_order_per_stack(self, monkeypatch, tile):
+        # chain6 of qubits: 5 pair blocks and 20 singletons per draw, one
+        # haar_unitary call per block order for each stack of 32 and 8 draws
+        calls = []
+        haar = tensor.haar_unitary
+        monkeypatch.setattr(tensor, "haar_unitary", lambda order, generators: calls.append(
+            (order, len(generators))) or haar(order, generators))
+        monkeypatch.setattr(ensemble, "TILE_AMPLITUDES", tile * 64**2)
+        run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=40, master_seed=16,
+                                  analyses=(Analysis("element_entropy"),)))
+        assert calls == [(4, 32 * 5), (2, 32 * 20), (4, 8 * 5), (2, 8 * 20)]
 
     def test_pooled_spacing_mean_is_one(self):
         spec = EnsembleSpec(source=ReferenceEnsemble("cue", 24), draws=20,
@@ -401,15 +447,22 @@ class TestBenchmark:
 
     def test_times_the_campaign_stacks(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(ensemble, "evolution_unitary", lambda graph, streams, dim_cap:
-                            calls.append(("evolution", [s.path for s in streams])))
+        fold = ensemble._folded_blocks
+        monkeypatch.setattr(ensemble, "_folded_blocks", lambda graph, streams, dim_cap:
+                            calls.append(("fold", [s.path for s in streams]))
+                            or fold(graph, streams, dim_cap))
+        monkeypatch.setattr(ensemble, "evolution_unitary", lambda graph, blocks, dim_cap:
+                            calls.append(("evolution", blocks.draws)))
         monkeypatch.setattr(ensemble, "haar_unitary", lambda dim, streams:
                             calls.append(("haar", [s.path for s in streams])))
         result = benchmark_generation(chain_graph(6, 2), 40, master_seed=3)
         assert (result.dim, result.draws) == (64, 40)
-        # N=64: the stacks of 16 draws that run_ensemble generates
-        stacks = [[(t,) for t in range(first, min(first + 16, 40))] for first in (0, 16, 32)]
-        assert calls == [("evolution", s) for s in stacks] + [("haar", s) for s in stacks]
+        # N=64: the graph's stacks of 32 draws, built in tiles of 2, and CUE's
+        # stacks of 2, as run_ensemble generates them
+        paths = [(t,) for t in range(40)]
+        assert calls == ([("fold", paths[:32])] + [("evolution", 2)] * 16
+                         + [("fold", paths[32:])] + [("evolution", 2)] * 4
+                         + [("haar", paths[t:t + 2]) for t in range(0, 40, 2)])
 
     def test_over_cap_graph_raises(self):
         with pytest.raises(DimensionCapExceeded):

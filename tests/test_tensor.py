@@ -559,10 +559,14 @@ class TestFoldedSingletons:
         def draws():
             return np.concatenate([
                 evolution_unitary(graph, streams)
-                for streams in ensemble._stacks(22, graph.total_dim, 7)])
+                for streams in ensemble._stacks(22, graph, 7)])
         default = draws()
+        # tiles of 3 draws built from slices of one stack's blocks
+        blocks = tensor._folded_blocks(graph, [RandomStream(22, t) for t in range(7)], 12)
+        assert np.array_equal(np.concatenate(
+            [evolution_unitary(graph, blocks[t:t + 3]) for t in range(0, 7, 3)]), default)
         monkeypatch.setattr(ensemble, "STACK_AMPLITUDES", 1)
-        assert len(ensemble._stacks(22, graph.total_dim, 7)) == 7
+        assert len(ensemble._stacks(22, graph, 7)) == 7
         assert np.array_equal(draws(), default)
 
     def test_one_haar_call_per_block_order(self, monkeypatch):
