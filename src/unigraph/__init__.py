@@ -19,6 +19,5 @@ from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph
 from .rand import (DEFAULT_SEED, RandomStream, haar_unitary, random_phases_diagonal,
                    sample_composed, unitarity_defect)
 from .spectral import (Histogram, SpectralData, eigendecompose, eigenphases,
-                       ks_statistic, phase_uniformity, reference_cdf, spacings,
-                       wigner_pdf)
+                       ks_statistic, phase_uniformity, reference_cdf, spacings)
 from .tensor import DEFAULT_DIM_CAP, evolution_unitary, layer_unitary

@@ -3,15 +3,15 @@
 Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). A stack of consecutive draws
-(STACK_AMPLITUDES) is the unit of seeding, block sampling and folding, and
-the unit that workers take. Its N x N work runs in tiles of consecutive
-draws (TILE_AMPLITUDES): the campaign's plan (_plan), chosen once, builds
-each tile in one call from the stack's blocks, solves it in one
-(eigendecompose, eigenphases or nothing), and each analysis kind takes it
-in one call that returns its per-draw values, before the next tile is
-built. A reference source samples N x N matrices, so its stack is one tile.
-Every matrix and per-draw value equals its per-draw computation bit for
-bit, so neither size changes a report.
+(STACK_AMPLITUDES) is the unit of seeding, of a graph's block sampling and
+folding, and of workers. Its N x N work runs in tiles of consecutive draws
+(TILE_AMPLITUDES): the campaign's plan (_plan), chosen once, builds each
+tile in one call (from a graph stack's blocks, or by a reference sampler on
+the tile's streams), solves it in one (eigendecompose, eigenphases or
+nothing), and each analysis kind takes it in one call that returns a (T, ...)
+array of its T draws' values; a kind's summary reads the concatenation of
+its tiles' arrays. Every matrix and per-draw value equals its per-draw
+computation bit for bit, so neither size changes a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
@@ -24,9 +24,11 @@ reports match the full-matrix solve to ~1e-13.
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from typing import Callable, Iterator, NamedTuple
 
@@ -44,12 +46,12 @@ REFERENCE_KINDS = ("cue", "composed", "diagonal")
 
 PHASE_BINS = 32
 
-# A graph's stack of max(1, STACK_AMPLITUDES // N**2) draws is seeded, sampled
-# and folded at once and holds only its blocks; its N x N work runs in tiles of
-# max(1, TILE_AMPLITUDES // N**2) draws, whose (T, N, N) arrays of at most
-# 128 KiB (up to N = 90) stay on the allocator's heap (512 KiB tiles were
-# trimmed and re-faulted every tile under glibc's default thresholds). N = 64:
-# 32-draw stacks and 2-draw tiles; N = 256: 2-draw stacks and 1-draw tiles.
+# A stack of max(1, STACK_AMPLITUDES // N**2) draws is seeded at once (a graph's
+# is also sampled and folded at once, and holds only its blocks); its N x N work
+# runs in tiles of max(1, TILE_AMPLITUDES // N**2) draws, whose (T, N, N) arrays
+# of at most 128 KiB (up to N = 90) stay on the allocator's heap (512 KiB tiles
+# were trimmed and re-faulted every tile under glibc's default thresholds).
+# N = 64: 32-draw stacks and 2-draw tiles; N = 256: 2-draw stacks, 1-draw tiles.
 STACK_AMPLITUDES = 2**17
 TILE_AMPLITUDES = 2**13
 
@@ -83,7 +85,10 @@ class Analysis:
     def __post_init__(self):
         if self.kind not in ANALYSES:
             raise ValueError(f"unknown analysis {self.kind!r}")
-        object.__setattr__(self, "arg", tuple(self.arg))
+        # floats and strings have no __index__; a bool has one but is no index or power
+        if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in self.arg):
+            raise ValueError(f"analysis {self.kind!r}: parameters are integers, got {self.arg}")
+        object.__setattr__(self, "arg", tuple(int(operator.index(v)) for v in self.arg))
 
     @classmethod
     def parse(cls, text: str) -> "Analysis":
@@ -128,9 +133,7 @@ class EnsembleSpec:
 
     @property
     def dim(self) -> int:
-        if isinstance(self.source, InteractionGraph):
-            return self.source.total_dim
-        return self.source.dim
+        return _dim(self.source)
 
     def source_description(self) -> dict:
         if isinstance(self.source, InteractionGraph):
@@ -174,36 +177,36 @@ class EnsembleReport:
 # Matrix sources and standalone operations
 # ---------------------------------------------------------------------------
 
+def _dim(source: InteractionGraph | ReferenceEnsemble) -> int:
+    return source.total_dim if isinstance(source, InteractionGraph) else source.dim
+
+
 def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
                    streams: list[RandomStream], dim_cap: int) -> Iterator[np.ndarray]:
     """The checked (T, N, N) tiles of ``source``'s draws from ``streams``, in
-    draw order. A graph's blocks are drawn and folded once for the stack, and
-    each tile of max(1, TILE_AMPLITUDES // N**2) draws is built from them by
-    one evolution_unitary call. A reference source's stack is one tile, from
-    one call of its sampler."""
+    draw order, max(1, TILE_AMPLITUDES // N**2) draws each. A graph's blocks
+    are drawn and folded once for the stack, and a tile is built from its
+    slice of them by one evolution_unitary call; a reference source's sampler
+    is called once on each tile's slice of the streams."""
     if isinstance(source, InteractionGraph):
-        blocks = _folded_blocks(source, streams, dim_cap)
-        tile = max(1, TILE_AMPLITUDES // source.total_dim**2)
-        for first in range(0, len(streams), tile):
-            yield evolution_unitary(source, blocks[first:first + tile], dim_cap=dim_cap)
-        return
-    if source.dim > dim_cap:
-        raise DimensionCapExceeded(source.dim, dim_cap)
-    sampler = {"cue": haar_unitary, "composed": sample_composed,
-               "diagonal": random_phases_diagonal}[source.kind]
-    yield sampler(source.dim, streams)
+        draws = _folded_blocks(source, streams, dim_cap)
+        build = partial(evolution_unitary, source, dim_cap=dim_cap)
+    else:
+        if source.dim > dim_cap:
+            raise DimensionCapExceeded(source.dim, dim_cap)
+        draws = streams
+        build = partial({"cue": haar_unitary, "composed": sample_composed,
+                         "diagonal": random_phases_diagonal}[source.kind], source.dim)
+    tile = max(1, TILE_AMPLITUDES // _dim(source)**2)
+    for first in range(0, len(streams), tile):
+        yield build(draws[first:first + tile])
 
 
 def _stacks(master_seed: int, source: InteractionGraph | ReferenceEnsemble,
             draws: int) -> list[list[RandomStream]]:
     """The streams of draws 0..draws-1, RandomStream(master_seed, t), in
-    stacks of consecutive draws: max(1, STACK_AMPLITUDES // N**2) for a graph,
-    whose stack holds its blocks and one tile, and max(1, TILE_AMPLITUDES //
-    N**2) for a reference source, which samples N x N Ginibre matrices and so
-    is one tile."""
-    graph = isinstance(source, InteractionGraph)
-    dim = source.total_dim if graph else source.dim
-    size = max(1, (STACK_AMPLITUDES if graph else TILE_AMPLITUDES) // dim**2)
+    stacks of max(1, STACK_AMPLITUDES // N**2) consecutive draws."""
+    size = max(1, STACK_AMPLITUDES // _dim(source)**2)
     return [[RandomStream(master_seed, t) for t in range(first, min(first + size, draws))]
             for first in range(0, draws, size)]
 
@@ -326,22 +329,21 @@ def _reduced(spec: EnsembleSpec, analysis: Analysis,
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    values = np.asarray(values, dtype=float)
     se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
     return float(values.mean()), se
 
 
-def _scalar_summary(values: list) -> dict:
-    """Summary of one number per draw."""
+def _scalar_summary(values: np.ndarray) -> dict:
+    """Summary of one number per draw, a (D,) array."""
     mean, se = _mean_se(values)
     return {"draws": len(values), "mean": mean, "se": se,
-            "variance": float(np.var(values, ddof=1)) if len(values) > 1 else 0.0}
+            "variance": float(values.var(ddof=1)) if len(values) > 1 else 0.0}
 
 
-def _pair_summary(values: list) -> dict:
-    """Summary of an (entropy, purity, ...) record per draw."""
-    ent_mean, ent_se = _mean_se([v[0] for v in values])
-    pur_mean, pur_se = _mean_se([v[1] for v in values])
+def _pair_summary(values: np.ndarray) -> dict:
+    """Summary of a (D, 2 or 3) array: each draw's entropy, purity, ..."""
+    ent_mean, ent_se = _mean_se(values[:, 0])
+    pur_mean, pur_se = _mean_se(values[:, 1])
     return {"draws": len(values), "mean_entropy": ent_mean, "entropy_se": ent_se,
             "mean_purity": pur_mean, "purity_se": pur_se}
 
@@ -354,16 +356,16 @@ def _page_references(dim_a: int, dim_b: int) -> dict:
             "purity_reference": ent.mean_purity(dim_a, dim_b)}
 
 
-def _element_entropy_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+def _element_entropy_summary(spec: EnsembleSpec, analysis: Analysis,
+                             values: np.ndarray) -> dict:
     center = np.log(spec.dim)
     edges = np.linspace(max(0.0, center - 2.5), center + 0.5, 121)
-    return {**_scalar_summary(values),
-            "histogram": Histogram.from_samples(np.asarray(values), edges)}
+    return {**_scalar_summary(values), "histogram": Histogram.from_samples(values, edges)}
 
 
-def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
-    pooled = np.concatenate(values)
-    _, mean_se = _mean_se([v.mean() for v in values])
+def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
+    pooled = values.ravel()
+    _, mean_se = _mean_se(values.mean(axis=1))
     return {"count": int(pooled.size), "mean": float(pooled.mean()), "mean_se": mean_se,
             "variance": float(pooled.var(ddof=1)) if pooled.size > 1 else 0.0,
             "ks_wigner": spectral.ks_statistic(
@@ -373,8 +375,9 @@ def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> di
             "histogram": Histogram.from_samples(pooled, DEFAULT_SPACING_EDGES)}
 
 
-def _phase_density_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
-    pooled = np.concatenate(values)
+def _phase_density_summary(spec: EnsembleSpec, analysis: Analysis,
+                           values: np.ndarray) -> dict:
+    pooled = values.ravel()
     if len(pooled) >= 10 * PHASE_BINS:
         statistic, p_value = spectral.phase_uniformity(pooled, bins=PHASE_BINS)
     else:
@@ -386,7 +389,7 @@ def _phase_density_summary(spec: EnsembleSpec, analysis: Analysis, values: list)
                 pooled, np.linspace(0.0, spectral.TWO_PI, PHASE_BINS + 1))}
 
 
-def _entanglement_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+def _entanglement_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
     keep = _keep_set(spec, analysis)
     dim_a = prod(spec.source.dims[p - 1] for p in keep)
     dim_b = spec.dim // dim_a
@@ -394,35 +397,33 @@ def _entanglement_summary(spec: EnsembleSpec, analysis: Analysis, values: list) 
             **_pair_summary(values), **_page_references(dim_a, dim_b)}
 
 
-def _projection_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+def _projection_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
     particle = analysis.arg[0]
     rest = [d for p, d in enumerate(spec.source.dims, start=1) if p != particle]
     dim_a, dim_c = rest[0], prod(rest[1:])
     return {"particle": particle, "dim_a": dim_a, "dim_c": dim_c,
             **_pair_summary(values), **_page_references(dim_a, dim_c),
-            "skipped_slices": sum(v[2] for v in values),
+            "skipped_slices": int(values[:, 2].sum()),
             "weighted": spec.weighted_projection}
 
 
-def _trace_moments_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+def _trace_moments_summary(spec: EnsembleSpec, analysis: Analysis,
+                           values: np.ndarray) -> dict:
     n = len(values)
-    stacked = np.vstack(values)
-    means = stacked.mean(axis=0)
+    means = values.mean(axis=0)
     se_re, se_im = (part.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
-                    else np.zeros(stacked.shape[1])
-                    for part in (stacked.real, stacked.imag))
+                    else np.zeros(values.shape[1]) for part in (values.real, values.imag))
     return {"draws": n, "max_power": analysis.arg[0],
             "mean_real": means.real, "mean_imag": means.imag,
             "se_real": se_re, "se_imag": se_im}
 
 
-def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: list) -> dict:
+def _state_sample_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
     keep = _keep_set(spec, analysis)
     dim_a = prod(spec.source.dims[p - 1] for p in keep)
     return {"keep": keep, **_pair_summary(values),
             "histogram": Histogram.from_samples(
-                np.asarray([v[0] for v in values]),
-                np.linspace(0.0, np.log(dim_a) + 0.1, 61))}
+                values[:, 0], np.linspace(0.0, np.log(dim_a) + 0.1, 61))}
 
 
 class AnalysisKind(NamedTuple):
@@ -430,10 +431,12 @@ class AnalysisKind(NamedTuple):
     (a tile's eigenphases, without eigenvectors), or "eigensystem" (a
     tile's eigenphases and eigenvectors, which serves "phases" too).
     ``check`` returns the IncompatibleAnalysis message for a bad request,
-    else None. ``per_stack(spec, analysis, us, data)`` returns the T
-    per-draw values of a (T, N, N) tile of draws (None on the factored path,
-    whose one tile is the whole stack) from its SpectralData: (T, N) phases
-    and (T, N, N) eigenvector columns. ``summary(spec, analysis, values)``."""
+    else None. ``per_stack(spec, analysis, us, data)`` takes a (T, N, N)
+    tile of draws (None on the factored path, whose one tile is the whole
+    stack) and its SpectralData, (T, N) phases and (T, N, N) eigenvector
+    columns, and returns one (T, ...) array of the T draws' values.
+    ``summary(spec, analysis, values)`` reads the campaign's (D, ...) array,
+    the tiles' arrays joined in draw order."""
 
     needs: str
     graph: bool  # needs a graph source
@@ -455,8 +458,7 @@ ANALYSES = {
         _phase_density_summary),
     "evec_entropy": AnalysisKind(
         "eigensystem", False, _no_parameter,
-        lambda spec, a, us, data: [ent.eigenvector_entropy(SpectralData(p, v))
-                                   for p, v in zip(data.phases, data.vectors)],
+        lambda spec, a, us, data: ent.eigenvector_entropy(data),
         lambda spec, a, values: {
             **_scalar_summary(values),
             "reference_mean": ent.mean_random_vector_entropy(spec.dim)}),
@@ -471,13 +473,16 @@ ANALYSES = {
         _trace_moments_summary),
     "entanglement": AnalysisKind(
         "eigensystem", True, _bipartition_check,
-        lambda spec, a, us, data: [[x.mean() for x in _reduced(spec, a, v.T)]
-                                   for v in data.vectors],
+        # each draw's mean over its N eigenvectors, all T N of them in one call
+        lambda spec, a, us, data: np.column_stack([
+            x.reshape(data.phases.shape).mean(axis=1) for x in _reduced(
+                spec, a, np.swapaxes(data.vectors, -1, -2).reshape(-1, spec.dim))]),
         _entanglement_summary),
     "projection": AnalysisKind(
         "eigensystem", True, _projection_check,
-        lambda spec, a, us, data: [_projection_stats(
-            v, spec.source.dims, a.arg[0], spec.weighted_projection) for v in data.vectors],
+        # one draw at a time: the valid slices of each draw's eigenvectors are ragged
+        lambda spec, a, us, data: np.array([_projection_stats(
+            v, spec.source.dims, a.arg[0], spec.weighted_projection) for v in data.vectors]),
         _projection_summary),
     "state_sample": AnalysisKind(
         "state", True, _state_sample_check,
@@ -520,14 +525,14 @@ def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], list[dict]]:
 
 
 def _records(spec: EnsembleSpec, us, data) -> dict:
-    """Each kind's per-draw values of one tile, from one row call per kind."""
+    """Each kind's array of one tile's per-draw values, from one row call per kind."""
     return {a.kind: ANALYSES[a.kind].per_stack(spec, a, us, data) for a in spec.analyses}
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
-    """Each kind's summary of the tiles' records, in draw order."""
+    """Each kind's summary of its tiles' arrays, joined in draw order."""
     return {a.kind: ANALYSES[a.kind].summary(
-        spec, a, [value for tile in records for value in tile[a.kind]])
+        spec, a, np.concatenate([tile[a.kind] for tile in records]))
         for a in spec.analyses}
 
 

@@ -44,22 +44,29 @@ def _plogp(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > 0, p, 1.0))
 
 
-def eigenvector_entropy(spec) -> float:
+def _entry_entropy(m: np.ndarray) -> np.ndarray:
+    """-(1/N) sum_ij w_ij ln w_ij, w_ij = |m_ij|^2 clipped to [0, 1] (rounding
+    puts a unit-modulus entry at 1 + 2e-16), of each N x N matrix of a stack,
+    its weights summed in the matrix's C memory order; a float for one matrix."""
+    weights = np.clip(np.abs(m) ** 2, 0.0, 1.0).reshape(m.shape[:-2] + (-1,))
+    values = -_plogp(weights).sum(axis=-1) / m.shape[-1]
+    return values if values.ndim else float(values)
+
+
+def eigenvector_entropy(spec) -> float | np.ndarray:
     """Average Shannon entropy of the eigenvector components,
-    -(1/N) sum_{i,j} |chi_ji|^2 ln |chi_ji|^2."""
-    weights = np.abs(spec.vectors) ** 2
-    return float(-_plogp(weights).sum() / spec.dim)
+    -(1/N) sum_{i,j} |chi_ji|^2 ln |chi_ji|^2, weights clipped as in
+    element_entropy and summed in the column-major order eigendecompose
+    stores them in. For a stack's SpectralData, the (B,) array of each
+    matrix's entropy."""
+    return _entry_entropy(np.swapaxes(spec.vectors, -1, -2))
 
 
 def element_entropy(u: np.ndarray) -> float | np.ndarray:
     """Same functional applied to the matrix entries themselves; additive
-    over tensor products and so sensitive to graph structure. |u_ij|^2 is
-    clipped to [0, 1] (rounding puts a unit-modulus entry at 1 + 2e-16).
-    For a (B, N, N) stack, the (B,) array of each matrix's entropy."""
-    u = np.asarray(u)
-    weights = np.clip(np.abs(u) ** 2, 0.0, 1.0).reshape(u.shape[:-2] + (-1,))
-    values = -_plogp(weights).sum(axis=-1) / u.shape[-1]
-    return values if values.ndim else float(values)
+    over tensor products and so sensitive to graph structure. For a
+    (B, N, N) stack, the (B,) array of each matrix's entropy."""
+    return _entry_entropy(np.asarray(u))
 
 
 def mean_random_vector_entropy(dim: int) -> float:

@@ -250,7 +250,9 @@ def from_bond_vertex_graph(bond_pairs: Sequence[Iterable[int]],
 def ring_graph(k: int, n: int) -> InteractionGraph:
     """Two-color ring of k particles: even-bond matching first, then the odd
     matching that closes the ring ({2,3}, {4,5}, ..., {k,1})."""
-    if k < 2 or k % 2 != 0:
+    if k < 2:
+        raise GraphSpecError(f"a ring needs at least two particles, got {k}")
+    if k % 2 != 0:
         raise OddParticleCount(k)
     _check_dim(n)
     even = Layer("red", tuple(Clique((i, i + 1)) for i in range(1, k, 2)))

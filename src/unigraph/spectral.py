@@ -35,10 +35,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-#: spacing variance of the Wigner surmise, 3*pi/8 - 1
-WIGNER_VARIANCE = 3.0 * np.pi / 8.0 - 1.0
-#: spacing variance of the Poissonian (exponential) law
-POISSON_VARIANCE = 1.0
 #: largest accepted eigenpair residual ||U v - e^{i theta} v||, per unit of N
 RESIDUAL_TOL = 1e-9
 #: largest accepted trace-identity defect |sum_j e^{i m theta_j} - Tr U^m|,
@@ -73,10 +69,6 @@ class SpectralData:
 
     phases: np.ndarray
     vectors: np.ndarray | None
-
-    @property
-    def dim(self) -> int:
-        return self.phases.shape[-1]
 
 
 def eigendecompose(u: np.ndarray) -> SpectralData:
@@ -289,13 +281,6 @@ def _check_nonnegative(s) -> np.ndarray:
     return arr
 
 
-def wigner_pdf(s):
-    """Wigner surmise for CUE spacings: (32/pi^2) s^2 exp(-4 s^2 / pi)."""
-    arr = _check_nonnegative(s)
-    out = (32.0 / np.pi**2) * arr**2 * np.exp(-4.0 * arr**2 / np.pi)
-    return out if out.ndim else float(out)
-
-
 #: math.erf on each value of an array (an object array back; a float for 0-d)
 _erf = np.frompyfunc(math.erf, 1, 1)
 
@@ -304,7 +289,8 @@ def reference_cdf(which: str, s):
     """Cumulative spacing distribution, 'wigner' or 'poisson', in closed form.
 
     Poisson: 1 - exp(-s). Wigner: erf(2s/sqrt(pi)) - (4s/pi) exp(-4s^2/pi),
-    the integral of wigner_pdf clipped at 1, exact to rounding (absolute error
+    the integral of the Wigner surmise for CUE spacings, (32/pi^2) s^2
+    exp(-4s^2/pi), clipped at 1, exact to rounding (absolute error
     far below 1e-10). erf is the standard library's math.erf, applied value
     by value. It differs from scipy.special.erf by at most 2 ulp (math.erf
     is the closer to the exact value), and the law by at most 2.2e-16, so a

@@ -19,12 +19,19 @@ from unigraph.entropy import element_entropy, mean_purity
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, from_bond_vertex_graph, ring_graph)
 from unigraph.rand import DEFAULT_SEED, RandomStream, haar_unitary
-from unigraph.spectral import (POISSON_VARIANCE, WIGNER_VARIANCE, eigenphases,
-                               ks_statistic, reference_cdf, spacings, wigner_pdf)
+from unigraph.spectral import eigenphases, ks_statistic, reference_cdf, spacings
 from unigraph.tensor import evolution_unitary
 
 SEED = DEFAULT_SEED
 TWO_PI = 2 * np.pi
+# spacing variances of the Wigner surmise, 3 pi/8 - 1, and of the Poissonian law
+WIGNER_VARIANCE = 3.0 * np.pi / 8.0 - 1.0
+POISSON_VARIANCE = 1.0
+
+
+def wigner_pdf(s):
+    """The Wigner surmise for CUE spacings, (32/pi^2) s^2 exp(-4 s^2 / pi)."""
+    return (32.0 / np.pi**2) * s**2 * np.exp(-4.0 * s**2 / np.pi)
 
 
 def layer_of(*cliques, color="c"):

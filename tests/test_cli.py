@@ -123,6 +123,13 @@ class TestGen:
 
 
 class TestRun:
+    def test_ring_of_no_particles_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--ring", "0", "--draws", "2", "--analyses", "spacing",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "a ring needs at least two particles, got 0" in err
+        assert "even particle count" not in err
+
     def test_cue_evec_entropy_report(self, tmp_path):
         out = tmp_path / "r"
         assert main(["run", "--cue", "16", "--draws", "60", "--analyses",

@@ -107,6 +107,16 @@ class TestAnalysisParsing:
         with pytest.raises(ValueError, match="'trace_moments:x': parameters are integers"):
             Analysis.parse("trace_moments:x")
 
+    @pytest.mark.parametrize("kind, arg", [
+        ("entanglement", (1.5,)), ("state_sample", (True,)), ("trace_moments", ("3",))])
+    def test_non_integer_parameter_is_refused(self, kind, arg):
+        with pytest.raises(ValueError, match=f"'{kind}': parameters are integers"):
+            Analysis(kind, arg)
+
+    def test_integer_parameters_are_stored_as_ints(self):
+        arg = Analysis("entanglement", (np.int64(1), 2)).arg
+        assert arg == (1, 2) and all(type(p) is int for p in arg)
+
 
 @pytest.mark.parametrize("build", [
     lambda cap: EnsembleSpec(source=ReferenceEnsemble("cue", 8), draws=2, master_seed=1,
@@ -180,11 +190,11 @@ class TestRunEnsemble:
         (chain_graph(6, 2), 1), (chain_graph(6, 2), 15), (chain_graph(6, 2), 16),
         (chain_graph(6, 2), 17), (chain_graph(6, 2), 40),
         (ReferenceEnsemble("cue", 64), 17), (ReferenceEnsemble("composed", 64), 17),
-        (ReferenceEnsemble("diagonal", 64), 17)])
+        (ReferenceEnsemble("diagonal", 64), 17), (ReferenceEnsemble("cue", 64), 40)])
     def test_stacks_equal_the_per_draw_oracle(self, source, draws):
-        # at N=64 a graph takes stacks of 32 draws in tiles of 2, and a
-        # reference source stacks of 2, so these counts end inside, at and past
-        # a tile boundary, and 40 past a graph's stack boundary
+        # at N=64 every source takes stacks of 32 draws in tiles of 2, so these
+        # counts end inside, at and past a tile boundary, and 40 past a stack
+        # boundary
         assert (STACK_AMPLITUDES // 64**2, TILE_AMPLITUDES // 64**2) == (32, 2)
         analyses = (Analysis("spacing"), Analysis("element_entropy"),
                     Analysis("trace_moments", (2,)))
@@ -347,8 +357,8 @@ def oracle_values(spec, u):
 
 
 class TestStackedRows:
-    """Each kind's row takes a stack and returns its B per-draw values; each
-    value equals the draw's value from single-matrix functions."""
+    """Each kind's row takes a stack and returns one array of its B per-draw
+    values; each value equals the draw's value from single-matrix functions."""
 
     @pytest.mark.parametrize("draws", [1, 15, 16, 17])
     @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda dims: f"N{prod(dims)}")
@@ -375,6 +385,45 @@ class TestStackedRows:
             assert np.abs(records["state_sample"][j] - expected["state_sample"]).max() <= 1e-14
             alone = ent.reduced_entropies(u[:, :1].T, dims, keep0)
             assert np.array_equal(records["state_sample"][j], np.concatenate(alone))
+
+    @pytest.mark.parametrize("draws", [1, 3, 17])
+    @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda dims: f"N{prod(dims)}")
+    def test_eigensystem_rows_equal_the_single_matrix_oracle(self, dims, draws):
+        graph = brick_graph(dims)
+        spec = EnsembleSpec(source=graph, draws=draws, master_seed=18,
+                            analyses=(Analysis("evec_entropy"),
+                                      Analysis("entanglement", (1, 3)),
+                                      Analysis("projection", (2,))))
+        us = evolution_unitary(graph, [RandomStream(18, t) for t in range(draws)])
+        records = _records(spec, us, eigendecompose(us))
+        for j, u in enumerate(us):
+            data = eigendecompose(u)
+            assert records["evec_entropy"][j] == ent.eigenvector_entropy(data)
+            entropies, purities = ent.reduced_entropies(data.vectors.T, dims, [0, 2])
+            assert np.array_equal(records["entanglement"][j],
+                                  [entropies.mean(), purities.mean()])
+            assert np.array_equal(records["projection"][j], ensemble._projection_stats(
+                data.vectors, dims, 2, spec.weighted_projection))
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    def test_every_row_returns_one_array_per_tile(self, draws):
+        graph = chain_graph(4, 2)
+        spec = EnsembleSpec(source=graph, draws=draws, master_seed=19, analyses=tuple(
+            Analysis(kind, arg) for kind, arg in (
+                ("spacing", ()), ("phase_density", ()), ("evec_entropy", ()),
+                ("element_entropy", ()), ("trace_moments", (2,)), ("entanglement", (1,)),
+                ("projection", (1,)), ("state_sample", ()))))
+        assert {a.kind for a in spec.analyses} == set(ANALYSES)
+        us = evolution_unitary(graph, [RandomStream(19, t) for t in range(draws)])
+        for kind, values in _records(spec, us, eigendecompose(us)).items():
+            assert isinstance(values, np.ndarray) and len(values) == draws, kind
+
+    def test_factored_rows_return_one_array_per_stack(self):
+        spec = phases_spec(FACTORED_GRAPHS["two_mixed_dims"], draws=5)
+        (records,) = ensemble._plan(spec)([RandomStream(31, t) for t in range(5)])
+        assert set(records) == {a.kind for a in PHASE_ANALYSES}
+        for kind, values in records.items():
+            assert isinstance(values, np.ndarray) and len(values) == 5, kind
 
 
 class TestRandomGraphState:
@@ -457,8 +506,8 @@ class TestBenchmark:
                             calls.append(("haar", [s.path for s in streams])))
         result = benchmark_generation(chain_graph(6, 2), 40, master_seed=3)
         assert (result.dim, result.draws) == (64, 40)
-        # N=64: the graph's stacks of 32 draws, built in tiles of 2, and CUE's
-        # stacks of 2, as run_ensemble generates them
+        # N=64: stacks of 32 draws, the graph's built and CUE's sampled in
+        # tiles of 2, as run_ensemble generates them
         paths = [(t,) for t in range(40)]
         assert calls == ([("fold", paths[:32])] + [("evolution", 2)] * 16
                          + [("fold", paths[32:])] + [("evolution", 2)] * 4

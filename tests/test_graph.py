@@ -186,6 +186,13 @@ class TestBuilders:
         with pytest.raises(OddParticleCount):
             ring_graph(5, 2)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_ring_needs_two_particles(self, k):
+        with pytest.raises(GraphSpecError, match=f"a ring needs at least two particles, "
+                                                 f"got {k}") as caught:
+            ring_graph(k, 2)
+        assert not isinstance(caught.value, OddParticleCount)
+
     @pytest.mark.parametrize("k", [2, 4, 6, 8, 10])
     def test_ring_connected(self, k):
         assert is_connected(ring_graph(k, 2))

@@ -2,13 +2,14 @@
 
 import re
 import shlex
+from math import pi
 from pathlib import Path
 
 from unigraph.cli import main
 from unigraph.ensemble import ANALYSES
 from unigraph.graph import parse_graph_spec
-from unigraph.spectral import WIGNER_VARIANCE
 
+WIGNER_VARIANCE = 3.0 * pi / 8.0 - 1.0  # spacing variance of the Wigner surmise
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
