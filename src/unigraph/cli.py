@@ -16,7 +16,6 @@ import shlex
 import sys
 
 import numpy as np
-import scipy  # bare scipy only, for the version that provenance records
 
 from . import __version__
 from .ensemble import (REFERENCE_KINDS, Analysis, BenchmarkResult, EnsembleSpec,
@@ -218,7 +217,6 @@ def _provenance(command: str, seed: int, spec_hash: str) -> dict:
         "versions": {
             "unigraph": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

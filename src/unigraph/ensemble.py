@@ -60,6 +60,21 @@ class IncompatibleAnalysis(ValueError):
     pass
 
 
+def _is_integer(value) -> bool:
+    """Is ``value`` an integer? Floats and strings have no __index__, and a
+    bool has one but is no count, index or power."""
+    return hasattr(value, "__index__") and not isinstance(value, bool)
+
+
+def _count(name: str, value) -> int:
+    """``value`` as a plain int, or ValueError unless it is an integer >= 1."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ReferenceEnsemble:
     """A structureless source: 'cue', 'composed', or 'diagonal' of one dim."""
@@ -70,8 +85,7 @@ class ReferenceEnsemble:
     def __post_init__(self):
         if self.kind not in REFERENCE_KINDS:
             raise ValueError(f"unknown reference ensemble {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"reference dimension must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _count("reference dimension", self.dim))
 
 
 @dataclass(frozen=True)
@@ -85,10 +99,9 @@ class Analysis:
     def __post_init__(self):
         if self.kind not in ANALYSES:
             raise ValueError(f"unknown analysis {self.kind!r}")
-        # floats and strings have no __index__; a bool has one but is no index or power
-        if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in self.arg):
+        if not all(map(_is_integer, self.arg)):
             raise ValueError(f"analysis {self.kind!r}: parameters are integers, got {self.arg}")
-        object.__setattr__(self, "arg", tuple(int(operator.index(v)) for v in self.arg))
+        object.__setattr__(self, "arg", tuple(map(operator.index, self.arg)))
 
     @classmethod
     def parse(cls, text: str) -> "Analysis":
@@ -112,10 +125,8 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "analyses", tuple(self.analyses))
-        if self.draws < 1:
-            raise ValueError(f"draws must be >= 1, got {self.draws}")
-        if self.dim_cap < 1:
-            raise ValueError(f"dim_cap must be >= 1, got {self.dim_cap}")
+        object.__setattr__(self, "draws", _count("draws", self.draws))
+        object.__setattr__(self, "dim_cap", _count("dim_cap", self.dim_cap))
         kinds = [a.kind for a in self.analyses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("each analysis kind may be requested once")
@@ -238,8 +249,7 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
     through ``_draw_matrices`` over the stacks and tiles of draws campaigns
     use. A graph over ``dim_cap`` raises DimensionCapExceeded on the first
     stack."""
-    if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+    draws, dim_cap = _count("draws", draws), _count("dim_cap", dim_cap)
     dim = graph.total_dim
     seconds = []
     for source in (graph, ReferenceEnsemble("cue", dim)):

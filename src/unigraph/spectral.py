@@ -3,11 +3,10 @@
 Unitary matrices are normal, so the Cayley transform of a rotated unitary
 W = e^{i alpha} U, H = i (I + W)^{-1} (I - W), is Hermitian with the same
 eigenvectors and eigenvalues tan((theta + alpha)/2). One checked solver
-(_solve) serves a stack of unitaries: at most two Cayley attempts per
-matrix, the second only for the matrices the first refused, then the
-complex Schur form, which is diagonal for a normal matrix, for a matrix
-refused twice. Phases live in [0, 2pi) and spacings are scaled by N/(2pi)
-so the mean spacing is one.
+(_solve) serves a stack of unitaries: at most three Cayley attempts per
+matrix, each retry only for the matrices the attempt before refused; a
+matrix refused three times raises ConvergenceFailure. Phases live in
+[0, 2pi) and spacings are scaled by N/(2pi) so the mean spacing is one.
 
 eigendecompose solves one matrix or a stack with eigh and checks each
 eigenpair's residual. eigenphases is the phases-only path for a stack:
@@ -21,8 +20,7 @@ checked on the Kronecker product.
 
 The module needs only numpy and the standard library: the Wigner CDF takes
 erf from math.erf, and the phase_uniformity p-value is the chi-square
-survival function in closed form. Only the Schur fallback imports scipy
-(scipy.linalg), on first use.
+survival function in closed form.
 """
 
 from __future__ import annotations
@@ -80,7 +78,8 @@ def eigendecompose(u: np.ndarray) -> SpectralData:
     orthonormal basis is an eigenbasis, and which one is returned depends
     on the solver: basis-dependent statistics of such sources, such as the
     eigenvector entropy, differ between solvers by more than rounding.
-    Raises ConvergenceFailure if the Schur fallback fails its checks.
+    Raises ConvergenceFailure, naming the matrix, if one is refused on every
+    Cayley attempt (a defective, non-unitary matrix is).
     """
     phases, vectors = _solve(u if u.ndim == 3 else u[None], with_vectors=True)
     return SpectralData(phases, vectors) if u.ndim == 3 else SpectralData(phases[0], vectors[0])
@@ -106,15 +105,19 @@ def _solve(us: np.ndarray, with_vectors: bool):
     identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2.
     Only the refused matrices are solved again, each with its pole in the
     middle of the widest gap between its refused phases, or at alpha = 1
-    after a singular solve. A matrix refused twice gets the checked complex
-    Schur form. alpha depends only on U, so the result is deterministic.
+    after a singular solve; a third attempt covers a singular first solve
+    whose blind alpha = 1 lands on another eigenvalue. A gap-placed pole is
+    at least pi/N, less the refused phases' error, from every eigenvalue, so
+    |tan| <= cot(pi/2N) < 2N/pi passes the 4N guard. A matrix refused three
+    times raises ConvergenceFailure. alpha depends only on U, so the result
+    is deterministic.
     """
     dim = us.shape[-1]
     traces = None if with_vectors else _traces(us)
     alphas = np.zeros(len(us))
     todo = np.arange(len(us))
     stack = us  # a whole stack is solved without a copy
-    for attempt in range(2):
+    for attempt in range(3):
         tangents, found_vectors = _cayley_eigen(stack, alphas[todo], with_vectors)
         # rebinding found_vectors frees the unsorted columns before a retry
         found, found_vectors = _sorted(2.0 * np.arctan(tangents) - alphas[todo, None],
@@ -132,18 +135,15 @@ def _solve(us: np.ndarray, with_vectors: bool):
                 vectors[todo] = found_vectors
         refused = found[~accepted]
         todo = todo[~accepted]
-        if not todo.size or attempt == 1:
-            break
+        if not todo.size:
+            return phases, vectors
         # the middle of each widest circular gap; NaN, so alpha = 1, if singular
         gaps = np.diff(refused, append=refused[:, :1] + TWO_PI)
         middle = np.take_along_axis(refused + 0.5 * gaps, gaps.argmax(axis=-1)[:, None], -1)
         alphas[todo] = np.where(np.isnan(middle[:, 0]), 1.0, np.pi - middle[:, 0])
         stack = us if len(todo) == len(us) else us[todo]
-    for k in todo:
-        phases[k], schur_vectors = _schur(us[k])
-        if with_vectors:
-            vectors[k] = schur_vectors
-    return phases, vectors
+    raise ConvergenceFailure(f"stack rows {todo.tolist()} are refused on all three "
+                             "Cayley attempts")
 
 
 def _cayley_hermitian(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -201,23 +201,6 @@ def _eigenpairs_pass(us: np.ndarray, phases: np.ndarray, vectors: np.ndarray) ->
     norm_defect = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0)
     return ((residual.max(axis=-1) <= RESIDUAL_TOL * us.shape[-1])
             & (norm_defect.max(axis=-1) <= 1e-12))
-
-
-def _schur(u: np.ndarray):
-    """(phases, vectors) of one unitary from its complex Schur form, which
-    is diagonal for a normal matrix, sorted and checked as _solve's are;
-    ConvergenceFailure if the form or its checks fail. scipy.linalg is
-    imported here, on first use: no campaign row is known to reach it."""
-    import scipy.linalg
-
-    try:
-        t, z = scipy.linalg.schur(u, output="complex")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    phases, vectors = _sorted(np.angle(np.diagonal(t))[None], z[None])
-    if not _eigenpairs_pass(u[None], phases, vectors)[0]:
-        raise ConvergenceFailure("Schur eigenpairs fail the residual or norm check")
-    return phases[0], vectors[0]
 
 
 def _traces(us: np.ndarray) -> np.ndarray:

@@ -458,66 +458,53 @@ class TestLocalDimension:
 COLD_START_PROBES = """
 import contextlib, io, json, sys
 
+sys.modules["scipy"] = None  # from here on, any scipy import raises ImportError
+
 import numpy as np
 
-SCIPY = ("scipy.linalg", "scipy.special", "scipy.stats")
-loaded = lambda: [name for name in SCIPY if name in sys.modules]
-quiet = lambda: contextlib.redirect_stdout(io.StringIO())
-probes = {}
-
-from unigraph.cli import main
-probes["import"] = loaded()
-
-with quiet():
-    main(["run", "--chain", "4", "--draws", "5", "--analyses",
-          "spacing,evec_entropy,element_entropy,trace_moments:2,entanglement:1,2,"
-          "projection:1,state_sample", "--out", sys.argv[1] + "/all"])
-probes["run"] = loaded()
-
-# 20 draws at N=16 pool 320 phases: enough for the chi-square p-value
-with quiet():
-    main(["run", "--cue", "16", "--draws", "20", "--analyses", "phase_density",
-          "--out", sys.argv[1] + "/phases"])
-probes["phase_density"] = loaded()
-
 from unigraph import spectral
+from unigraph.cli import main
 from unigraph.rand import RandomStream, haar_unitary
 
-u = haar_unitary(12, RandomStream(5, 0))
+out = sys.argv[1]
+for argv in (
+        ["gen", "--chain", "4", "--out", out + "/gen"],
+        ["run", "--chain", "4", "--draws", "5", "--analyses",
+         "spacing,phase_density,evec_entropy,element_entropy,trace_moments:2,"
+         "entanglement:1,2,projection:1,state_sample", "--out", out + "/all"],
+        # 20 draws at N=16 pool 320 phases: enough for the chi-square p-value
+        ["run", "--cue", "16", "--draws", "20", "--analyses", "phase_density",
+         "--format", "json", "--out", out + "/phases"],
+        ["bench", "--chain", "4", "--draws", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+with open(out + "/phases/report.json", encoding="utf-8") as handle:
+    probes = {"p_value": json.load(handle)["analyses"]["phase_density"]["p_value"]}
+
+# every Cayley attempt refused: the solve raises, with no other solver to try
 spectral._cayley_eigen = lambda us, alphas, with_vectors: (
     np.full(us.shape[:-1], np.nan),
     np.full(us.shape, np.nan, dtype=complex) if with_vectors else None)
-data = spectral.eigendecompose(u)
-probes["schur"] = loaded()
-phases, vectors = spectral._schur(u)
-probes["schur_vectors_equal"] = bool(np.array_equal(data.vectors, vectors))
-probes["schur_phases_equal"] = bool(
-    np.array_equal(data.phases, phases)
-    and np.array_equal(spectral.eigenphases(u[None])[0], phases))
+try:
+    spectral.eigendecompose(haar_unitary(12, RandomStream(5, 0)))
+except spectral.ConvergenceFailure as exc:
+    probes["failure"] = str(exc)
+probes["scipy"] = [name for name, module in sys.modules.items()
+                   if name.startswith("scipy") and module is not None]
 print(json.dumps(probes))
 """
 
 
-def test_scipy_is_loaded_only_where_used(tmp_path):
-    # scipy.stats costs about a second of start-up, and scipy.linalg with
-    # scipy.special over a third of a second: a fresh interpreter loads none
-    # of them for any analysis, the phase_density p-value included, and
-    # scipy.linalg only for the Schur fallback, which still returns its
-    # checked result
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: a fresh interpreter in which
+    # scipy cannot be imported runs gen, every analysis (the phase_density
+    # p-value included) and bench, and a matrix refused on every Cayley
+    # attempt raises ConvergenceFailure
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", COLD_START_PROBES, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)
     probes = json.loads(out.stdout)
-    assert probes["import"] == []
-    assert probes["run"] == []
-    assert probes["phase_density"] == []
-    # what importing scipy.linalg brings with it depends on the scipy
-    # release, so the fallback may load exactly what a bare import loads
-    bare = ("import json, sys, scipy.linalg; print(json.dumps([name for name in"
-            " ('scipy.linalg', 'scipy.special', 'scipy.stats') if name in sys.modules]))")
-    linalg = subprocess.run([sys.executable, "-c", bare], capture_output=True,
-                            text=True, check=True, env=env)
-    assert "scipy.linalg" in probes["schur"]
-    assert probes["schur"] == json.loads(linalg.stdout)
-    assert probes["schur_vectors_equal"] and probes["schur_phases_equal"]
+    assert 0.0 < probes["p_value"] <= 1.0
+    assert probes["failure"] == "stack rows [0] are refused on all three Cayley attempts"
+    assert probes["scipy"] == []

@@ -135,6 +135,32 @@ def test_dim_cap_below_one_is_refused_before_any_draw(monkeypatch, build, cap):
         build(cap)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: EnsembleSpec(ring_graph(4, 2), v, 1, (Analysis("spacing"),)),
+    lambda v: EnsembleSpec(ring_graph(4, 2), 2, 1, (Analysis("spacing"),), dim_cap=v),
+    lambda v: ReferenceEnsemble("cue", v),
+    lambda v: benchmark_generation(ring_graph(4, 2), v),
+    lambda v: benchmark_generation(ring_graph(4, 2), 2, dim_cap=v),
+], ids=["spec_draws", "spec_dim_cap", "reference_dim", "bench_draws", "bench_dim_cap"])
+@pytest.mark.parametrize("value", [2.5, 16.0, True, "3"])
+def test_non_integer_size_is_refused_when_built(monkeypatch, build, value):
+    # a float ran until a draw raised TypeError, and True ran as one draw
+    # reported as "draws: true"
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+    monkeypatch.setattr(tensor, "haar_unitary", refuse)
+    monkeypatch.setattr(ensemble, "haar_unitary", refuse)
+    with pytest.raises(ValueError, match=f"must be an integer, got {value!r}"):
+        build(value)
+
+
+def test_integer_sizes_are_stored_as_ints():
+    spec = EnsembleSpec(ReferenceEnsemble("cue", np.int64(4)), np.int64(2), 1,
+                        (Analysis("spacing"),), dim_cap=np.int64(16))
+    assert type(spec.draws) is int and type(spec.dim_cap) is int
+    assert type(spec.source.dim) is int
+
+
 class TestSpecValidation:
     def test_graph_only_analyses_rejected_for_references(self):
         with pytest.raises(IncompatibleAnalysis):

@@ -147,21 +147,18 @@ class TestEigendecompose:
             assert eigendecompose(u).vectors.flags.f_contiguous
 
     @staticmethod
-    def solve_without_schur(u, monkeypatch):
-        """eigendecompose(u), failing if Schur runs; also the alphas tried."""
+    def attempts(solve, u, monkeypatch):
+        """solve(u) for one matrix, and the alpha of each Cayley attempt."""
         alphas = []
         cayley = spectral._cayley_eigen
         def spy(us, stack_alphas, with_vectors):
-            assert len(us) == 1 and with_vectors
+            assert len(us) == 1
             alphas.append(float(stack_alphas[0]))
             return cayley(us, stack_alphas, with_vectors)
-        def no_schur(*args, **kwargs):
-            raise AssertionError("the Cayley retry should have succeeded")
         monkeypatch.setattr(spectral, "_cayley_eigen", spy)
-        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
-        data = eigendecompose(u)
+        found = solve(u)
         monkeypatch.undo()
-        return data, alphas
+        return found, alphas
 
     @pytest.mark.parametrize("phases, gap_middle", [
         # within 1e-12 of -1, with phases on both sides of the 0/2pi seam
@@ -176,7 +173,7 @@ class TestEigendecompose:
         # pi - alpha, in the middle of the widest gap between the refused
         # attempt's phases (which are only good to ~1e-3 in the first case)
         u = with_phases(phases, 5)
-        data, alphas = self.solve_without_schur(u, monkeypatch)
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
         assert_matches_oracle(u, data)
         assert circular_distance(data.phases, phases) <= 1e-12
         assert len(alphas) == 2 and alphas[0] == 0.0
@@ -185,44 +182,78 @@ class TestEigendecompose:
     @pytest.mark.parametrize("u", [-np.eye(4, dtype=complex), np.diag([1.0, -1.0, 1j])],
                              ids=["minus_identity", "parity"])
     def test_singular_solve_retries_at_alpha_one(self, monkeypatch, u):
-        data, alphas = self.solve_without_schur(u, monkeypatch)
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
         assert alphas == [0.0, 1.0]
         assert_matches_oracle(u, data)
 
+    @pytest.mark.parametrize("eps", [0.0, 1e-4])
+    def test_singular_solve_then_pole_on_an_eigenvalue(self, monkeypatch, eps):
+        # -1 makes the alpha = 0 solve singular, and the blind alpha = 1 retry
+        # puts the pole -e^{-i} on (or 1e-4 from) the eigenvalue
+        # e^{i(pi - 1 + eps)}: the third attempt, with its pole in the middle
+        # of the widest gap (0.3 to 2.0) of the second's phases, is accepted
+        diagonal = np.array([-1.0, *np.exp(1j * np.array([np.pi - 1 + eps, 0.3, 2.0, 4.0, 5.5]))])
+        u = np.diag(diagonal)
+        expected = np.sort(np.mod(np.angle(diagonal), TWO_PI))
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        phases, phase_alphas = self.attempts(eigenphases, u[None], monkeypatch)
+        assert alphas[:2] == [0.0, 1.0] and len(alphas) == 3
+        assert abs(alphas[2] - (np.pi - 1.15)) <= 1e-9
+        assert phase_alphas == alphas
+        assert_matches_oracle(u, data)
+        assert np.abs(data.phases - expected).max() <= 1e-15
+        assert np.array_equal(phases[0], data.phases)
+
     @pytest.mark.parametrize("failure", ["singular", "wrong_vectors"])
-    def test_schur_fallback(self, monkeypatch, failure):
+    def test_refused_on_every_attempt_raises(self, monkeypatch, failure):
         cayley = spectral._cayley_eigen
-        def broken(us, alphas, with_vectors):
-            tangents, vectors = cayley(us, alphas, with_vectors)
+        alphas = []
+        def broken(us, stack_alphas, with_vectors):
+            alphas.extend(stack_alphas.tolist())
+            tangents, vectors = cayley(us, stack_alphas, with_vectors)
             if failure == "singular":
                 return np.full_like(tangents, np.nan), np.full_like(vectors, np.nan)
             return tangents, np.roll(vectors, 1, axis=-1)
         monkeypatch.setattr(spectral, "_cayley_eigen", broken)
-        assert_matches_oracle(haar_unitary(24, RandomStream(0, 7)))
+        with pytest.raises(ConvergenceFailure, match=r"stack rows \[0\] are refused"):
+            eigendecompose(haar_unitary(24, RandomStream(0, 7)))
+        assert len(alphas) == 3 and alphas[0] == 0.0
+        if failure == "singular":
+            assert alphas == [0.0, 1.0, 1.0]
 
     def test_stack_rows_equal_each_matrix_alone(self, monkeypatch):
         # row 1 has an eigenvalue within 1e-12 of the alpha = 0 pole, so it
-        # needs the retry; row 3's eigenvectors are refused on both attempts,
-        # so it reaches the Schur fallback; each row keeps its bits alone
+        # needs the retry; row 3's eigenvectors are refused on its first two
+        # attempts, so it needs the third; each row keeps the bits of its
+        # solve alone (row 3's refused alone as in the stack), and a row
+        # refused on all three attempts is named
         us = haar_unitary(8, [RandomStream(34, t) for t in range(6)])
         us[1] = with_phases([np.pi - 5e-13, 1e-13, TWO_PI - 1e-13, 1.0, 2.5, 4.0, 5.0, 5.9], 5)
-        cayley, schur = spectral._cayley_eigen, spectral._schur
-        solved, fallbacks = [], []
-        def refuse_row_3(stack, alphas, with_vectors):
-            solved.append([k for k, u in enumerate(us)
-                           if any(np.array_equal(u, v) for v in stack)])
-            tangents, vectors = cayley(stack, alphas, with_vectors)
-            hit = np.array([np.array_equal(v, us[3]) for v in stack])
-            vectors[hit] = np.roll(vectors[hit], 1, axis=-1)
-            return tangents, vectors
-        monkeypatch.setattr(spectral, "_cayley_eigen", refuse_row_3)
-        monkeypatch.setattr(spectral, "_schur", lambda u: fallbacks.append(u) or schur(u))
+        cayley = spectral._cayley_eigen
+        def refuse_row_3(refusals):
+            solved = []
+            def spy(stack, alphas, with_vectors):
+                solved.append([k for k, u in enumerate(us)
+                               if any(np.array_equal(u, v) for v in stack)])
+                tangents, vectors = cayley(stack, alphas, with_vectors)
+                hit = np.array([np.array_equal(v, us[3]) for v in stack])
+                if sum(3 in rows for rows in solved) <= refusals:
+                    vectors[hit] = np.roll(vectors[hit], 1, axis=-1)
+                return tangents, vectors
+            monkeypatch.setattr(spectral, "_cayley_eigen", spy)
+            return solved
+        solved = refuse_row_3(3)
+        with pytest.raises(ConvergenceFailure, match=r"stack rows \[3\] are refused"):
+            eigendecompose(us)
+        assert solved == [list(range(6)), [1, 3], [3]]
+        solved = refuse_row_3(2)
         data = eigendecompose(us)
-        assert solved == [list(range(6)), [1, 3]]
-        assert len(fallbacks) == 1 and np.array_equal(fallbacks[0], us[3])
+        assert solved == [list(range(6)), [1, 3], [3]]
         assert data.phases.shape == (6, 8) and data.vectors.shape == (6, 8, 8)
         for u, phases, vectors in zip(us, data.phases, data.vectors):
+            refuse_row_3(2)
             alone = eigendecompose(u)
+            monkeypatch.undo()
             assert np.array_equal(phases, alone.phases)
             assert np.array_equal(vectors, alone.vectors)
             assert vectors.strides == alone.vectors.strides
@@ -232,22 +263,17 @@ class TestEigendecompose:
 class TestEigenphases:
     @staticmethod
     def solve(us, monkeypatch):
-        """eigenphases(us), the stacks and alphas of each Cayley solve, and
-        the matrices that fell back to the Schur form."""
-        solves, fallbacks = [], []
-        cayley, schur = spectral._cayley_eigen, spectral._schur
-        def spy_cayley(us, alphas, with_vectors):
+        """eigenphases(us), and the stack and alphas of each Cayley solve."""
+        solves = []
+        cayley = spectral._cayley_eigen
+        def spy(us, alphas, with_vectors):
             assert not with_vectors
             solves.append((us.copy(), alphas.tolist()))
             return cayley(us, alphas, with_vectors)
-        def spy_schur(u):
-            fallbacks.append(u)
-            return schur(u)
-        monkeypatch.setattr(spectral, "_cayley_eigen", spy_cayley)
-        monkeypatch.setattr(spectral, "_schur", spy_schur)
+        monkeypatch.setattr(spectral, "_cayley_eigen", spy)
         phases = eigenphases(us)
         monkeypatch.undo()
-        return phases, solves, fallbacks
+        return phases, solves
 
     @staticmethod
     def assert_matches_eigendecompose(us, phases):
@@ -262,11 +288,10 @@ class TestEigenphases:
     @pytest.mark.parametrize("dim, count", [(2, 64), (16, 64), (36, 20), (64, 8)])
     def test_haar_stack_needs_no_fallback(self, monkeypatch, dim, count):
         us = haar_unitary(dim, [RandomStream(31, t) for t in range(count)])
-        phases, solves, fallbacks = self.solve(us, monkeypatch)
+        phases, solves = self.solve(us, monkeypatch)
         self.assert_matches_eigendecompose(us, phases)
-        assert fallbacks == []
         # some draws have an eigenvalue within 1/(2N) of -1: only they are
-        # solved again, each at its own alpha
+        # solved again, each at its own alpha, and none a third time
         assert np.array_equal(solves[0][0], us) and solves[0][1] == [0.0] * count
         assert len(solves) == 2 and 0 < len(solves[1][0]) < count
         assert all(alpha != 0.0 for alpha in solves[1][1])
@@ -286,10 +311,10 @@ class TestEigenphases:
         graph = InteractionGraph(ParticleSystem((2, 2, 2, 2)), (
             Layer("a", (Clique((1, 2, 3)), Clique((4,))), singletons="identity"),))
         us = evolution_unitary(graph, [RandomStream(3, t) for t in range(4)])
-        phases, _, fallbacks = self.solve(us, monkeypatch)
+        phases, solves = self.solve(us, monkeypatch)
         self.assert_matches_eigendecompose(us, phases)
         assert np.abs(phases[:, ::2] - phases[:, 1::2]).max() <= 1e-12
-        assert fallbacks == []
+        assert len(solves) <= 2
 
     def test_diagonal_source(self):
         us = random_phases_diagonal(32, [RandomStream(8, t) for t in range(6)])
@@ -304,21 +329,21 @@ class TestEigenphases:
     ], ids=["minus_one_and_seam", "just_past_pi"])
     def test_seam_and_pi(self, monkeypatch, phases):
         # an eigenvalue within 1e-12 of the alpha = 0 pole: the first attempt
-        # is refused and the retry, not the fallback, solves it
+        # is refused and the first retry solves it
         us = with_phases(phases, 5)[None]
-        found, solves, fallbacks = self.solve(us, monkeypatch)
+        found, solves = self.solve(us, monkeypatch)
         self.assert_matches_eigendecompose(us, found)
         assert circular_distance(found[0], phases) <= 1e-12
-        assert len(solves) == 2 and fallbacks == []
+        assert len(solves) == 2
 
     def test_singular_member_costs_only_its_row(self, monkeypatch):
         # I + U is exactly singular for the third member, so the stacked solve
         # raises and is redone matrix by matrix; only that member is retried
-        # at alpha = 1, under the trace check, and none falls back to Schur
+        # at alpha = 1, under the trace check, and accepted there
         us = haar_unitary(8, [RandomStream(32, t) for t in range(6)])
         us[2] = np.diag([1.0, -1.0, 1j, -1j, 1.0, 1j, 1.0, 1.0])
-        phases, solves, fallbacks = self.solve(us, monkeypatch)
-        assert fallbacks == []
+        phases, solves = self.solve(us, monkeypatch)
+        assert len(solves) == 1 + 6 + 1
         # the last solve is the retry (the redo's one-matrix solves come first)
         retried = [alpha for u, alpha in zip(*solves[-1]) if np.array_equal(u, us[2])]
         assert retried == [1.0]
@@ -331,7 +356,7 @@ class TestEigenphases:
         lambda t: t + np.where(np.arange(t.shape[-1]) == 3, 1e-7, 0.0),
         lambda t: np.sort(np.concatenate([t[:, 1:2], t[:, 1:]], axis=1)),
     ], ids=["one_phase_shifted", "one_dropped_one_duplicated"])
-    def test_failed_trace_check_retries_then_falls_back(self, monkeypatch, corrupt):
+    def test_failed_trace_check_retries_then_raises(self, monkeypatch, corrupt):
         us = haar_unitary(12, [RandomStream(33, t) for t in range(5)])
         cayley = spectral._cayley_eigen
         calls = []
@@ -344,23 +369,17 @@ class TestEigenphases:
         # every matrix was refused once and solved again
         assert calls == [5, 5]
         self.assert_matches_eigendecompose(us, phases)
-        # refused twice: each matrix gets its checked Schur phases
+        # refused on all three attempts: every matrix is named
         def always_corrupted(us, alphas, with_vectors):
+            calls.append(len(us))
             tangents, vectors = cayley(us, alphas, with_vectors)
             return corrupt(tangents), vectors
         monkeypatch.setattr(spectral, "_cayley_eigen", always_corrupted)
-        phases = eigenphases(us)
-        for u, row in zip(us, phases):
-            assert np.array_equal(row, spectral._schur(u)[0])
-        self.assert_matches_eigendecompose(us, phases)
-        # and the Schur form keeps its residual check
-        schur = scipy.linalg.schur
-        def rolled(u, output):
-            t, z = schur(u, output=output)
-            return t, np.roll(z, 1, axis=1)
-        monkeypatch.setattr(scipy.linalg, "schur", rolled)
-        with pytest.raises(ConvergenceFailure, match="residual"):
+        calls.clear()
+        with pytest.raises(ConvergenceFailure,
+                           match=r"stack rows \[0, 1, 2, 3, 4\] are refused on all three"):
             eigenphases(us)
+        assert calls == [5, 5, 5]
 
 
 class TestSpacings:
