@@ -3,8 +3,9 @@
 Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). A stack of consecutive draws
-(STACK_AMPLITUDES) is the unit of seeding, of a graph's block sampling and
-folding, and of workers. Its N x N work runs in tiles of consecutive draws
+(STACK_AMPLITUDES) is the unit of workers, and a graph's stack the unit of
+its seeding, block sampling and folding; a reference source is seeded by
+its sampler, tile by tile. Its N x N work runs in tiles of consecutive draws
 (TILE_AMPLITUDES): the campaign's plan (_plan), chosen once, builds each
 tile in one call (from a graph stack's blocks, or by a reference sampler on
 the tile's streams), solves it in one (eigendecompose, eigenphases or
@@ -24,7 +25,6 @@ reports match the full-matrix solve to ~1e-13.
 
 from __future__ import annotations
 
-import operator
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -36,18 +36,18 @@ import numpy as np
 
 from . import entropy as ent
 from . import spectral
-from .graph import InteractionGraph, graph_hash, is_connected
-from .rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
+from .graph import InteractionGraph, _integer, graph_hash, is_connected
+from .rand import _U64, RandomStream, haar_unitary, random_phases_diagonal, sample_composed
 from .spectral import DEFAULT_SPACING_EDGES, Histogram, SpectralData
-from .tensor import (DEFAULT_DIM_CAP, DimensionCapExceeded, _folded_blocks,
-                     evolution_factors, evolution_unitary)
+from .tensor import (DEFAULT_DIM_CAP, _check_cap, _folded_blocks, evolution_factors,
+                     evolution_unitary)
 
 REFERENCE_KINDS = ("cue", "composed", "diagonal")
 
 PHASE_BINS = 32
 
-# A stack of max(1, STACK_AMPLITUDES // N**2) draws is seeded at once (a graph's
-# is also sampled and folded at once, and holds only its blocks); its N x N work
+# A stack of max(1, STACK_AMPLITUDES // N**2) draws goes to one worker (a graph's
+# is also seeded, sampled and folded at once, and holds only its blocks); its N x N work
 # runs in tiles of max(1, TILE_AMPLITUDES // N**2) draws, whose (T, N, N) arrays
 # of at most 128 KiB (up to N = 90) stay on the allocator's heap (512 KiB tiles
 # were trimmed and re-faulted every tile under glibc's default thresholds).
@@ -60,21 +60,6 @@ class IncompatibleAnalysis(ValueError):
     pass
 
 
-def _is_integer(value) -> bool:
-    """Is ``value`` an integer? Floats and strings have no __index__, and a
-    bool has one but is no count, index or power."""
-    return hasattr(value, "__index__") and not isinstance(value, bool)
-
-
-def _count(name: str, value) -> int:
-    """``value`` as a plain int, or ValueError unless it is an integer >= 1."""
-    if not _is_integer(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class ReferenceEnsemble:
     """A structureless source: 'cue', 'composed', or 'diagonal' of one dim."""
@@ -85,7 +70,7 @@ class ReferenceEnsemble:
     def __post_init__(self):
         if self.kind not in REFERENCE_KINDS:
             raise ValueError(f"unknown reference ensemble {self.kind!r}")
-        object.__setattr__(self, "dim", _count("reference dimension", self.dim))
+        object.__setattr__(self, "dim", _integer(self.dim, "reference dimension", 1))
 
 
 @dataclass(frozen=True)
@@ -99,9 +84,12 @@ class Analysis:
     def __post_init__(self):
         if self.kind not in ANALYSES:
             raise ValueError(f"unknown analysis {self.kind!r}")
-        if not all(map(_is_integer, self.arg)):
-            raise ValueError(f"analysis {self.kind!r}: parameters are integers, got {self.arg}")
-        object.__setattr__(self, "arg", tuple(map(operator.index, self.arg)))
+        try:
+            arg = tuple(_integer(p, "parameter") for p in self.arg)
+        except ValueError:
+            raise ValueError(
+                f"analysis {self.kind!r}: parameters are integers, got {self.arg}") from None
+        object.__setattr__(self, "arg", arg)
 
     @classmethod
     def parse(cls, text: str) -> "Analysis":
@@ -125,8 +113,12 @@ class EnsembleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "analyses", tuple(self.analyses))
-        object.__setattr__(self, "draws", _count("draws", self.draws))
-        object.__setattr__(self, "dim_cap", _count("dim_cap", self.dim_cap))
+        object.__setattr__(self, "draws", _integer(self.draws, "draws", 1))
+        object.__setattr__(self, "dim_cap", _integer(self.dim_cap, "dim_cap", 1))
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, _U64))
+        for flag in ("include_wrap", "weighted_projection"):
+            if not isinstance(getattr(self, flag), bool):
+                raise ValueError(f"{flag} must be True or False, got {getattr(self, flag)!r}")
         kinds = [a.kind for a in self.analyses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("each analysis kind may be requested once")
@@ -203,8 +195,7 @@ def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
         draws = _folded_blocks(source, streams, dim_cap)
         build = partial(evolution_unitary, source, dim_cap=dim_cap)
     else:
-        if source.dim > dim_cap:
-            raise DimensionCapExceeded(source.dim, dim_cap)
+        _check_cap(source.dim, dim_cap)
         draws = streams
         build = partial({"cue": haar_unitary, "composed": sample_composed,
                          "diagonal": random_phases_diagonal}[source.kind], source.dim)
@@ -248,8 +239,9 @@ def benchmark_generation(graph: InteractionGraph, draws: int,
     structured matrices versus direct CUE matrices of the same dimension, both
     through ``_draw_matrices`` over the stacks and tiles of draws campaigns
     use. A graph over ``dim_cap`` raises DimensionCapExceeded on the first
-    stack."""
-    draws, dim_cap = _count("draws", draws), _count("dim_cap", dim_cap)
+    stack; a bad seed or cap is refused before any draw, when the first
+    stack's streams are made and checked against the cap."""
+    draws = _integer(draws, "draws", 1)
     dim = graph.total_dim
     seconds = []
     for source in (graph, ReferenceEnsemble("cue", dim)):
@@ -557,6 +549,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
     serial run); the tiles of a stack run in draw order.
     """
     start = time.perf_counter()
+    workers = _integer(workers, "workers", 1)
     run_stack = _plan(spec)
     stacks = _stacks(spec.master_seed, spec.source, spec.draws)
     if workers > 1:

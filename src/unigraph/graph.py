@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class GraphSpecError(ValueError):
@@ -64,11 +67,23 @@ class SpecSyntaxError(GraphSpecError):
 SINGLETON_MODES = ("haar", "identity")
 
 
-def _check_dim(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidDimension(f"dimension must be an integer, got {value!r}")
-    if value < 1:
-        raise InvalidDimension(f"dimension must be >= 1, got {value}")
+# both have __index__ (numpy's bool up to numpy 1.x), but neither is a count
+_BOOLS = (bool, np.bool_)
+
+
+def _integer(value, name: str, low: int | None = None, high: int | None = None,
+             error: type[ValueError] = ValueError) -> int:
+    """``value`` as a plain int, the package's one test of a count, index,
+    dimension, seed or cap: anything with __index__ (Python and numpy
+    integers) but a bool, with low <= value < high where those are given;
+    else ``error``. Floats and strings have no __index__."""
+    if isinstance(value, _BOOLS) or not hasattr(value, "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    if high is not None and value >= high:
+        raise error(f"{name} must be < {high}, got {value}")
     return value
 
 
@@ -79,7 +94,7 @@ class ParticleSystem:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(_check_dim(d) for d in self.dims)
+        dims = tuple(_integer(d, "dimension", 1, error=InvalidDimension) for d in self.dims)
         if not dims:
             raise GraphSpecError("a system needs at least one particle")
         object.__setattr__(self, "dims", dims)
@@ -101,12 +116,10 @@ class Clique:
     particles: tuple[int, ...]
 
     def __post_init__(self):
-        raw = list(self.particles)
+        raw = [_integer(p, "particle index", error=GraphSpecError) for p in self.particles]
         if not raw:
             raise GraphSpecError("a clique must contain at least one particle")
         for p in raw:
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise GraphSpecError(f"particle index must be an integer, got {p!r}")
             if p < 1:
                 raise IndexOutOfRange(p)
         ordered = sorted(raw)
@@ -233,7 +246,7 @@ def from_bond_vertex_graph(bond_pairs: Sequence[Iterable[int]],
     second (one block per bond). Local dimension is uniform ``n``; the
     particle count is inferred from the bond pairs and must be even.
     """
-    _check_dim(n)
+    n = _integer(n, "dimension", 1, error=InvalidDimension)
     bonds = [_as_clique(b) for b in bond_pairs]
     count = sum(len(b) for b in bonds)
     if count % 2 != 0:
@@ -250,11 +263,12 @@ def from_bond_vertex_graph(bond_pairs: Sequence[Iterable[int]],
 def ring_graph(k: int, n: int) -> InteractionGraph:
     """Two-color ring of k particles: even-bond matching first, then the odd
     matching that closes the ring ({2,3}, {4,5}, ..., {k,1})."""
+    k = _integer(k, "particle count", error=GraphSpecError)
+    n = _integer(n, "dimension", 1, error=InvalidDimension)
     if k < 2:
         raise GraphSpecError(f"a ring needs at least two particles, got {k}")
     if k % 2 != 0:
         raise OddParticleCount(k)
-    _check_dim(n)
     even = Layer("red", tuple(Clique((i, i + 1)) for i in range(1, k, 2)))
     odd = Layer("black", tuple(Clique((i, i % k + 1)) for i in range(2, k + 1, 2)))
     return InteractionGraph(ParticleSystem((n,) * k), (even, odd))
@@ -263,9 +277,10 @@ def ring_graph(k: int, n: int) -> InteractionGraph:
 def chain_graph(k: int, n: int) -> InteractionGraph:
     """Stepwise chain: layer i couples particles (i, i+1), all others idle
     as sampled singleton blocks. k-1 layers in total."""
+    k = _integer(k, "particle count", error=GraphSpecError)
+    n = _integer(n, "dimension", 1, error=InvalidDimension)
     if k < 2:
         raise GraphSpecError(f"a chain needs at least two particles, got {k}")
-    _check_dim(n)
     layers = []
     for i in range(1, k):
         cliques = [Clique((i, i + 1))]
@@ -303,7 +318,8 @@ def parse_graph_spec(text: str) -> InteractionGraph:
             raise InvalidDimension("dims must be a list of integers")
         system = ParticleSystem(tuple(dims))
     elif "n" in doc and "k" in doc:
-        system, n, k = None, _check_dim(doc["n"]), _check_dim(doc["k"])
+        system = None
+        n, k = (_integer(doc[key], key, 1, error=InvalidDimension) for key in ("n", "k"))
     else:
         raise GraphSpecError("graph spec needs dims, or both n and k")
 

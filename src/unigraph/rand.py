@@ -26,6 +26,8 @@ from typing import Sequence
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .graph import _integer
+
 DEFAULT_SEED = 0x5EED
 
 _U64 = 1 << 64
@@ -42,8 +44,7 @@ _FALLBACK_WARNING = ("vectorized SeedSequence seeding disagrees with numpy's; "
 
 
 class DimensionZero(ValueError):
-    def __init__(self, dim: int):
-        super().__init__(f"matrix dimension must be >= 1, got {dim}")
+    """A sampler's matrix dimension is not an integer >= 1."""
 
 
 class UnitarityError(ArithmeticError):
@@ -52,14 +53,6 @@ class UnitarityError(ArithmeticError):
         self.tol = tol
         super().__init__(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}"
                          if np.isfinite(defect) else f"unitarity defect {defect} is not finite")
-
-
-def _check_index(value: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= value < _U64:
-        raise ValueError(f"{name} must fit in 64 bits, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -75,20 +68,12 @@ class RandomStream:
     path: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        _check_index(self.master_seed, "master_seed")
         path = self.path if isinstance(self.path, tuple) else (self.path,)
-        for entry in path:
-            _check_index(entry, "stream index")
-        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, _U64))
+        object.__setattr__(self, "path", tuple(_integer(p, "stream index", 0, _U64) for p in path))
 
     def substream(self, *indices: int) -> "RandomStream":
-        # this path was validated when self was made; check only the new indices
-        for index in indices:
-            _check_index(index, "stream index")
-        child = object.__new__(RandomStream)
-        object.__setattr__(child, "master_seed", self.master_seed)
-        object.__setattr__(child, "path", self.path + indices)
-        return child
+        return RandomStream(self.master_seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.path)
@@ -287,8 +272,7 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
     seeded in vectorized groups (``_generators``). An empty sequence raises
     ValueError.
     """
-    if dim < 1:
-        raise DimensionZero(dim)
+    dim = _integer(dim, "matrix dimension", 1, error=DimensionZero)
     single, streams = as_streams(stream)
     # per stream, the real parts then the imaginary parts, in one draw
     x = np.empty((len(streams), 2, dim, dim))
@@ -306,8 +290,7 @@ def random_phases_diagonal(dim: int, stream: RandomStream | Sequence[RandomStrea
                            ) -> np.ndarray:
     """Diagonal unitary with independent phases uniform on [0, 2pi): the
     Poissonian reference ensemble; a stack for a sequence, as haar_unitary."""
-    if dim < 1:
-        raise DimensionZero(dim)
+    dim = _integer(dim, "matrix dimension", 1, error=DimensionZero)
     single, streams = as_streams(stream)
     phases = np.array([g.uniform(0.0, 2.0 * np.pi, dim) for g in _generators(streams)])
     u = np.zeros((len(streams), dim, dim), dtype=complex)
@@ -320,8 +303,7 @@ def sample_composed(dim: int, stream: RandomStream | Sequence[RandomStream]) -> 
     P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively, seeded
     from one key array; a sequence of streams gives a stack, multiplied and
     checked in single calls."""
-    if dim < 1:
-        raise DimensionZero(dim)
+    dim = _integer(dim, "matrix dimension", 1, error=DimensionZero)
     single, streams = as_streams(stream)
     generators = _generators(streams, [(0,), (1,), (2,)])
     p1 = random_phases_diagonal(dim, generators[:, 0])

@@ -50,7 +50,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import InteractionGraph, components
+from .graph import InteractionGraph, _integer, components
 from .rand import (RandomStream, UnitarityError, _generators, as_streams, haar_unitary,
                    require_unitary, unitarity_defects, unitarity_tolerance)
 
@@ -125,11 +125,11 @@ class FoldedBlocks:
                              for layer in self.layers], len(range(self.draws)[index]))
 
 
-def _check_cap(graph: InteractionGraph, dim_cap: int) -> None:
-    if dim_cap < 1:
-        raise ValueError(f"dim_cap must be >= 1, got {dim_cap}")
-    if graph.total_dim > dim_cap:
-        raise DimensionCapExceeded(graph.total_dim, dim_cap)
+def _check_cap(dim: int, dim_cap: int) -> None:
+    """Refuse a ``dim_cap`` that is not an integer >= 1, then a ``dim`` over it."""
+    dim_cap = _integer(dim_cap, "dim_cap", 1)
+    if dim > dim_cap:
+        raise DimensionCapExceeded(dim, dim_cap)
 
 
 def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
@@ -137,7 +137,7 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
     """The blocks of the evolutions drawn from ``streams``: every block drawn
     up front, then every Haar singleton folded (module docstring). A graph
     over ``dim_cap`` raises before any draw."""
-    _check_cap(graph, dim_cap)
+    _check_cap(graph.total_dim, dim_cap)
     dims = graph.dims
     members = [(i, c) for i, layer in enumerate(graph.layers)
                for c, clique in enumerate(layer.cliques)
@@ -210,10 +210,10 @@ def evolution_unitary(graph: InteractionGraph,
     Given a sequence of B streams, return the (B, N, N) stack whose j-th
     matrix is the evolution drawn from streams[j] alone; an empty sequence
     raises ValueError. Given a stack's FoldedBlocks, or a slice of them,
-    build the stack of those draws from the blocks already drawn.
+    build the stack of those draws from the blocks already drawn, whose
+    ``_folded_blocks`` call checked the cap.
     """
     if isinstance(stream, FoldedBlocks):
-        _check_cap(graph, dim_cap)
         single, blocks = False, stream
     else:
         single, streams = as_streams(stream)

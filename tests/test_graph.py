@@ -2,10 +2,14 @@ import hashlib
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unigraph import ensemble, rand, tensor
+from unigraph.ensemble import (Analysis, EnsembleSpec, ReferenceEnsemble,
+                               benchmark_generation, run_ensemble)
 from unigraph.graph import (Clique, DuplicateParticle, GraphSpecError,
                             IndexOutOfRange, InteractionGraph, InvalidDimension,
                             Layer, MissingParticle, OddParticleCount,
@@ -14,6 +18,8 @@ from unigraph.graph import (Clique, DuplicateParticle, GraphSpecError,
                             is_connected,
                             parse_graph_spec, ring_graph, serialize_graph,
                             validate_layer)
+from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
+from unigraph.tensor import evolution_factors, evolution_unitary
 
 
 def layer_of(*cliques, color="c", singletons="haar"):
@@ -281,3 +287,88 @@ class TestSpecFiles:
                                    [(2, 3), (4, 5), (6, 1)], n=2)
         # construction already validated; round-trip confirms it serializes
         assert parse_graph_spec(serialize_graph(g)) == g
+
+
+def small_spec(**fields):
+    return EnsembleSpec(**{"source": ReferenceEnsemble("cue", 4), "draws": 2,
+                           "master_seed": 1, "analyses": (Analysis("spacing"),), **fields})
+
+
+def two_particle_spec_file(**fields):
+    # a spec file holds JSON values only: a numpy scalar is written as its Python value
+    return parse_graph_spec(json.dumps({"layers": [{"cliques": [[1, 2]]}], **fields},
+                                       default=lambda v: v.item()))
+
+
+# entry point: (call with the value, a valid value, its out-of-range values,
+# what the result keeps of the value, in a form json.dumps takes)
+INTEGER_INPUTS = {
+    "stream_seed": (lambda v: RandomStream(v, 0), 5, [-1, 1 << 64], lambda s: s.master_seed),
+    "stream_path": (lambda v: RandomStream(5, (0, v)), 3, [-1, 1 << 64], lambda s: s.path),
+    "substream": (lambda v: RandomStream(5, 0).substream(v), 3, [-1, 1 << 64],
+                  lambda s: s.path),
+    "system_dims": (lambda v: ParticleSystem((2, v)), 3, [0, -1], lambda s: s.dims),
+    "clique": (lambda v: Clique((1, v)), 2, [0, -1], lambda c: c.particles),
+    "bond_vertex_n": (lambda v: from_bond_vertex_graph([(1, 2)], [(1,), (2,)], v), 2, [0],
+                      lambda g: g.dims),
+    "ring_k": (lambda v: ring_graph(v, 2), 4, [0, 1], lambda g: g.dims),
+    "ring_n": (lambda v: ring_graph(4, v), 2, [0], lambda g: g.dims),
+    "chain_k": (lambda v: chain_graph(v, 2), 3, [0, 1], lambda g: g.dims),
+    "chain_n": (lambda v: chain_graph(3, v), 2, [0], lambda g: g.dims),
+    "spec_file_n": (lambda v: two_particle_spec_file(n=v, k=2), 3, [0], lambda g: g.dims),
+    "spec_file_k": (lambda v: two_particle_spec_file(n=2, k=v), 2, [0, 3], lambda g: g.dims),
+    "haar_dim": (lambda v: haar_unitary(v, RandomStream(1, 0)), 3, [0, -1],
+                 lambda u: u.shape),
+    "diagonal_dim": (lambda v: random_phases_diagonal(v, RandomStream(1, 0)), 3, [0],
+                     lambda u: u.shape),
+    "composed_dim": (lambda v: sample_composed(v, RandomStream(1, 0)), 3, [0],
+                     lambda u: u.shape),
+    "evolution_cap": (lambda v: evolution_unitary(chain_graph(3, 2), RandomStream(1, 0),
+                                                  dim_cap=v), 8, [0, -5], lambda u: u.shape),
+    "factors_cap": (lambda v: evolution_factors(chain_graph(3, 2), [RandomStream(1, 0)],
+                                                dim_cap=v), 8, [0, -5],
+                    lambda fs: [f.shape for f in fs]),
+    "reference_dim": (lambda v: ReferenceEnsemble("cue", v), 4, [0], lambda r: r.dim),
+    "analysis_arg": (lambda v: Analysis("trace_moments", (v,)), 3, [], lambda a: a.arg),
+    "spec_draws": (lambda v: small_spec(draws=v), 2, [0, -1], lambda s: s.draws),
+    "spec_dim_cap": (lambda v: small_spec(dim_cap=v), 16, [0], lambda s: s.dim_cap),
+    "spec_master_seed": (lambda v: small_spec(master_seed=v), 5, [-1, 1 << 64],
+                         lambda s: run_ensemble(s).to_dict(include_timing=False)),
+    "bench_draws": (lambda v: benchmark_generation(ring_graph(4, 2), v), 2, [0],
+                    lambda r: r.draws),
+    "bench_dim_cap": (lambda v: benchmark_generation(ring_graph(4, 2), 2, dim_cap=v), 16,
+                      [0], lambda r: r.dim),
+    "bench_master_seed": (lambda v: benchmark_generation(ring_graph(4, 2), 2, master_seed=v),
+                          5, [-1, 1 << 64], lambda r: r.draws),
+    "run_workers": (lambda v: run_ensemble(small_spec(), workers=v), 2, [0, -1],
+                    lambda r: r.to_dict(include_timing=False)),
+}
+FLAG_INPUTS = {"include_wrap": lambda v: small_spec(include_wrap=v),
+               "weighted_projection": lambda v: small_spec(weighted_projection=v)}
+ONE_RULE_CASES = (
+    [(entry, np.int64(valid)) for entry, (_, valid, _, _) in INTEGER_INPUTS.items()]
+    + [(entry, value) for entry, (_, _, out_of_range, _) in INTEGER_INPUTS.items()
+       for value in (True, np.True_, 2.5, 16.0, "3", *out_of_range)]
+    + [(flag, value) for flag in FLAG_INPUTS for value in ("no", 0, 1, None, np.True_)])
+
+
+@pytest.mark.parametrize("entry, value", ONE_RULE_CASES,
+                         ids=[f"{entry}-{value!r}" for entry, value in ONE_RULE_CASES])
+def test_one_integer_rule(monkeypatch, entry, value):
+    """A numpy integer is taken as the plain int it equals; a bool, float,
+    string or out-of-range value is refused with ValueError (or the site's
+    subclass) before any stream is seeded or block drawn. Flags are bools."""
+    if isinstance(value, np.int64):
+        call, valid, _, kept = INTEGER_INPUTS[entry]
+        # json.dumps refuses numpy scalars, so a kept np.int64 fails here
+        assert json.dumps(kept(call(value))) == json.dumps(kept(call(valid)))
+        return
+
+    def refuse(*args):
+        raise AssertionError("a stream was seeded or a block drawn")
+    for module, name in [(rand, "_generators"), (tensor, "_generators"),
+                         (tensor, "haar_unitary"), (ensemble, "haar_unitary")]:
+        monkeypatch.setattr(module, name, refuse)
+    call = FLAG_INPUTS[entry] if entry in FLAG_INPUTS else INTEGER_INPUTS[entry][0]
+    with pytest.raises(ValueError):
+        call(value)

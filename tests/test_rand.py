@@ -44,14 +44,14 @@ class TestRandomStream:
 
     @pytest.mark.parametrize("seed,path,error", [
         (3, (1, -1), ValueError), (3, (1, 1 << 64), ValueError),
-        (3, (1, True), TypeError), (3, (1, 2.0), TypeError),
-        (True, 0, TypeError), (1 << 64, 0, ValueError)])
+        (3, (1, True), ValueError), (3, (1, 2.0), ValueError),
+        (True, 0, ValueError), (1 << 64, 0, ValueError)])
     def test_construction_checks_the_seed_and_every_path_entry(self, seed, path, error):
         with pytest.raises(error):
             RandomStream(seed, path)
 
     @pytest.mark.parametrize("index,error", [
-        (-1, ValueError), (True, TypeError), (1 << 64, ValueError), (1.0, TypeError)])
+        (-1, ValueError), (True, ValueError), (1 << 64, ValueError), (1.0, ValueError)])
     def test_substream_rejects_bad_indices(self, index, error):
         stream = RandomStream(3, 4)
         with pytest.raises(error):
