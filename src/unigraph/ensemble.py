@@ -10,17 +10,19 @@ its sampler, tile by tile. Its N x N work runs in tiles of consecutive draws
 tile in one call (from a graph stack's blocks, or by a reference sampler on
 the tile's streams), solves it in one (eigendecompose, eigenphases or
 nothing), and each analysis kind takes it in one call that returns a (T, ...)
-array of its T draws' values; a kind's summary reads the concatenation of
-its tiles' arrays. Every matrix and per-draw value equals its per-draw
-computation bit for bit, so neither size changes a report.
+array of its T draws' values; a kind that needs only U|0> takes the stack's
+(B, N) states in one call after its last tile instead. A stack's record
+holds each kind's (B, ...) array, and a kind's summary reads the
+concatenation of its stacks' arrays. Every matrix and per-draw value equals
+its per-draw computation bit for bit, so neither size changes a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
-(tensor.evolution_factors, which checks each factor and their product's
-unitarity bound), solves each factor stack with one eigenphases call and
-sums the phases (spectral.product_eigenphases). A draw whose summed phases
-fail the product's trace identities is solved from its full matrix. These
-reports match the full-matrix solve to ~1e-13.
+(tensor.evolution_factors, which certifies or measures each factor's
+unitarity and bounds their product's), solves each factor stack with one
+eigenphases call and sums the phases (spectral.product_eigenphases). A draw
+whose summed phases fail the product's trace identities is solved from its
+full matrix. These reports match the full-matrix solve to ~1e-13.
 """
 
 from __future__ import annotations
@@ -436,9 +438,11 @@ class AnalysisKind(NamedTuple):
     else None. ``per_stack(spec, analysis, us, data)`` takes a (T, N, N)
     tile of draws (None on the factored path, whose one tile is the whole
     stack) and its SpectralData, (T, N) phases and (T, N, N) eigenvector
-    columns, and returns one (T, ...) array of the T draws' values.
+    columns, and returns one (T, ...) array of the T draws' values; a
+    "state" kind takes the whole stack's (B, N) states U|0> in one call,
+    with data None, and returns one (B, ...) array.
     ``summary(spec, analysis, values)`` reads the campaign's (D, ...) array,
-    the tiles' arrays joined in draw order."""
+    the stacks' arrays joined in draw order."""
 
     needs: str
     graph: bool  # needs a graph source
@@ -488,7 +492,7 @@ ANALYSES = {
         _projection_summary),
     "state_sample": AnalysisKind(
         "state", True, _state_sample_check,
-        lambda spec, a, us, data: np.column_stack(_reduced(spec, a, us[:, :, 0])),
+        lambda spec, a, states, data: np.column_stack(_reduced(spec, a, states)),
         _state_sample_summary),
 }
 
@@ -497,12 +501,14 @@ ANALYSES = {
 # Campaign driver
 # ---------------------------------------------------------------------------
 
-def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], list[dict]]:
+def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], dict]:
     """The campaign's route, chosen once from its analyses' needs and its
-    source: a function from a stack's streams to its records, one dict per
-    tile (one for the whole stack on the factored path). Each tile is
-    generated, solved (eigendecompose, eigenphases or nothing) and taken to
-    records before the next tile is built."""
+    source: a function from a stack's streams to its record, each kind's
+    (B, ...) array of the stack's per-draw values. Each tile is generated,
+    solved (eigendecompose, eigenphases or nothing) and taken to its values
+    before the next tile is built; its states U|0> are kept, and the kinds
+    that need only those take the whole stack's in one call after the last
+    tile."""
     needs = {ANALYSES[a.kind].needs for a in spec.analyses}
     source, cap = spec.source, spec.dim_cap
     if needs == {"phases"} and isinstance(source, InteractionGraph) and not is_connected(source):
@@ -513,28 +519,41 @@ def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], list[dict]]:
                 redo = np.flatnonzero(~passed)
                 phases[redo] = spectral.eigenphases(evolution_unitary(
                     source, [streams[j] for j in redo], dim_cap=cap))
-            return [_records(spec, None, SpectralData(phases, None))]
+            return _records(spec, spec.analyses, None, SpectralData(phases, None))
         return factored
 
-    def tile_records(us):
+    state = [a for a in spec.analyses if ANALYSES[a.kind].needs == "state"]
+    tiled = [a for a in spec.analyses if a not in state]
+
+    def solve(us):
         if "eigensystem" in needs:
-            return _records(spec, us, spectral.eigendecompose(us))
-        data = SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
-        return _records(spec, us, data)
+            return spectral.eigendecompose(us)
+        return SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
 
-    # map holds no tile once its records are taken, so one tile is alive at a time
-    return lambda streams: list(map(tile_records, _draw_matrices(source, streams, cap)))
+    def stack_records(streams):
+        tiles, states = [], []
+        for us in _draw_matrices(source, streams, cap):
+            tiles.append(_records(spec, tiled, us, solve(us)))
+            if state:  # a copy, so that no tile outlives its turn
+                states.append(us[:, :, 0].copy())
+        record = {a.kind: np.concatenate([tile[a.kind] for tile in tiles]) for a in tiled}
+        if state:
+            record.update(_records(spec, state, np.concatenate(states), None))
+        return record
+
+    return stack_records
 
 
-def _records(spec: EnsembleSpec, us, data) -> dict:
-    """Each kind's array of one tile's per-draw values, from one row call per kind."""
-    return {a.kind: ANALYSES[a.kind].per_stack(spec, a, us, data) for a in spec.analyses}
+def _records(spec: EnsembleSpec, analyses, operand, data) -> dict:
+    """Each of ``analyses``' kinds' array of per-draw values, from one row call
+    per kind on a tile (or a stack's states) and its SpectralData."""
+    return {a.kind: ANALYSES[a.kind].per_stack(spec, a, operand, data) for a in analyses}
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:
-    """Each kind's summary of its tiles' arrays, joined in draw order."""
+    """Each kind's summary of its stacks' arrays, joined in draw order."""
     return {a.kind: ANALYSES[a.kind].summary(
-        spec, a, np.concatenate([tile[a.kind] for tile in records]))
+        spec, a, np.concatenate([stack[a.kind] for stack in records]))
         for a in spec.analyses}
 
 
@@ -560,7 +579,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1) -> EnsembleReport:
             records = list(pool.map(run_stack, stacks))
     else:
         records = [run_stack(streams) for streams in stacks]
-    analyses = _aggregate(spec, [tile for stack in records for tile in stack])
+    analyses = _aggregate(spec, records)
     wall = time.perf_counter() - start
     return EnsembleReport(spec.source_description(), spec.draws,
                           spec.master_seed, analyses, wall)

@@ -241,14 +241,16 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:
-    """``u``, a matrix or a stack of them, if every one is unitary to
-    unitarity_tolerance of its order; else raise UnitarityError. A NaN or
-    inf entry makes the defect NaN, which fails the comparison."""
+    """The defects of ``u``, a matrix or a stack of them (``unitarity_defects``),
+    if every one is unitary to unitarity_tolerance of its order; else raise
+    UnitarityError. A NaN or inf entry makes the defect NaN, which fails the
+    comparison."""
     tol = unitarity_tolerance(u.shape[-1])
-    defect = unitarity_defect(u)
+    defects = unitarity_defects(u)
+    defect = float(defects.max())
     if not defect <= tol:
         raise UnitarityError(defect, tol)
-    return u
+    return defects
 
 
 def as_streams(stream: RandomStream | Sequence[RandomStream]
@@ -282,7 +284,8 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
     z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = require_unitary(q * (d / np.abs(d))[..., None, :])
+    q = q * (d / np.abs(d))[..., None, :]
+    require_unitary(q)
     return q[0] if single else q
 
 
@@ -309,5 +312,6 @@ def sample_composed(dim: int, stream: RandomStream | Sequence[RandomStream]) -> 
     p1 = random_phases_diagonal(dim, generators[:, 0])
     p2 = random_phases_diagonal(dim, generators[:, 1])
     x = haar_unitary(dim, generators[:, 2])
-    u = require_unitary(p1 @ x @ p2 @ np.swapaxes(x.conj(), -1, -2))
+    u = p1 @ x @ p2 @ np.swapaxes(x.conj(), -1, -2)
+    require_unitary(u)
     return u[0] if single else u

@@ -29,18 +29,31 @@ Haar singletons.
 Given a sequence of B streams in place of one, ``evolution_unitary`` builds
 B independent draws as one (B, N, N) stack: each (B, b, b) block stack is
 applied to the operand stack in one ``apply_block`` call, the first layer's
-to a broadcast identity, and the finished stack gets one unitarity check
-against the per-matrix tolerance. Matrix j of the stack is bit-identical to
-the draw from streams[j] alone, whatever B is. A campaign draws and folds a
-stack's blocks once (``_folded_blocks``) and builds the stack in tiles of
-consecutive draws, one ``evolution_unitary`` call and one check per tile,
-from slices of those blocks (``FoldedBlocks``).
+to a broadcast identity. Matrix j of the stack is bit-identical to the draw
+from streams[j] alone, whatever B is. A campaign draws and folds a stack's
+blocks once (``_folded_blocks``) and builds the stack in tiles of
+consecutive draws, one ``evolution_unitary`` call per tile, from slices of
+those blocks (``FoldedBlocks``).
+
+Unitarity is certified, not measured, per draw. Every drawn block passed
+``haar_unitary``'s check, so only rounding can spoil the product. Once per
+stack, each folded block stack's defect is measured (b x b Gram products),
+and those defects and the rounding of every block product bound each
+draw's max|U^dagger U - I|, its certificate (``_product_bounds``, after
+Higham 2002, section 3.6). A tile whose draws all have certificates within
+``unitarity_tolerance(N)`` needs no N x N Gram product; a tile holding a
+draw whose certificate exceeds it is measured whole by ``require_unitary``.
+The stack's first draw is always measured too, a spot check for a broken
+assembly, which no rounding bound can see. Where the blocks cost as much
+to measure as U (sum of b^3 >= N^3, e.g. one block on all particles),
+every tile is measured instead.
 
 ``evolution_factors`` builds a draw's tensor factors instead, one per
 connected component on its own legs, from the same one draw and fold of all
-blocks; a component skips the layers with no block on it. The factors
-compose, by Kronecker product in component order, to the full evolution,
-which is still built on all N legs, not from them.
+blocks; a component skips the layers with no block on it, and each is
+certified (or measured) as a part of its own. The factors compose, by
+Kronecker product in component order, to the full evolution, which is
+still built on all N legs, not from them.
 """
 
 from __future__ import annotations
@@ -113,16 +126,27 @@ def layer_unitary(blocks: Sequence[tuple[Sequence[int], np.ndarray]],
 class FoldedBlocks:
     """A stack's blocks, every one drawn and every Haar singleton folded
     (``_folded_blocks``): per layer, the (particles, (B, b, b) block stack)
-    pairs. Slicing takes the blocks of consecutive draws, as slicing takes
-    their streams."""
+    pairs; the parts the evolution is built on (unions of components), each
+    with its (B,) unitarity certificates, or None where U is measured
+    instead (``_certificates``); and whether the stack's first draw is
+    among them. Slicing takes the blocks and certificates of consecutive
+    draws, as slicing takes their streams."""
 
-    def __init__(self, layers: list[list[tuple[tuple[int, ...], np.ndarray]]], draws: int):
+    def __init__(self, layers: list[list[tuple[tuple[int, ...], np.ndarray]]], draws: int,
+                 parts: Sequence[Sequence[int]], certificates: list[np.ndarray | None],
+                 first: bool):
         self.layers = layers
         self.draws = draws
+        self.parts = parts
+        self.certificates = certificates
+        self.first = first
 
     def __getitem__(self, index: slice) -> "FoldedBlocks":
+        draws = range(self.draws)[index]
         return FoldedBlocks([[(clique, block[index]) for clique, block in layer]
-                             for layer in self.layers], len(range(self.draws)[index]))
+                             for layer in self.layers], len(draws), self.parts,
+                            [None if c is None else c[index] for c in self.certificates],
+                            self.first and 0 in draws)
 
 
 def _check_cap(dim: int, dim_cap: int) -> None:
@@ -132,11 +156,73 @@ def _check_cap(dim: int, dim_cap: int) -> None:
         raise DimensionCapExceeded(dim, dim_cap)
 
 
-def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
-                   dim_cap: int) -> FoldedBlocks:
+def _rounding(order: int) -> float:
+    """sqrt(2) gamma_{order + 2}, gamma_k = k u / (1 - k u) with u = 2**-53: a
+    complex inner product of length ``order`` is computed with an error of
+    at most this times |x|^T |y|, in any summation order (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, section 3.6)."""
+    k = (order + 2) * 2.0**-53
+    return np.sqrt(2.0) * k / (1.0 - k)
+
+
+def _product_bounds(blocks: Sequence[np.ndarray], draws: int) -> tuple[np.ndarray, float]:
+    """(p, s) for the product of ``blocks``, (draws, b, b) stacks: p, a
+    (draws,) array, bounds ||U^dagger U - I||_2 of the exact product U of the
+    stored blocks, and s bounds each column's rounding error in the U that
+    ``_evolutions`` computes, relative to the column norm sqrt(1 + p); so
+    that U's max|U^dagger U - I| is at most p + (1 + p) s (2 + s).
+
+    Each block order's stacks are measured in one ``unitarity_defects``
+    call: d, the max-norm of B^dagger B - I as computed. With c =
+    _rounding(b), ||B^dagger B - I||_2 is at most b d (1 + c) (the computed
+    Gram defect; c covers the rounding of its moduli) plus b c (1 + that
+    norm) (the rounding of the Gram product, whose |B|^T |B| has 2-norm at
+    most ||B||_F^2), so e = b (d + c (1 + d)) / (1 - b c) bounds it,
+    n = sqrt(1 + e) bounds ||B||_2 and sqrt(b) n bounds || |B| ||_2, which
+    is at most ||B||_F. Walking the blocks in applied order from f = 0,
+    g = P = 1, each sets f <- n f + c sqrt(b) n (g + f) (its inner products
+    have length b), g <- n g and P <- P (1 + e): f bounds a column's error,
+    g its exact norm and P - 1 the product's ||U^dagger U - I||_2, and the
+    computed U's defect is at most (P - 1) + 2 g f + f^2. The walk solves in
+    closed form, whatever the order: P = prod (1 + e) = 1 + p, g = sqrt(P)
+    and f = g s with 1 + s = prod (1 + c sqrt(b)), so the bound is
+    P (1 + s)^2 - 1. Products are taken as sums of log1p, so p and s keep
+    their relative precision."""
+    orders = [block.shape[-1] for block in blocks]
+    log_p = np.zeros(draws)
+    for b in dict.fromkeys(orders):
+        d = unitarity_defects(np.stack([x for x, o in zip(blocks, orders) if o == b]))
+        c = _rounding(b)
+        log_p += np.log1p(b * (d + c * (1.0 + d)) / (1.0 - b * c)).sum(axis=0)
+    log_s = sum(np.log1p(_rounding(b) * np.sqrt(b)) for b in orders)
+    return np.expm1(log_p), float(np.expm1(log_s))
+
+
+def _certificates(graph: InteractionGraph, layers: list, parts: Sequence[Sequence[int]],
+                  draws: int) -> list[np.ndarray | None]:
+    """Per part, each draw's certificate, p + (1 + p) s (2 + s) of its blocks'
+    ``_product_bounds``: a bound on the max-norm of U^dagger U - I for the
+    U that ``_evolutions`` computes. None for a part whose blocks cost as
+    much to measure as U (sum of b^3 >= n^3), whose U is measured instead."""
+    out = []
+    for part in parts:
+        members = set(part)
+        applied = [block for layer in layers for clique, block in layer if clique[0] in members]
+        if sum(block.shape[-1]**3 for block in applied) >= prod(
+                graph.dims[p - 1] for p in part)**3:
+            out.append(None)
+            continue
+        p, s = _product_bounds(applied, draws)
+        out.append(p + (1.0 + p) * s * (2.0 + s))
+    return out
+
+
+def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream], dim_cap: int,
+                   parts: Sequence[Sequence[int]] | None = None) -> FoldedBlocks:
     """The blocks of the evolutions drawn from ``streams``: every block drawn
-    up front, then every Haar singleton folded (module docstring). A graph
-    over ``dim_cap`` raises before any draw."""
+    up front, then every Haar singleton folded (module docstring), with each
+    draw's certificate on each of ``parts`` (default: all particles as one).
+    A graph over ``dim_cap`` raises before any draw."""
     _check_cap(graph.total_dim, dim_cap)
     dims = graph.dims
     members = [(i, c) for i, layer in enumerate(graph.layers)
@@ -176,16 +262,20 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream],
     layers = [[] for _ in graph.layers]
     for i, c in sorted(folded):
         layers[i].append(folded[i, c])
-    return FoldedBlocks(layers, len(streams))
+    parts = parts or [range(1, graph.num_particles + 1)]
+    return FoldedBlocks(layers, len(streams), parts,
+                        _certificates(graph, layers, parts, len(streams)), True)
 
 
-def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks,
-                parts: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """The checked (B, n, n) evolution stack on each union of components in
-    ``parts``, from one stack's blocks; a layer with no block on a part is
-    skipped. The first layer multiplies into a broadcast identity."""
-    stacks = []
-    for part in parts:
+def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The checked (B, n, n) evolution stack on each of the blocks' parts,
+    with each draw's defect bound: its certificate, or its measured defect
+    where the tile was measured (module docstring). A layer with no block
+    on a part is skipped; the first layer multiplies into a broadcast
+    identity."""
+    out = []
+    for part, certificate in zip(blocks.parts, blocks.certificates):
         legs = {p: k for k, p in enumerate(part, start=1)}
         dims = [graph.dims[p - 1] for p in part]
         n = prod(dims)
@@ -196,8 +286,13 @@ def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks,
             if applied:
                 u = layer_unitary(applied, dims, u)
         # a part without blocks is still the read-only broadcast identity
-        stacks.append(require_unitary(np.require(u, requirements="W")))
-    return stacks
+        u = np.require(u, requirements="W")
+        if certificate is None or not (certificate <= unitarity_tolerance(n)).all():
+            certificate = require_unitary(u)
+        elif blocks.first:
+            require_unitary(u[:1])
+        out.append((u, certificate))
+    return out
 
 
 def evolution_unitary(graph: InteractionGraph,
@@ -218,7 +313,7 @@ def evolution_unitary(graph: InteractionGraph,
     else:
         single, streams = as_streams(stream)
         blocks = _folded_blocks(graph, streams, dim_cap)
-    u, = _evolutions(graph, blocks, [range(1, graph.num_particles + 1)])
+    (u, _), = _evolutions(graph, blocks)
     return u[0] if single else u
 
 
@@ -226,14 +321,15 @@ def evolution_factors(graph: InteractionGraph, streams: Sequence[RandomStream],
                       dim_cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
     """The tensor factors of the evolution stack drawn from ``streams``: one
     (B, n_c, n_c) stack per connected component, in components(graph) order.
-    Each factor passes require_unitary, and their Kronecker product's defect
-    bound, prod_c (1 + defect_c) - 1, must meet the tolerance of the whole
-    dimension, else UnitarityError."""
-    factors = _evolutions(graph, _folded_blocks(graph, streams, dim_cap),
-                          components(graph))
-    bound = float((np.prod([1.0 + unitarity_defects(u) for u in factors], axis=0)
-                   - 1.0).max())
+    Each factor is certified from its blocks, with its stack's first draw
+    measured, or measured whole (``_evolutions``); their Kronecker product's
+    defect bound, prod_c (1 + defect_c) - 1 over each draw's certificates or
+    measured defects, must meet the tolerance of the whole dimension, else
+    UnitarityError."""
+    factors, defects = zip(*_evolutions(
+        graph, _folded_blocks(graph, streams, dim_cap, components(graph))))
+    bound = float((np.prod([1.0 + d for d in defects], axis=0) - 1.0).max())
     tol = unitarity_tolerance(graph.total_dim)
     if bound > tol:
         raise UnitarityError(bound, tol)
-    return factors
+    return list(factors)

@@ -24,10 +24,19 @@ def pair_graph(n):
     return from_bond_vertex_graph([(1, 2)], [(1,), (2,)], n=n)
 
 
+def stack_records(spec, us, data):
+    """A (B, N, N) stack's records as a campaign's plan makes them: each
+    "state" kind's from the stack's states U|0>, every other kind's from the
+    stack and its SpectralData."""
+    state = [a for a in spec.analyses if ANALYSES[a.kind].needs == "state"]
+    return {**_records(spec, [a for a in spec.analyses if a not in state], us, data),
+            **_records(spec, state, us[:, :, 0].copy(), None)}
+
+
 def phases_records(spec, us):
     """The records of a (B, N, N) stack solved by eigenphases: the solve of
     every campaign here that reads phases but no eigenvectors."""
-    return _records(spec, us, SpectralData(spectral.eigenphases(us), None))
+    return stack_records(spec, us, SpectralData(spectral.eigenphases(us), None))
 
 
 def run_draw(spec, u):
@@ -421,7 +430,7 @@ class TestStackedRows:
                                       Analysis("entanglement", (1, 3)),
                                       Analysis("projection", (2,))))
         us = evolution_unitary(graph, [RandomStream(18, t) for t in range(draws)])
-        records = _records(spec, us, eigendecompose(us))
+        records = stack_records(spec, us, eigendecompose(us))
         for j, u in enumerate(us):
             data = eigendecompose(u)
             assert records["evec_entropy"][j] == ent.eigenvector_entropy(data)
@@ -441,15 +450,72 @@ class TestStackedRows:
                 ("projection", (1,)), ("state_sample", ()))))
         assert {a.kind for a in spec.analyses} == set(ANALYSES)
         us = evolution_unitary(graph, [RandomStream(19, t) for t in range(draws)])
-        for kind, values in _records(spec, us, eigendecompose(us)).items():
+        for kind, values in stack_records(spec, us, eigendecompose(us)).items():
             assert isinstance(values, np.ndarray) and len(values) == draws, kind
 
     def test_factored_rows_return_one_array_per_stack(self):
         spec = phases_spec(FACTORED_GRAPHS["two_mixed_dims"], draws=5)
-        (records,) = ensemble._plan(spec)([RandomStream(31, t) for t in range(5)])
+        records = ensemble._plan(spec)([RandomStream(31, t) for t in range(5)])
         assert set(records) == {a.kind for a in PHASE_ANALYSES}
         for kind, values in records.items():
             assert isinstance(values, np.ndarray) and len(values) == 5, kind
+
+
+    def test_state_kinds_take_the_stack_in_one_call(self, monkeypatch):
+        # a 32-draw chain6 stack in tiles of 2: element_entropy takes each
+        # tile, state_sample one reduced_entropies call on the stack's states
+        calls = []
+        for name in ("element_entropy", "reduced_entropies"):
+            def record(x, *args, name=name, fn=getattr(ent, name)):
+                calls.append((name, x.shape))
+                return fn(x, *args)
+            monkeypatch.setattr(ent, name, record)
+        spec = EnsembleSpec(source=chain_graph(6, 2), draws=32, master_seed=16,
+                            analyses=(Analysis("element_entropy"), Analysis("state_sample")))
+        record = ensemble._plan(spec)([RandomStream(16, t) for t in range(32)])
+        assert {kind: values.shape for kind, values in record.items()} \
+            == {"element_entropy": (32,), "state_sample": (32, 2)}
+        assert calls == [("element_entropy", (2, 64, 64))] * 16 \
+            + [("reduced_entropies", (32, 64))]
+
+
+class TestMeasuredChecks:
+    """tensor.require_unitary runs once per stack, on its first draw, and on
+    every tile whose draws' certificates do not all meet the tolerance or
+    whose blocks cost as much to measure as U."""
+
+    @staticmethod
+    def measured(monkeypatch):
+        shapes = []
+        require = tensor.require_unitary
+        monkeypatch.setattr(tensor, "require_unitary",
+                            lambda u: shapes.append(u.shape) or require(u))
+        return shapes
+
+    def test_generate_chain6_measures_one_draw_per_stack(self, monkeypatch):
+        # 600 draws: 19 stacks of up to 32 draws, 300 tiles, no fallback
+        shapes = self.measured(monkeypatch)
+        run_ensemble(EnsembleSpec(source=chain_graph(6, 2), draws=600, master_seed=1,
+                                  analyses=(Analysis("element_entropy"),
+                                            Analysis("state_sample"))))
+        assert shapes == [(1, 64, 64)] * 19
+
+    def test_vectors_ring8_measures_one_draw_per_stack(self, monkeypatch):
+        # 30 draws: 15 stacks of 2 draws, built in 1-draw tiles
+        shapes = self.measured(monkeypatch)
+        run_ensemble(EnsembleSpec(source=ring_graph(8, 2), draws=30, master_seed=1,
+                                  analyses=tuple(map(Analysis.parse, (
+                                      "spacing", "evec_entropy", "entanglement:1,2,3,4",
+                                      "projection:1")))))
+        assert shapes == [(1, 256, 256)] * 15
+
+    def test_a_block_as_large_as_u_is_measured_on_every_tile(self, monkeypatch):
+        # the pair graph's one 9 x 9 block is as costly to measure as U
+        shapes = self.measured(monkeypatch)
+        monkeypatch.setattr(ensemble, "TILE_AMPLITUDES", 3 * 81)
+        run_ensemble(EnsembleSpec(source=pair_graph(3), draws=10, master_seed=2,
+                                  analyses=(Analysis("element_entropy"),)))
+        assert shapes == [(3, 9, 9)] * 3 + [(1, 9, 9)]
 
 
 class TestRandomGraphState:
@@ -580,6 +646,11 @@ FACTORED_GRAPHS = {
     "dim_one_inside": InteractionGraph(ParticleSystem((1, 2, 2)), (
         layer("a", "haar", (1, 2), (3,)),
         layer("b", "identity", (1,), (2,), (3,)))),
+    # two chains of three qubits, (1, 2, 3) and (4, 5, 6): each factor is
+    # two folded 4 x 4 blocks, certified rather than measured
+    "two_chains": InteractionGraph(ParticleSystem((2,) * 6), (
+        layer("a", "haar", (1, 2), (3,), (4, 5), (6,)),
+        layer("b", "haar", (1,), (2, 3), (4,), (5, 6)))),
 }
 
 PHASE_ANALYSES = (Analysis("spacing"), Analysis("phase_density"),
@@ -681,13 +752,44 @@ class TestFactoredChecks:
         run_ensemble(phases_spec(self.graph, draws=10))
         assert len(factored) == 3 and tested == [self.graph]
 
+    @staticmethod
+    def spoil_blocks(monkeypatch, index, by):
+        """Scale two_chains' 4 x 4 blocks at ``index`` (draw, block), of four
+        per draw in clique order ((1, 2), (4, 5), (2, 3), (5, 6)), by 1 + ``by``
+        after haar_unitary's own check."""
+        haar = tensor.haar_unitary
+
+        def spoiled(dim, generators):
+            out = haar(dim, generators)
+            if dim == 4:
+                out.reshape(-1, 4, 4, 4)[index] *= 1 + by
+            return out
+        monkeypatch.setattr(tensor, "haar_unitary", spoiled)
+
     def test_each_factor_passes_require_unitary(self, monkeypatch):
         checked = []
         require = tensor.require_unitary
         monkeypatch.setattr(tensor, "require_unitary",
                             lambda u: checked.append(u.shape) or require(u))
+        # each component of two_mixed_dims is blocks as large as its factor,
+        # so both factors are measured whole
         run_ensemble(phases_spec(self.graph, draws=3))
         assert checked == [(3, 4, 4), (3, 9, 9)]
+        # two_chains: each factor is certified, its first draw measured
+        chains = FACTORED_GRAPHS["two_chains"]
+        checked.clear()
+        run_ensemble(phases_spec(chains, draws=3))
+        assert checked == [(1, 8, 8), (1, 8, 8)]
+        # a 3e-13 defect in draw 2's block on (1, 2) takes the first
+        # factor's certificate over 1e-12: its stack is measured whole, and
+        # passes
+        self.spoil_blocks(monkeypatch, (2, 0), 1.5e-13)
+        certificates = tensor._folded_blocks(
+            chains, [RandomStream(31, t) for t in range(3)], 64, components(chains)).certificates
+        assert certificates[0][2] > 1e-12 and certificates[1].max() <= 1e-12
+        checked.clear()
+        run_ensemble(phases_spec(chains, draws=3))
+        assert checked == [(3, 8, 8), (1, 8, 8)]
 
     def test_a_corrupted_block_raises(self, monkeypatch):
         # one 3x3 block of one draw with unitarity defect 1e-11
@@ -703,17 +805,31 @@ class TestFactoredChecks:
             run_ensemble(phases_spec(self.graph, draws=3))
 
     def test_the_product_is_checked(self, monkeypatch):
+        # two_chains: a 7e-14 scaling of every draw's blocks on (1, 2) and
+        # (4, 5) gives each factor a certificate of about 6e-13, within its
+        # own tolerance, but their product's bound, (1 + c_1)(1 + c_2) - 1,
+        # exceeds the 1e-12 of the whole dimension
+        chains = FACTORED_GRAPHS["two_chains"]
+        self.spoil_blocks(monkeypatch, np.s_[:, :2], 7e-14)
+        certificates = tensor._folded_blocks(
+            chains, [RandomStream(31, t) for t in range(3)], 64, components(chains)).certificates
+        assert all(c.max() <= 1e-12 for c in certificates)
+        assert ((1 + certificates[0]) * (1 + certificates[1]) - 1).max() > 1e-12
+        with pytest.raises(UnitarityError):
+            run_ensemble(phases_spec(chains, draws=3))
+
+    def test_the_product_reads_measured_defects(self, monkeypatch):
         # every layer call scales by 1 + 2e-13: the 4x4 factor takes one
-        # layer and the 9x9 factor two, so their defects, 4e-13 and 8e-13,
-        # pass their own checks, but the product U_1 (x) U_2 is off by
-        # 1.2e-12, which the whole dimension refuses
+        # layer and the 9x9 factor two, so their measured defects, 4e-13
+        # and 8e-13, pass their own checks, but the product U_1 (x) U_2 is
+        # off by 1.2e-12, which the whole dimension refuses
         layer = tensor.layer_unitary
         monkeypatch.setattr(tensor, "layer_unitary",
                             lambda *args: layer(*args) * (1 + 2e-13))
         factors = []
         require = tensor.require_unitary
         monkeypatch.setattr(tensor, "require_unitary",
-                            lambda u: factors.append(require(u)) or factors[-1])
+                            lambda u: factors.append(u) or require(u))
         with pytest.raises(UnitarityError):
             run_ensemble(phases_spec(self.graph, draws=3))
         assert [u.shape for u in factors] == [(3, 4, 4), (3, 9, 9)]

@@ -15,7 +15,9 @@ It prints the largest deviation per key, |got - stored| / max(1, |stored|).
 The set: every campaign of the three benchmark workloads at seeds 1 and 23;
 cue, composed and diagonal at N = 16, 54 and 64 with five analyses, with and
 without the wrap gap; a disconnected graph with eigenvector analyses; and a
-state_sample campaign with an explicit keep set. After a change that moves
+state_sample campaign with an explicit keep set. The test runs at one and
+at two workers, whose reports must also be equal bit for bit. After a
+change that moves
 reports on purpose, one command rebuilds the set, prints the summary against
 the stored table and rewrites it:
 
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 from unigraph.ensemble import Analysis, EnsembleSpec, ReferenceEnsemble, run_ensemble
 from unigraph.graph import parse_graph_spec, ring_graph, serialize_graph
@@ -71,9 +75,9 @@ def spec_of(entry: dict) -> EnsembleSpec:
         weighted_projection=entry["weighted_projection"])
 
 
-def report_of(entry: dict) -> dict:
+def report_of(entry: dict, workers: int = 1) -> dict:
     """The campaign's report on the current code, as stored JSON data."""
-    report = run_ensemble(spec_of(entry))
+    report = run_ensemble(spec_of(entry), workers=workers)
     doc = report.to_dict(include_timing=False)
     for name, result in report.analyses.items():
         for key, value in result.items():
@@ -136,12 +140,26 @@ def check(entries: list[dict], stored: list[dict]) -> tuple[dict, list]:
     return worst, problems
 
 
-def test_reports_match_the_golden_table():
+_REPORTS: dict[int, list[dict]] = {}
+
+
+def reports(workers: int) -> list[dict]:
+    """The table's campaigns' reports at ``workers``, computed once per run."""
+    if workers not in _REPORTS:
+        _REPORTS[workers] = [report_of(old, workers) for old in load_table()]
+    return _REPORTS[workers]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reports_match_the_golden_table(workers):
+    # a stack's record is the unit that workers take: the reports of either
+    # worker count match the table, and the two give the same bits
     stored = load_table()
-    entries = [{**old, "report": report_of(old)} for old in stored]
+    entries = [{**old, "report": report} for old, report in zip(stored, reports(workers))]
     worst, problems = check(entries, stored)
     print(summary(worst, len(stored), problems))
     assert not problems, "\n".join(problems[:20])
+    assert reports(workers) == reports(1)
 
 
 # ---------------------------------------------------------------------------
