@@ -17,7 +17,7 @@ from .graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph
                     load_graph_spec, parse_graph_spec, ring_graph, serialize_graph,
                     validate_layer)
 from .rand import (DEFAULT_SEED, RandomStream, haar_unitary, random_phases_diagonal,
-                   sample_composed, unitarity_defect)
+                   sample_composed)
 from .spectral import (Histogram, SpectralData, eigendecompose, eigenphases,
                        ks_statistic, phase_uniformity, reference_cdf, spacings)
 from .tensor import DEFAULT_DIM_CAP, evolution_unitary, layer_unitary

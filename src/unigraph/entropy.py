@@ -12,6 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _integer
+
 LN2 = log(2.0)
 
 #: eigenvalues of a reduced state may dip this far below zero before we
@@ -72,16 +74,14 @@ def element_entropy(u: np.ndarray) -> float | np.ndarray:
 def mean_random_vector_entropy(dim: int) -> float:
     """Expected component entropy of a Haar-random unit vector:
     psi(N+1) - psi(2) = sum_{j=2}^{N} 1/j."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
+    dim = _integer(dim, "dimension", 1)
     return float(np.sum(1.0 / np.arange(2, dim + 1)))
 
 
 def page_mean_entropy(dim_a: int, dim_b: int) -> float:
     """Page-type mean entanglement entropy of random bipartite pure states,
     ln N_A - (N_A - 1) / (2 N_B), valid for N_B >= N_A."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("subsystem dimensions must be >= 1")
+    dim_a, dim_b = (_integer(d, "subsystem dimension", 1) for d in (dim_a, dim_b))
     if dim_a > dim_b:
         raise OrderViolation(
             f"requires N_B >= N_A; swap the arguments ({dim_a} > {dim_b})")
@@ -91,8 +91,7 @@ def page_mean_entropy(dim_a: int, dim_b: int) -> float:
 def mean_purity(dim_a: int, dim_b: int) -> float:
     """Mean purity of the reduced state of random bipartite pure states:
     (N_A + N_B) / (N_A N_B + 1)."""
-    if dim_a < 1 or dim_b < 1:
-        raise ValueError("subsystem dimensions must be >= 1")
+    dim_a, dim_b = (_integer(d, "subsystem dimension", 1) for d in (dim_a, dim_b))
     return (dim_a + dim_b) / (dim_a * dim_b + 1.0)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -106,11 +105,10 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-@lru_cache(maxsize=16)
 def _seed_pool(master_seed: int) -> np.ndarray:
     """SeedSequence's pool after it has mixed in the run entropy alone:
     master_seed's two 32-bit words, zero-padded to the pool size because a
-    spawn key follows. Returned read-only; it depends on nothing else."""
+    spawn key follows."""
     a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + 1).tolist()
     entropy = (master_seed & _M32, master_seed >> 32, 0, 0)
     pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(entropy)]
@@ -120,9 +118,7 @@ def _seed_pool(master_seed: int) -> np.ndarray:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
                 k += 1
-    out = np.array(pool, dtype=np.uint32)
-    out.flags.writeable = False
-    return out
+    return np.array(pool, dtype=np.uint32)
 
 
 def _spawn_words(path: tuple[int, ...]) -> list[int]:
@@ -233,11 +229,6 @@ def unitarity_defects(u: np.ndarray) -> np.ndarray:
         parts = gram.view(float)
         np.square(parts, out=parts)
         return np.sqrt((parts[..., ::2] + parts[..., 1::2]).max(axis=(-2, -1)))
-
-
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of U†U - I; for a stack of matrices, the worst one's."""
-    return float(unitarity_defects(u).max())
 
 
 def require_unitary(u: np.ndarray) -> np.ndarray:

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .graph import _integer
+
 TWO_PI = 2.0 * np.pi
 
 #: largest accepted eigenpair residual ||U v - e^{i theta} v||, per unit of N
@@ -318,6 +320,7 @@ def _chi2_sf(k: int, x: float) -> float:
 def phase_uniformity(phases: np.ndarray, bins: int = 32) -> tuple[float, float]:
     """Chi-square test of pooled eigenphases against the uniform density on
     [0, 2pi). Returns (statistic, p_value)."""
+    bins = _integer(bins, "bins")
     if bins < 2:
         raise ValueError(f"a chi-square test needs at least 2 bins, got {bins}")
     phases = np.asarray(phases, dtype=float)

@@ -40,24 +40,26 @@ Unitarity is certified, not measured, per draw. Every drawn block passed
 stack, each folded block stack's defect is measured (b x b Gram products),
 and those defects and the rounding of every block product bound each
 draw's max|U^dagger U - I|, its certificate (``_product_bounds``, after
-Higham 2002, section 3.6). A tile whose draws all have certificates within
-``unitarity_tolerance(N)`` needs no N x N Gram product; a tile holding a
-draw whose certificate exceeds it is measured whole by ``require_unitary``.
-The stack's first draw is always measured too, a spot check for a broken
-assembly, which no rounding bound can see. Where the blocks cost as much
-to measure as U (sum of b^3 >= N^3, e.g. one block on all particles),
-every tile is measured instead.
+Higham 2002, section 3.6). One rule decides the check: a draw is measured
+by ``require_unitary`` exactly when it has no certificate within
+``unitarity_tolerance(n)``. A draw has none (NaN) where it is the stack's
+first, a spot check for a broken assembly, which no rounding bound can
+see, and where its blocks cost as much to measure as U (sum of b^3 >= N^3,
+e.g. one block on all particles).
 
 ``evolution_factors`` builds a draw's tensor factors instead, one per
 connected component on its own legs, from the same one draw and fold of all
 blocks; a component skips the layers with no block on it, and each is
-certified (or measured) as a part of its own. The factors compose, by
-Kronecker product in component order, to the full evolution, which is
-still built on all N legs, not from them.
+checked by the same rule as a part of its own. Each draw's certificates or
+measured defects d bound its Kronecker product's defect by
+prod (1 + d) - 1, which must meet the tolerance of the whole dimension.
+The factors compose, by Kronecker product in component order, to the full
+evolution, which is still built on all N legs, not from them.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 from typing import Iterable, Sequence
 
@@ -126,27 +128,22 @@ def layer_unitary(blocks: Sequence[tuple[Sequence[int], np.ndarray]],
 class FoldedBlocks:
     """A stack's blocks, every one drawn and every Haar singleton folded
     (``_folded_blocks``): per layer, the (particles, (B, b, b) block stack)
-    pairs; the parts the evolution is built on (unions of components), each
-    with its (B,) unitarity certificates, or None where U is measured
-    instead (``_certificates``); and whether the stack's first draw is
-    among them. Slicing takes the blocks and certificates of consecutive
-    draws, as slicing takes their streams."""
+    pairs, and the parts the evolution is built on (unions of components),
+    each with its (B,) unitarity certificates, NaN for a draw that has none
+    (``_certificates``). Slicing takes the blocks and certificates of
+    consecutive draws, as slicing takes their streams."""
 
     def __init__(self, layers: list[list[tuple[tuple[int, ...], np.ndarray]]], draws: int,
-                 parts: Sequence[Sequence[int]], certificates: list[np.ndarray | None],
-                 first: bool):
+                 parts: Sequence[Sequence[int]], certificates: list[np.ndarray]):
         self.layers = layers
         self.draws = draws
         self.parts = parts
         self.certificates = certificates
-        self.first = first
 
     def __getitem__(self, index: slice) -> "FoldedBlocks":
-        draws = range(self.draws)[index]
         return FoldedBlocks([[(clique, block[index]) for clique, block in layer]
-                             for layer in self.layers], len(draws), self.parts,
-                            [None if c is None else c[index] for c in self.certificates],
-                            self.first and 0 in draws)
+                             for layer in self.layers], len(range(self.draws)[index]),
+                            self.parts, [c[index] for c in self.certificates])
 
 
 def _check_cap(dim: int, dim_cap: int) -> None:
@@ -199,21 +196,25 @@ def _product_bounds(blocks: Sequence[np.ndarray], draws: int) -> tuple[np.ndarra
 
 
 def _certificates(graph: InteractionGraph, layers: list, parts: Sequence[Sequence[int]],
-                  draws: int) -> list[np.ndarray | None]:
+                  draws: int) -> list[np.ndarray]:
     """Per part, each draw's certificate, p + (1 + p) s (2 + s) of its blocks'
     ``_product_bounds``: a bound on the max-norm of U^dagger U - I for the
-    U that ``_evolutions`` computes. None for a part whose blocks cost as
-    much to measure as U (sum of b^3 >= n^3), whose U is measured instead."""
+    U that ``_evolutions`` computes. NaN, no certificate, marks a draw that
+    is measured instead: the stack's first, a spot check for a broken
+    assembly, and every draw of a part whose blocks cost as much to measure
+    as U (sum of b^3 >= n^3)."""
     out = []
     for part in parts:
         members = set(part)
         applied = [block for layer in layers for clique, block in layer if clique[0] in members]
         if sum(block.shape[-1]**3 for block in applied) >= prod(
                 graph.dims[p - 1] for p in part)**3:
-            out.append(None)
-            continue
-        p, s = _product_bounds(applied, draws)
-        out.append(p + (1.0 + p) * s * (2.0 + s))
+            certificate = np.full(draws, np.nan)
+        else:
+            p, s = _product_bounds(applied, draws)
+            certificate = p + (1.0 + p) * s * (2.0 + s)
+        certificate[0] = np.nan
+        out.append(certificate)
     return out
 
 
@@ -264,17 +265,22 @@ def _folded_blocks(graph: InteractionGraph, streams: Sequence[RandomStream], dim
         layers[i].append(folded[i, c])
     parts = parts or [range(1, graph.num_particles + 1)]
     return FoldedBlocks(layers, len(streams), parts,
-                        _certificates(graph, layers, parts, len(streams)), True)
+                        _certificates(graph, layers, parts, len(streams)))
 
 
-def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The checked (B, n, n) evolution stack on each of the blocks' parts,
-    with each draw's defect bound: its certificate, or its measured defect
-    where the tile was measured (module docstring). A layer with no block
-    on a part is skipped; the first layer multiplies into a broadcast
-    identity."""
-    out = []
+def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks) -> list[np.ndarray]:
+    """The checked (B, n, n) evolution stack on each of the blocks' parts. A
+    layer with no block on a part is skipped; the first layer multiplies
+    into a broadcast identity.
+
+    A draw is measured by ``require_unitary`` exactly when its certificate
+    is not within ``unitarity_tolerance(n)``, NaN included; a tile with no
+    certified draw is measured as it is. Each draw's defect bound is its
+    certificate or its measured defect, and the product of the parts,
+    prod (1 + d) - 1, taken as a + b + a b so that one part's is its d,
+    must meet the tolerance of the whole dimension, else UnitarityError;
+    for one part it can fail only on a NaN."""
+    stacks, defects = [], []
     for part, certificate in zip(blocks.parts, blocks.certificates):
         legs = {p: k for k, p in enumerate(part, start=1)}
         dims = [graph.dims[p - 1] for p in part]
@@ -287,12 +293,17 @@ def _evolutions(graph: InteractionGraph, blocks: FoldedBlocks
                 u = layer_unitary(applied, dims, u)
         # a part without blocks is still the read-only broadcast identity
         u = np.require(u, requirements="W")
-        if certificate is None or not (certificate <= unitarity_tolerance(n)).all():
-            certificate = require_unitary(u)
-        elif blocks.first:
-            require_unitary(u[:1])
-        out.append((u, certificate))
-    return out
+        measured = ~(certificate <= unitarity_tolerance(n))
+        d = certificate.copy()
+        if measured.any():
+            d[measured] = require_unitary(u if measured.all() else u[measured])
+        stacks.append(u)
+        defects.append(d)
+    bound = float(reduce(lambda a, b: a + b + a * b, defects).max())
+    tol = unitarity_tolerance(graph.total_dim)
+    if not bound <= tol:
+        raise UnitarityError(bound, tol)
+    return stacks
 
 
 def evolution_unitary(graph: InteractionGraph,
@@ -313,23 +324,14 @@ def evolution_unitary(graph: InteractionGraph,
     else:
         single, streams = as_streams(stream)
         blocks = _folded_blocks(graph, streams, dim_cap)
-    (u, _), = _evolutions(graph, blocks)
+    u, = _evolutions(graph, blocks)
     return u[0] if single else u
 
 
 def evolution_factors(graph: InteractionGraph, streams: Sequence[RandomStream],
                       dim_cap: int = DEFAULT_DIM_CAP) -> list[np.ndarray]:
     """The tensor factors of the evolution stack drawn from ``streams``: one
-    (B, n_c, n_c) stack per connected component, in components(graph) order.
-    Each factor is certified from its blocks, with its stack's first draw
-    measured, or measured whole (``_evolutions``); their Kronecker product's
-    defect bound, prod_c (1 + defect_c) - 1 over each draw's certificates or
-    measured defects, must meet the tolerance of the whole dimension, else
-    UnitarityError."""
-    factors, defects = zip(*_evolutions(
-        graph, _folded_blocks(graph, streams, dim_cap, components(graph))))
-    bound = float((np.prod([1.0 + d for d in defects], axis=0) - 1.0).max())
-    tol = unitarity_tolerance(graph.total_dim)
-    if bound > tol:
-        raise UnitarityError(bound, tol)
-    return list(factors)
+    (B, n_c, n_c) stack per connected component, in components(graph) order,
+    each checked as a part of ``_evolutions``, which also bounds their
+    Kronecker product's defect by the tolerance of the whole dimension."""
+    return _evolutions(graph, _folded_blocks(graph, streams, dim_cap, components(graph)))

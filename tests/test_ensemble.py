@@ -14,7 +14,7 @@ from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, components, from_bond_vertex_graph, ring_graph)
 from unigraph.rand import (RandomStream, UnitarityError, haar_unitary,
-                           random_phases_diagonal, sample_composed, unitarity_defect,
+                           random_phases_diagonal, sample_composed, unitarity_defects,
                            unitarity_tolerance)
 from unigraph.spectral import SpectralData, eigendecompose
 from unigraph.tensor import DimensionCapExceeded, evolution_factors, evolution_unitary
@@ -480,9 +480,10 @@ class TestStackedRows:
 
 
 class TestMeasuredChecks:
-    """tensor.require_unitary runs once per stack, on its first draw, and on
-    every tile whose draws' certificates do not all meet the tolerance or
-    whose blocks cost as much to measure as U."""
+    """tensor.require_unitary measures exactly the draws without a passing
+    certificate: the stack's first draw, any draw whose certificate exceeds
+    the tolerance, and every draw whose blocks cost as much to measure as U,
+    one call per tile that holds any."""
 
     @staticmethod
     def measured(monkeypatch):
@@ -781,15 +782,17 @@ class TestFactoredChecks:
         run_ensemble(phases_spec(chains, draws=3))
         assert checked == [(1, 8, 8), (1, 8, 8)]
         # a 3e-13 defect in draw 2's block on (1, 2) takes the first
-        # factor's certificate over 1e-12: its stack is measured whole, and
-        # passes
+        # factor's certificate over 1e-12: draws 0 and 2 of that factor are
+        # measured, and pass; draw 1 keeps its certificate
         self.spoil_blocks(monkeypatch, (2, 0), 1.5e-13)
         certificates = tensor._folded_blocks(
             chains, [RandomStream(31, t) for t in range(3)], 64, components(chains)).certificates
-        assert certificates[0][2] > 1e-12 and certificates[1].max() <= 1e-12
+        assert certificates[0][2] > 1e-12 and certificates[0][1] <= 1e-12
+        assert certificates[1][1:].max() <= 1e-12
+        assert all(np.isnan(c[0]) for c in certificates)
         checked.clear()
         run_ensemble(phases_spec(chains, draws=3))
-        assert checked == [(3, 8, 8), (1, 8, 8)]
+        assert checked == [(2, 8, 8), (1, 8, 8)]
 
     def test_a_corrupted_block_raises(self, monkeypatch):
         # one 3x3 block of one draw with unitarity defect 1e-11
@@ -806,15 +809,16 @@ class TestFactoredChecks:
 
     def test_the_product_is_checked(self, monkeypatch):
         # two_chains: a 7e-14 scaling of every draw's blocks on (1, 2) and
-        # (4, 5) gives each factor a certificate of about 6e-13, within its
-        # own tolerance, but their product's bound, (1 + c_1)(1 + c_2) - 1,
-        # exceeds the 1e-12 of the whole dimension
+        # (4, 5) gives each factor a certificate of about 6e-13 on draws 1
+        # and 2 (draw 0 is measured), within its own tolerance, but their
+        # product's bound, (1 + c_1)(1 + c_2) - 1, exceeds the 1e-12 of the
+        # whole dimension
         chains = FACTORED_GRAPHS["two_chains"]
         self.spoil_blocks(monkeypatch, np.s_[:, :2], 7e-14)
         certificates = tensor._folded_blocks(
             chains, [RandomStream(31, t) for t in range(3)], 64, components(chains)).certificates
-        assert all(c.max() <= 1e-12 for c in certificates)
-        assert ((1 + certificates[0]) * (1 + certificates[1]) - 1).max() > 1e-12
+        assert all(c[1:].max() <= 1e-12 for c in certificates)
+        assert ((1 + certificates[0][1:]) * (1 + certificates[1][1:]) - 1).min() > 1e-12
         with pytest.raises(UnitarityError):
             run_ensemble(phases_spec(chains, draws=3))
 
@@ -833,8 +837,9 @@ class TestFactoredChecks:
         with pytest.raises(UnitarityError):
             run_ensemble(phases_spec(self.graph, draws=3))
         assert [u.shape for u in factors] == [(3, 4, 4), (3, 9, 9)]
-        assert all(unitarity_defect(u) <= unitarity_tolerance(u.shape[-1]) for u in factors)
-        assert unitarity_defect(np.kron(factors[0][0], factors[1][0])) \
+        assert all(unitarity_defects(u).max() <= unitarity_tolerance(u.shape[-1])
+                   for u in factors)
+        assert unitarity_defects(np.kron(factors[0][0], factors[1][0])).max() \
             > unitarity_tolerance(self.graph.total_dim)
 
     def test_corrupted_phases_take_the_full_matrix(self, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from unigraph import ensemble, rand, tensor
 from unigraph.ensemble import (Analysis, EnsembleSpec, ReferenceEnsemble,
                                benchmark_generation, run_ensemble)
+from unigraph.entropy import mean_purity, mean_random_vector_entropy, page_mean_entropy
 from unigraph.graph import (Clique, DuplicateParticle, GraphSpecError,
                             IndexOutOfRange, InteractionGraph, InvalidDimension,
                             Layer, MissingParticle, OddParticleCount,
@@ -19,6 +20,7 @@ from unigraph.graph import (Clique, DuplicateParticle, GraphSpecError,
                             parse_graph_spec, ring_graph, serialize_graph,
                             validate_layer)
 from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal, sample_composed
+from unigraph.spectral import phase_uniformity
 from unigraph.tensor import evolution_factors, evolution_unitary
 
 
@@ -342,6 +344,13 @@ INTEGER_INPUTS = {
                           5, [-1, 1 << 64], lambda r: r.draws),
     "run_workers": (lambda v: run_ensemble(small_spec(), workers=v), 2, [0, -1],
                     lambda r: r.to_dict(include_timing=False)),
+    "vector_entropy_dim": (mean_random_vector_entropy, 5, [0, -1], lambda x: x),
+    "page_dim_a": (lambda v: page_mean_entropy(v, 4), 2, [0], lambda x: x),
+    "page_dim_b": (lambda v: page_mean_entropy(2, v), 4, [0], lambda x: x),
+    "purity_dim_a": (lambda v: mean_purity(v, 3), 2, [0], lambda x: x),
+    "purity_dim_b": (lambda v: mean_purity(3, v), 2, [0], lambda x: x),
+    "phase_bins": (lambda v: phase_uniformity(np.linspace(0, 6, 320), bins=v), 8,
+                   [1, 0, -3], lambda x: x),
 }
 FLAG_INPUTS = {"include_wrap": lambda v: small_spec(include_wrap=v),
                "weighted_projection": lambda v: small_spec(weighted_projection=v)}

@@ -9,7 +9,7 @@ from unigraph import ensemble, tensor
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem, chain_graph,
                             components, ring_graph)
 from unigraph.rand import (RandomStream, UnitarityError, as_streams, haar_unitary,
-                           unitarity_defect, unitarity_defects)
+                           unitarity_defects, unitarity_tolerance)
 from unigraph.spectral import eigendecompose
 from unigraph.tensor import (BlockDimMismatch, DimensionCapExceeded, apply_block,
                              evolution_factors, evolution_unitary, layer_unitary)
@@ -96,7 +96,7 @@ class TestLift:
 
     def test_preserves_unitarity(self):
         b = haar_unitary(6, RandomStream(2, 0))
-        assert unitarity_defect(lifted(b, (1, 3), (2, 2, 3))) <= 1e-12
+        assert unitarity_defects(lifted(b, (1, 3), (2, 2, 3))).max() <= 1e-12
 
     def test_lift_of_identity(self):
         assert np.array_equal(lifted(np.eye(4, dtype=complex), (2, 3), (2, 2, 2, 2)),
@@ -248,7 +248,7 @@ class TestEvolutionUnitary:
 
     def test_output_is_unitary(self):
         u = evolution_unitary(ring_graph(6, 2), RandomStream(7, 0))
-        assert unitarity_defect(u) <= 1e-12
+        assert unitarity_defects(u).max() <= 1e-12
 
     def test_disconnected_spectrum_is_additive(self):
         g = InteractionGraph(
@@ -627,7 +627,8 @@ ROUNDING_GRAPHS = {
 
 class TestCertificate:
     """Each draw's certificate bounds the max-norm defect of the U built from
-    its blocks, and a tile is measured wherever a certificate fails."""
+    its blocks, and a draw is measured exactly where it has no passing
+    certificate."""
 
     @given(layered_graphs(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -635,9 +636,32 @@ class TestCertificate:
         blocks = tensor._folded_blocks(graph, [RandomStream(seed, t) for t in range(3)], 4096)
         p, s = product_bounds(blocks)
         certificate = p + (1 + p) * s * (2 + s)
-        assert blocks.certificates[0] is None \
-            or np.array_equal(blocks.certificates[0], certificate)
+        got, = blocks.certificates
+        # the first draw is the spot check; the rest are certified unless
+        # the blocks cost as much to measure as U
+        assert np.isnan(got[0])
+        assert np.isnan(got).all() or np.array_equal(got[1:], certificate[1:])
         assert (unitarity_defects(evolution_unitary(graph, blocks)) <= certificate).all()
+
+    @given(layered_graphs(), st.integers(0, 2**32 - 1), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_draw_is_certified_or_measured(self, graph, seed, tile):
+        measured = []
+        require = tensor.require_unitary
+
+        def record(u):
+            measured.append(u.copy())
+            return require(u)
+        blocks = tensor._folded_blocks(graph, [RandomStream(seed, t) for t in range(4)], 4096)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor, "require_unitary", record)
+            us = [evolution_unitary(graph, blocks[t:t + tile]) for t in range(0, 4, tile)]
+        certificate, = blocks.certificates
+        passed = certificate <= unitarity_tolerance(graph.total_dim)
+        assert not passed[0]
+        # the measured draws, in order, are exactly those without a passing one
+        assert np.array_equal(np.concatenate(measured), np.concatenate(us)[~passed])
+        assert not any(np.isnan(u).any() for u in us + measured)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
                         reason="np.clongdouble is no wider than complex128 here")
@@ -656,8 +680,8 @@ class TestCertificate:
 
     def test_a_block_defect_in_a_later_draw_is_refused(self, monkeypatch):
         # a 1e-11 defect in one 4 x 4 block of draw 2 (after haar_unitary's
-        # own check): its certificate exceeds the tolerance, so the tile is
-        # measured whole, and the measured check raises
+        # own check): its certificate exceeds the tolerance, so draw 2 is
+        # measured with the spot-checked draw 0, and the measured check raises
         haar = tensor.haar_unitary
 
         def spoiled(dim, generators):
@@ -672,16 +696,27 @@ class TestCertificate:
                             lambda u: measured.append(u.shape) or require(u))
         graph, streams = ring_graph(4, 2), [RandomStream(14, t) for t in range(3)]
         certificate, = tensor._folded_blocks(graph, streams, 4096).certificates
-        assert certificate[2] > 1e-12 and certificate[:2].max() <= 1e-12
+        assert certificate[2] > 1e-12 and certificate[1] <= 1e-12 and np.isnan(certificate[0])
         with pytest.raises(UnitarityError):
             evolution_unitary(graph, streams)
-        assert measured == [(3, 16, 16)]
+        assert measured == [(2, 16, 16)]
+
+    def test_a_nan_measured_defect_is_refused(self, monkeypatch):
+        # a measured check that hands back NaN defects without raising is
+        # caught by the product bound, which refuses anything not <= tol
+        monkeypatch.setattr(tensor, "require_unitary", lambda u: np.full(len(u), np.nan))
+        streams = [RandomStream(26, t) for t in range(3)]
+        with pytest.raises(UnitarityError, match="not finite"):
+            evolution_unitary(chain_graph(6, 2), streams)
+        graph = InteractionGraph(ParticleSystem((2, 2, 2, 2)), (layer_of((1, 2), (3, 4)),))
+        with pytest.raises(UnitarityError, match="not finite"):
+            evolution_factors(graph, streams)
 
     def test_identity_singletons_certify_zero(self):
         graph = InteractionGraph(ParticleSystem((2, 3)), (
             layer_of((1,), (2,), singletons="identity"),
             layer_of((1,), (2,), color="d", singletons="identity")))
         blocks = tensor._folded_blocks(graph, [RandomStream(25, t) for t in range(4)], 4096)
-        assert np.array_equal(blocks.certificates[0], np.zeros(4))
+        assert np.array_equal(blocks.certificates[0], [np.nan, 0, 0, 0], equal_nan=True)
         assert np.array_equal(evolution_unitary(graph, blocks), np.broadcast_to(
             np.eye(6), (4, 6, 6)))
