@@ -267,26 +267,24 @@ def _keep_set(spec: EnsembleSpec, analysis: Analysis) -> list[int]:
 
 
 def _projection_stats(vectors: np.ndarray, dims, particle: int,
-                      weighted: bool) -> tuple[float, float, int]:
-    """Project out one particle from every eigenvector, then average the
-    entropy/purity of the first remaining particle's reduced state over all
-    basis outcomes (weight-weighted by default). Null slices are skipped."""
-    b0 = particle - 1
-    nvec = vectors.shape[1]
-    local = dims[b0]
-    rest_dims = [d for p, d in enumerate(dims) if p != b0]
-    psi = vectors.T.reshape((nvec,) + tuple(dims))
-    psi = np.moveaxis(psi, b0 + 1, 1)
-    slices = psi.reshape(nvec * local, -1)
-    weights = (np.abs(slices) ** 2).sum(axis=1)
-    valid = weights > 1e-14
-    skipped = int((~valid).sum())
-    normed = slices[valid] / np.sqrt(weights[valid])[:, None]
-
-    entropies, purities = ent.reduced_entropies(normed, rest_dims, [0])
-    w = weights[valid] if weighted else np.ones(len(entropies))
-    return (float((w * entropies).sum() / w.sum()),
-            float((w * purities).sum() / w.sum()), skipped)
+                      weighted: bool) -> np.ndarray:
+    """(T, 3): per draw of a (T, N, M) stack of eigenvector columns, the mean
+    entropy and purity (weight-weighted by default) of the first remaining particle
+    over the columns' slices at ``particle``'s basis states, and the count of null
+    slices (weight <= 1e-14), each made the first basis state with weight 0."""
+    rest_dims = [d for p, d in enumerate(dims, start=1) if p != particle]
+    psi = np.swapaxes(vectors, -1, -2).reshape((len(vectors), -1) + tuple(dims))
+    slices = np.moveaxis(psi, particle + 1, 2).reshape(len(vectors), -1, prod(rest_dims))
+    weights = (np.abs(slices) ** 2).sum(axis=-1)
+    null = ~(weights > 1e-14)
+    # new arrays: slices may be a view of the vectors, which other kinds read
+    normed = np.where(null[..., None], np.eye(1, slices.shape[-1]),
+                      slices / np.sqrt(np.where(null, 1.0, weights))[..., None])
+    weights[null] = 0.0
+    values = np.stack(ent.reduced_entropies(normed.reshape(-1, slices.shape[-1]), rest_dims, [0]))
+    w = weights if weighted else (~null).astype(float)
+    means = (w * values.reshape((2,) + w.shape)).sum(axis=-1) / w.sum(axis=-1)
+    return np.column_stack([*means, null.sum(axis=1)])
 
 
 def _no_parameter(spec: EnsembleSpec, analysis: Analysis) -> str | None:
@@ -438,9 +436,9 @@ class AnalysisKind(NamedTuple):
     else None. ``per_stack(spec, analysis, us, data)`` takes a (T, N, N)
     tile of draws (None on the factored path, whose one tile is the whole
     stack) and its SpectralData, (T, N) phases and (T, N, N) eigenvector
-    columns, and returns one (T, ...) array of the T draws' values; a
-    "state" kind takes the whole stack's (B, N) states U|0> in one call,
-    with data None, and returns one (B, ...) array.
+    columns, in one call with no loop over draws, and returns one (T, ...)
+    array; a "state" kind takes the stack's (B, N) states U|0> so, with
+    data None, and returns one (B, ...) array.
     ``summary(spec, analysis, values)`` reads the campaign's (D, ...) array,
     the stacks' arrays joined in draw order."""
 
@@ -486,9 +484,9 @@ ANALYSES = {
         _entanglement_summary),
     "projection": AnalysisKind(
         "eigensystem", True, _projection_check,
-        # one draw at a time: the valid slices of each draw's eigenvectors are ragged
-        lambda spec, a, us, data: np.array([_projection_stats(
-            v, spec.source.dims, a.arg[0], spec.weighted_projection) for v in data.vectors]),
+        # all T M eigenvectors' slices in one call; a null slice weighs 0 in both means
+        lambda spec, a, us, data: _projection_stats(
+            data.vectors, spec.source.dims, a.arg[0], spec.weighted_projection),
         _projection_summary),
     "state_sample": AnalysisKind(
         "state", True, _state_sample_check,

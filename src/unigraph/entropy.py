@@ -51,8 +51,7 @@ def _entry_entropy(m: np.ndarray) -> np.ndarray:
     puts a unit-modulus entry at 1 + 2e-16), of each N x N matrix of a stack,
     its weights summed in the matrix's C memory order; a float for one matrix."""
     weights = np.clip(np.abs(m) ** 2, 0.0, 1.0).reshape(m.shape[:-2] + (-1,))
-    values = -_plogp(weights).sum(axis=-1) / m.shape[-1]
-    return values if values.ndim else float(values)
+    return _per_matrix(-_plogp(weights).sum(axis=-1) / m.shape[-1])
 
 
 def eigenvector_entropy(spec) -> float | np.ndarray:
@@ -133,15 +132,12 @@ def reduced_states(states: np.ndarray, dims: Sequence[int], keep0) -> np.ndarray
 
 def reduced_entropies(states: np.ndarray, dims: Sequence[int],
                       keep0) -> tuple[np.ndarray, np.ndarray]:
-    """Entanglement entropies and purities of the reduced states of a stack of
+    """von_neumann_entropy and purity of the reduced states of a stack of
     pure states (states[j] is one state) over the sorted 0-based particles
-    ``keep0``. Every reduced state passes the checks of von_neumann_entropy,
-    so a stack holding a state of norm other than one raises
-    InvalidReducedState."""
+    ``keep0``, two (B,) arrays. Every reduced state is checked, so a stack
+    holding a state of norm other than one raises InvalidReducedState."""
     sigmas = reduced_states(states, dims, keep0)
-    entropies = -_plogp(_validated_eigenvalues(sigmas)).sum(axis=-1)
-    moduli = np.abs(sigmas).reshape(sigmas.shape[0], -1)
-    return entropies, (moduli ** 2).sum(axis=-1)
+    return von_neumann_entropy(sigmas), purity(sigmas)
 
 
 def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
@@ -161,15 +157,23 @@ def _validated_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, 1.0)
 
 
-def von_neumann_entropy(sigma: np.ndarray) -> float:
-    """-Tr sigma ln sigma via the eigenvalues, clipped to [0, 1]."""
-    return float(-_plogp(_validated_eigenvalues(sigma)).sum())
+def _per_matrix(values: np.ndarray) -> float | np.ndarray:
+    """A stack's (B,) array of per-matrix values as it is; one matrix's as a float."""
+    return values if values.ndim else float(values)
 
 
-def purity(sigma: np.ndarray) -> float:
-    """Tr sigma^2, computed as the squared Frobenius norm."""
-    sigma = np.asarray(sigma)
-    return float(np.sum(np.abs(sigma) ** 2))
+def von_neumann_entropy(sigma: np.ndarray) -> float | np.ndarray:
+    """-Tr sigma ln sigma via the eigenvalues, clipped to [0, 1], of one density
+    matrix (a float) or of each of a (B, d, d) stack (a (B,) array); a matrix
+    that fails _validated_eigenvalues' checks raises InvalidReducedState."""
+    return _per_matrix(-_plogp(_validated_eigenvalues(sigma)).sum(axis=-1))
+
+
+def purity(sigma: np.ndarray) -> float | np.ndarray:
+    """Tr sigma^2 as the squared Frobenius norm, summed in C order, of one
+    matrix (a float) or of each of a (B, d, d) stack (a (B,) array)."""
+    moduli = np.abs(sigma)
+    return _per_matrix((moduli.reshape(moduli.shape[:-2] + (-1,)) ** 2).sum(axis=-1))
 
 
 def nats_to_bits(value: float) -> float:

@@ -8,12 +8,13 @@ A stream's generator is PCG64 seeded by
 arrays, not stream objects (``_generators``): the keys (path words, then any
 substream indices) of streams that share a master seed and a key width are
 built by broadcasting into one (B, W) uint32 array, and numpy's SeedSequence
-hash runs over it in one vectorized pass (``_stream_states``); a lone key is
-seeded by numpy itself. A spot check (``_seeded_like_numpy``) compares each
-pass's first generator with numpy's; on a mismatch the pass is seeded key by
-key through numpy, so the draws do not change, and a RuntimeWarning is
-issued (once, under the default warning filters). Every sampler takes one
-stream, a sequence of streams, or a sequence of generators seeded that way.
+hash mixes them into numpy's own ``SeedSequence(master_seed).pool`` in one
+vectorized pass (``_stream_states``); a lone key is seeded by numpy itself.
+A spot check (``_seeded_like_numpy``) compares each pass's first generator
+with numpy's; on a mismatch the pass is seeded key by key through numpy, so
+the draws do not change, and a RuntimeWarning is issued (once, under the
+default warning filters). Every sampler takes one stream, a sequence of
+streams, or a sequence of generators seeded that way.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ _OUTPUT_HASH = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
 
 def _hashmix(value, xor, mul):
     """One step of SeedSequence's hash: xor with the hash constant, multiply
-    by its next value. Works on ints and, elementwise, on uint32 arrays."""
+    by its next value, elementwise on uint32 arrays."""
     value = (value ^ xor) * mul & _M32
     return value ^ value >> 16
 
@@ -103,22 +104,6 @@ def _mix(x, y):
     """SeedSequence's mix of the hashed word y into pool word x."""
     value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
     return value ^ value >> 16
-
-
-def _seed_pool(master_seed: int) -> np.ndarray:
-    """SeedSequence's pool after it has mixed in the run entropy alone:
-    master_seed's two 32-bit words, zero-padded to the pool size because a
-    spawn key follows."""
-    a = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE**2 + 1).tolist()
-    entropy = (master_seed & _M32, master_seed >> 32, 0, 0)
-    pool = [_hashmix(word, a[k], a[k + 1]) for k, word in enumerate(entropy)]
-    k = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k], a[k + 1]))
-                k += 1
-    return np.array(pool, dtype=np.uint32)
 
 
 def _spawn_words(path: tuple[int, ...]) -> list[int]:
@@ -146,7 +131,8 @@ def _stream_states(master_seed: int, keys: np.ndarray) -> np.ndarray:
     a = a[_POOL_SIZE**2:]  # the run entropy took the first steps
     hashed = _hashmix(keys[:, :, None], a[:-1].reshape(width, _POOL_SIZE),
                       a[1:].reshape(width, _POOL_SIZE))
-    pool = np.repeat(_seed_pool(master_seed)[None], rows, axis=0)
+    # the run entropy's zero padding before a spawn key hashes as its absent words
+    pool = np.repeat(np.random.SeedSequence(master_seed).pool[None], rows, axis=0)
     for word in range(width):
         pool = _mix(pool, hashed[:, word])
     # generate_state cycles through the pool: eight 32-bit words, little

@@ -391,6 +391,24 @@ def oracle_values(spec, u):
             "state_sample": (von_neumann_entropy(sigma), purity(sigma))}
 
 
+def projection_per_draw(vectors, dims, particle, weighted):
+    """One draw's projection row, (entropy, purity, skipped), as the campaign
+    computed it draw by draw: the null slices of the (N, M) eigenvector
+    columns are dropped before one reduced_entropies call on the rest."""
+    b0 = particle - 1
+    nvec = vectors.shape[1]
+    rest_dims = [d for p, d in enumerate(dims) if p != b0]
+    psi = np.moveaxis(vectors.T.reshape((nvec,) + tuple(dims)), b0 + 1, 1)
+    slices = psi.reshape(nvec * dims[b0], -1)
+    weights = (np.abs(slices) ** 2).sum(axis=1)
+    valid = weights > 1e-14
+    normed = slices[valid] / np.sqrt(weights[valid])[:, None]
+    entropies, purities = ent.reduced_entropies(normed, rest_dims, [0])
+    w = weights[valid] if weighted else np.ones(len(entropies))
+    return (float((w * entropies).sum() / w.sum()),
+            float((w * purities).sum() / w.sum()), int((~valid).sum()))
+
+
 class TestStackedRows:
     """Each kind's row takes a stack and returns one array of its B per-draw
     values; each value equals the draw's value from single-matrix functions."""
@@ -437,8 +455,26 @@ class TestStackedRows:
             entropies, purities = ent.reduced_entropies(data.vectors.T, dims, [0, 2])
             assert np.array_equal(records["entanglement"][j],
                                   [entropies.mean(), purities.mean()])
-            assert np.array_equal(records["projection"][j], ensemble._projection_stats(
+            assert np.array_equal(records["projection"][j], projection_per_draw(
                 data.vectors, dims, 2, spec.weighted_projection))
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_null_slices_weigh_nothing_in_a_stacked_tile(self, weighted):
+        # a (2, 12, 12) tile on dims (2, 3, 2): a Haar draw's eigenvectors, and
+        # the same with column 0 a (x) e_1 (x) c, whose slices 0 and 2 at
+        # particle 2 are null
+        dims = (2, 3, 2)
+        vectors = eigendecompose(haar_unitary(12, RandomStream(41, 0))).vectors
+        a, c = haar_unitary(2, [RandomStream(41, 1), RandomStream(41, 2)])[:, :, 0]
+        spoiled = vectors.copy()
+        spoiled[:, 0] = np.kron(np.kron(a, np.eye(3)[1]), c)
+        tile = np.stack([vectors, spoiled])
+        got = ensemble._projection_stats(tile, dims, 2, weighted)
+        expected = [projection_per_draw(v, dims, 2, weighted) for v in tile]
+        assert got.shape == (2, 3)
+        assert list(got[:, 2]) == [e[2] for e in expected] == [0, 2]
+        assert np.array_equal(got[0], expected[0])
+        assert np.abs(got[1] - expected[1]).max() <= 1e-14
 
     @pytest.mark.parametrize("draws", [1, 3])
     def test_every_row_returns_one_array_per_tile(self, draws):

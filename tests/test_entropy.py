@@ -237,6 +237,26 @@ class TestVonNeumannAndPurity:
             assert -1e-12 <= von_neumann_entropy(sigma) <= log(d) + 1e-12
 
 
+    def test_a_stack_is_the_per_matrix_values(self):
+        sigmas = np.stack([partial_trace(random_state(12, 70 + j), (3, 4), keep=(1,))
+                           for j in range(5)])
+        entropies, purities = von_neumann_entropy(sigmas), purity(sigmas)
+        assert entropies.shape == purities.shape == (5,)
+        for j, sigma in enumerate(sigmas):
+            alone = von_neumann_entropy(sigma), purity(sigma)
+            assert all(type(value) is float for value in alone)
+            assert (entropies[j], purities[j]) == alone
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.5, -0.5]), "floor"), (np.diag([1.0, 1.0]), "trace"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), "Hermitian"),
+        (np.full((2, 2), np.nan), "Hermitian")])
+    def test_one_invalid_matrix_in_a_stack_is_refused(self, bad, message):
+        sigmas = np.stack([np.eye(2) / 2, bad, np.eye(2) / 2]).astype(complex)
+        with pytest.raises(InvalidReducedState, match=message):
+            von_neumann_entropy(sigmas)
+
+
 class TestReducedEntropies:
     @pytest.mark.parametrize("dims, keep", [
         ((2, 3), (1,)), ((2, 3, 2), (1, 3)), ((3, 2, 2, 2), (2, 4)),
@@ -322,7 +342,7 @@ class TestProjection:
     def test_matches_oracle(self, dims, particle, weighted):
         total = int(np.prod(dims))
         vectors = eigendecompose(haar_unitary(total, RandomStream(38, total))).vectors
-        got = _projection_stats(vectors, dims, particle, weighted)
+        got = _projection_stats(vectors[None], dims, particle, weighted)[0]
         expected = projection_oracle(vectors, dims, particle, weighted)
         assert abs(got[0] - expected[0]) <= 1e-12
         assert abs(got[1] - expected[1]) <= 1e-12
@@ -330,16 +350,16 @@ class TestProjection:
 
     def test_product_state_slice(self):
         for weighted in (True, False):
-            entropy, purity_, _ = _projection_stats(product_column(), (2, 3, 2), 2,
-                                                    weighted)
+            entropy, purity_, _ = _projection_stats(product_column()[None], (2, 3, 2), 2,
+                                                    weighted)[0]
             assert abs(entropy) <= 1e-12
             assert abs(purity_ - 1.0) <= 1e-12
 
     def test_orthogonal_slice_is_null(self):
-        # the two null slices are skipped, not averaged in as zero states
+        # the two null slices weigh nothing: they are not averaged in as zero states
         column = product_column()
         for weighted in (True, False):
-            got = _projection_stats(column, (2, 3, 2), 2, weighted)
+            got = _projection_stats(column[None], (2, 3, 2), 2, weighted)[0]
             assert got[2] == 2
-            assert got == pytest.approx(
+            assert tuple(got) == pytest.approx(
                 projection_oracle(column, (2, 3, 2), 2, weighted), abs=1e-12)

@@ -112,6 +112,11 @@ class TestVectorizedSeeding:
     @given(SEED, st.integers(1, 8).flatmap(lambda width: st.lists(
         st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
         min_size=1, max_size=6)))
+    # the master seeds at the ends of one and two 32-bit words
+    @example(0, [[0]])
+    @example(2**32 - 1, [[1, 2], [2**32 - 1, 0]])
+    @example(2**32, [[5]])
+    @example(2**64 - 1, [[2**32 - 1, 0, 7]])
     @settings(max_examples=150, deadline=None)
     def test_states_are_numpys_generate_state(self, seed, keys):
         states = rand._stream_states(seed, np.array(keys, dtype=np.uint32))
