@@ -4,17 +4,18 @@ Draw t of a campaign always uses RandomStream(master_seed, t), and reports
 are merged in draw order, so a campaign is bit-reproducible regardless of
 worker count (timing fields aside). A stack of consecutive draws
 (STACK_AMPLITUDES) is the unit of workers, and a graph's stack the unit of
-its seeding, block sampling and folding; a reference source is seeded by
-its sampler, tile by tile. Its N x N work runs in tiles of consecutive draws
-(TILE_AMPLITUDES): the campaign's plan (_plan), chosen once, builds each
-tile in one call (from a graph stack's blocks, or by a reference sampler on
-the tile's streams), solves it in one (eigendecompose, eigenphases or
-nothing), and each analysis kind takes it in one call that returns a (T, ...)
-array of its T draws' values; a kind that needs only U|0> takes the stack's
-(B, N) states in one call after its last tile instead. A stack's record
-holds each kind's (B, ...) array, and a kind's summary reads the
-concatenation of its stacks' arrays. Every matrix and per-draw value equals
-its per-draw computation bit for bit, so neither size changes a report.
+its seeding, block sampling and folding; a reference source is seeded by its
+sampler, tile by tile. Its N x N work runs in tiles of consecutive draws
+(TILE_AMPLITUDES). The campaign's route (_plan), chosen once, is a source of
+a stack's tiles, each built in one call (from a graph stack's blocks, or by
+a reference sampler on the tile's streams) and solved in one
+(eigendecompose, eigenphases or nothing). Every route's tiles go to one
+_stack_record, where each analysis kind takes a tile in one call that
+returns a (T, ...) array of its T draws' values; a kind that needs only U|0>
+takes the stack's (B, N) states in one call after its last tile instead. A
+stack's record holds each kind's (B, ...) array, and a kind's summary reads
+the concatenation of its stacks' arrays. Every matrix and per-draw value
+equals its per-draw computation bit for bit, so no size changes a report.
 
 A phases-only campaign on a disconnected graph never forms its N x N
 matrices: it takes each stack's tensor factors, one per connected component
@@ -22,7 +23,8 @@ matrices: it takes each stack's tensor factors, one per connected component
 unitarity and bounds their product's), solves each factor stack with one
 eigenphases call and sums the phases (spectral.product_eigenphases). A draw
 whose summed phases fail the product's trace identities is solved from its
-full matrix. These reports match the full-matrix solve to ~1e-13.
+full matrix. The stack's phases are its one tile, with no U. These reports
+match the full-matrix solve to ~1e-13.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import prod
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -195,7 +197,7 @@ def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
     is called once on each tile's slice of the streams."""
     if isinstance(source, InteractionGraph):
         draws = _folded_blocks(source, streams, dim_cap)
-        build = partial(evolution_unitary, source, dim_cap=dim_cap)
+        build = partial(evolution_unitary, source)
     else:
         _check_cap(source.dim, dim_cap)
         draws = streams
@@ -433,12 +435,12 @@ class AnalysisKind(NamedTuple):
     (a tile's eigenphases, without eigenvectors), or "eigensystem" (a
     tile's eigenphases and eigenvectors, which serves "phases" too).
     ``check`` returns the IncompatibleAnalysis message for a bad request,
-    else None. ``per_stack(spec, analysis, us, data)`` takes a (T, N, N)
-    tile of draws (None on the factored path, whose one tile is the whole
-    stack) and its SpectralData, (T, N) phases and (T, N, N) eigenvector
-    columns, in one call with no loop over draws, and returns one (T, ...)
-    array; a "state" kind takes the stack's (B, N) states U|0> so, with
-    data None, and returns one (B, ...) array.
+    else None. ``per_stack(spec, analysis, us, data)``, called only by
+    _stack_record, takes a (T, N, N) tile of draws (None on the factored
+    route, whose one tile is the whole stack) and its SpectralData, (T, N)
+    phases and (T, N, N) eigenvector columns, in one call with no loop over
+    draws, and returns one (T, ...) array; a "state" kind takes the stack's
+    (B, N) states U|0> so, with data None, and returns one (B, ...) array.
     ``summary(spec, analysis, values)`` reads the campaign's (D, ...) array,
     the stacks' arrays joined in draw order."""
 
@@ -501,51 +503,48 @@ ANALYSES = {
 
 def _plan(spec: EnsembleSpec) -> Callable[[list[RandomStream]], dict]:
     """The campaign's route, chosen once from its analyses' needs and its
-    source: a function from a stack's streams to its record, each kind's
-    (B, ...) array of the stack's per-draw values. Each tile is generated,
-    solved (eigendecompose, eigenphases or nothing) and taken to its values
-    before the next tile is built; its states U|0> are kept, and the kinds
-    that need only those take the whole stack's in one call after the last
-    tile."""
+    source: a stack's streams -> the _stack_record of its tiles. A phases-only
+    campaign on a disconnected graph yields one tile, (None, its phases from
+    tensor factors); every other yields (us, its solve) for each tile of
+    _draw_matrices, each built after the last one's values are taken."""
     needs = {ANALYSES[a.kind].needs for a in spec.analyses}
     source, cap = spec.source, spec.dim_cap
     if needs == {"phases"} and isinstance(source, InteractionGraph) and not is_connected(source):
-        def factored(streams):
+        def tiles(streams):
             factors = evolution_factors(source, streams, cap)
             phases, passed = spectral.product_eigenphases(factors)
             if not passed.all():
                 redo = np.flatnonzero(~passed)
                 phases[redo] = spectral.eigenphases(evolution_unitary(
                     source, [streams[j] for j in redo], dim_cap=cap))
-            return _records(spec, spec.analyses, None, SpectralData(phases, None))
-        return factored
+            yield None, SpectralData(phases, None)
+    else:
+        def tiles(streams):
+            for us in _draw_matrices(source, streams, cap):
+                yield us, (spectral.eigendecompose(us) if "eigensystem" in needs
+                           else SpectralData(spectral.eigenphases(us), None) if "phases" in needs
+                           else None)
+    return lambda streams: _stack_record(spec, tiles(streams))
 
+
+def _stack_record(spec: EnsembleSpec, tiles: Iterable[tuple]) -> dict:
+    """A stack's record, each kind's (B, ...) array of per-draw values, from
+    its (us, data) tiles in draw order: one call per tile for each kind but
+    a "state" kind, which takes the stack's U|0> in one call after them."""
     state = [a for a in spec.analyses if ANALYSES[a.kind].needs == "state"]
-    tiled = [a for a in spec.analyses if a not in state]
-
-    def solve(us):
-        if "eigensystem" in needs:
-            return spectral.eigendecompose(us)
-        return SpectralData(spectral.eigenphases(us), None) if "phases" in needs else None
-
-    def stack_records(streams):
-        tiles, states = [], []
-        for us in _draw_matrices(source, streams, cap):
-            tiles.append(_records(spec, tiled, us, solve(us)))
-            if state:  # a copy, so that no tile outlives its turn
-                states.append(us[:, :, 0].copy())
-        record = {a.kind: np.concatenate([tile[a.kind] for tile in tiles]) for a in tiled}
-        if state:
-            record.update(_records(spec, state, np.concatenate(states), None))
-        return record
-
-    return stack_records
-
-
-def _records(spec: EnsembleSpec, analyses, operand, data) -> dict:
-    """Each of ``analyses``' kinds' array of per-draw values, from one row call
-    per kind on a tile (or a stack's states) and its SpectralData."""
-    return {a.kind: ANALYSES[a.kind].per_stack(spec, a, operand, data) for a in analyses}
+    tiled, states = {a: [] for a in spec.analyses if a not in state}, []
+    for us, data in tiles:
+        for a, values in tiled.items():
+            values.append(ANALYSES[a.kind].per_stack(spec, a, us, data))
+        if state:  # a copy, so that no tile outlives its turn
+            states.append(us[:, :, 0].copy())
+        del us, data  # nor its solve, while the next tile is built and solved
+    record = {a.kind: np.concatenate(values) for a, values in tiled.items()}
+    if state:
+        states = np.concatenate(states)
+        record.update({a.kind: ANALYSES[a.kind].per_stack(spec, a, states, None)
+                       for a in state})
+    return record
 
 
 def _aggregate(spec: EnsembleSpec, records: list[dict]) -> dict:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from unigraph import ensemble, spectral, tensor
+from unigraph import ensemble, rand, spectral, tensor
 from unigraph import entropy as ent
 from unigraph.ensemble import (ANALYSES, STACK_AMPLITUDES, TILE_AMPLITUDES, Analysis,
                                EnsembleReport, EnsembleSpec, IncompatibleAnalysis,
                                ReferenceEnsemble, _aggregate, _moments_from_eigvals,
-                               _records, benchmark_generation, run_ensemble)
+                               _stack_record, benchmark_generation, run_ensemble)
 from unigraph.entropy import partial_trace, purity, von_neumann_entropy
 from unigraph.graph import (Clique, InteractionGraph, Layer, ParticleSystem,
                             chain_graph, components, from_bond_vertex_graph, ring_graph)
@@ -24,19 +24,11 @@ def pair_graph(n):
     return from_bond_vertex_graph([(1, 2)], [(1,), (2,)], n=n)
 
 
-def stack_records(spec, us, data):
-    """A (B, N, N) stack's records as a campaign's plan makes them: each
-    "state" kind's from the stack's states U|0>, every other kind's from the
-    stack and its SpectralData."""
-    state = [a for a in spec.analyses if ANALYSES[a.kind].needs == "state"]
-    return {**_records(spec, [a for a in spec.analyses if a not in state], us, data),
-            **_records(spec, state, us[:, :, 0].copy(), None)}
-
-
 def phases_records(spec, us):
-    """The records of a (B, N, N) stack solved by eigenphases: the solve of
-    every campaign here that reads phases but no eigenvectors."""
-    return stack_records(spec, us, SpectralData(spectral.eigenphases(us), None))
+    """The records of a (B, N, N) stack taken as one tile solved by
+    eigenphases: the solve of every campaign here that reads phases but no
+    eigenvectors."""
+    return _stack_record(spec, [(us, SpectralData(spectral.eigenphases(us), None))])
 
 
 def run_draw(spec, u):
@@ -448,7 +440,7 @@ class TestStackedRows:
                                       Analysis("entanglement", (1, 3)),
                                       Analysis("projection", (2,))))
         us = evolution_unitary(graph, [RandomStream(18, t) for t in range(draws)])
-        records = stack_records(spec, us, eigendecompose(us))
+        records = _stack_record(spec, [(us, eigendecompose(us))])
         for j, u in enumerate(us):
             data = eigendecompose(u)
             assert records["evec_entropy"][j] == ent.eigenvector_entropy(data)
@@ -486,7 +478,7 @@ class TestStackedRows:
                 ("projection", (1,)), ("state_sample", ()))))
         assert {a.kind for a in spec.analyses} == set(ANALYSES)
         us = evolution_unitary(graph, [RandomStream(19, t) for t in range(draws)])
-        for kind, values in stack_records(spec, us, eigendecompose(us)).items():
+        for kind, values in _stack_record(spec, [(us, eigendecompose(us))]).items():
             assert isinstance(values, np.ndarray) and len(values) == draws, kind
 
     def test_factored_rows_return_one_array_per_stack(self):
@@ -629,7 +621,7 @@ class TestBenchmark:
         monkeypatch.setattr(ensemble, "_folded_blocks", lambda graph, streams, dim_cap:
                             calls.append(("fold", [s.path for s in streams]))
                             or fold(graph, streams, dim_cap))
-        monkeypatch.setattr(ensemble, "evolution_unitary", lambda graph, blocks, dim_cap:
+        monkeypatch.setattr(ensemble, "evolution_unitary", lambda graph, blocks:
                             calls.append(("evolution", blocks.draws)))
         monkeypatch.setattr(ensemble, "haar_unitary", lambda dim, streams:
                             calls.append(("haar", [s.path for s in streams])))
@@ -908,3 +900,61 @@ class TestFactoredChecks:
                             analyses=PHASE_ANALYSES, dim_cap=16)
         with pytest.raises(DimensionCapExceeded):
             run_ensemble(spec)
+
+
+class TestOneStackPipeline:
+    """Every route yields its tiles to one _stack_record call per stack, and
+    refuses a source over the cap before it draws anything."""
+
+    @pytest.mark.parametrize("source,draws,analyses,tiles", [
+        # N=64: stacks of 32 and 8 draws in tiles of 2
+        (chain_graph(6, 2), 40, "element_entropy,state_sample", [16, 4]),
+        # a phases-only campaign on a disconnected graph: one tile, no matrices
+        (FACTORED_GRAPHS["two_mixed_dims"], 5, "spacing,phase_density,trace_moments:2", [1]),
+        (ReferenceEnsemble("cue", 64), 40, "spacing", [16, 4]),
+    ], ids=["tiled_graph", "factored", "cue"])
+    def test_every_route_makes_one_stack_record_call_per_stack(
+            self, monkeypatch, source, draws, analyses, tiles):
+        calls = []
+        stack_record = ensemble._stack_record
+
+        def spy(spec, stack_tiles):
+            stack_tiles = list(stack_tiles)
+            calls.append([us is None for us, _ in stack_tiles])
+            return stack_record(spec, stack_tiles)
+        monkeypatch.setattr(ensemble, "_stack_record", spy)
+        run_ensemble(EnsembleSpec(source=source, draws=draws, master_seed=5,
+                                  analyses=tuple(map(Analysis.parse, analyses.split(",")))))
+        # us is None only on the factored route, whose one tile is the stack
+        assert calls == [[tiles == [1]] * n for n in tiles]
+
+    @pytest.mark.parametrize("source,analyses", [
+        (chain_graph(6, 2), "spacing"),
+        (chain_graph(6, 2), "state_sample"),
+        (FACTORED_GRAPHS["two_mixed_dims"], "spacing,phase_density,trace_moments:2"),
+        (ReferenceEnsemble("cue", 64), "spacing"),
+        (ReferenceEnsemble("composed", 64), "spacing"),
+        (ReferenceEnsemble("diagonal", 64), "spacing"),
+        (chain_graph(6, 2), None),
+    ], ids=["tiled_graph", "state_only", "factored", "cue", "composed", "diagonal",
+            "benchmark_generation"])
+    def test_the_cap_is_the_dimension_on_every_route(self, monkeypatch, source, analyses):
+        def build(cap):
+            if analyses is None:
+                return benchmark_generation(source, 2, master_seed=6, dim_cap=cap)
+            return run_ensemble(EnsembleSpec(
+                source=source, draws=2, master_seed=6, dim_cap=cap,
+                analyses=tuple(map(Analysis.parse, analyses.split(",")))))
+        drawn = []
+        for module, name in ((rand, "haar_unitary"), (tensor, "haar_unitary"),
+                             (ensemble, "haar_unitary"), (ensemble, "random_phases_diagonal")):
+            def spy(*args, draw=getattr(module, name), name=name):
+                drawn.append(name)
+                return draw(*args)
+            monkeypatch.setattr(module, name, spy)
+        dim = ensemble._dim(source)
+        with pytest.raises(DimensionCapExceeded):
+            build(dim - 1)
+        assert drawn == []
+        build(dim)
+        assert drawn
