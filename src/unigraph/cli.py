@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="display entropies in bits (files stay in nats)")
     run.add_argument("--strict-paper-spacing", action="store_true",
                      help="drop the circular wrap gap (N-1 spacings per draw)")
-    run.add_argument("--unweighted-projection", action="store_true",
-                     help="average projection outcomes uniformly instead of "
-                          "weighting by outcome probability")
 
     bench = sub.add_parser("bench", help="time structured vs CUE generation")
     _add_source_args(bench, references=False)
@@ -266,26 +263,22 @@ def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
     spec = EnsembleSpec(
         source=source, draws=args.draws, master_seed=seed,
         analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args),
-        include_wrap=not args.strict_paper_spacing,
-        weighted_projection=not args.unweighted_projection)
-    report = run_ensemble(spec)
-
-    doc = report.to_dict()
-    doc["provenance"] = prov
+        include_wrap=not args.strict_paper_spacing)
+    doc = {**run_ensemble(spec).to_dict(), "provenance": prov}
     paths = []
     if args.format == "csv":
-        for name, result in report.analyses.items():
-            hist = result.get("histogram")
-            if hist is None:
+        # each histogram's text, made once by to_dict, moves to a sibling file
+        for name, entry in doc["analyses"].items():
+            if "histogram" not in entry:
                 continue
             paths.append(os.path.join(args.out, f"{name}.csv"))
             with open(paths[-1], "w", encoding="utf-8") as handle:
                 handle.write(_provenance_comment(prov))
-                handle.write(hist.to_csv())
-            doc["analyses"][name]["histogram"] = f"{name}.csv"
+                handle.write(entry["histogram"])
+            entry["histogram"] = f"{name}.csv"
     paths.append(_write_json(os.path.join(args.out, "report.json"), doc))
 
-    for name, result in report.analyses.items():
+    for name, result in doc["analyses"].items():
         entropy_keys = _ENTROPY_KEYS.get(name, ())
         summary = []
         for key in ("mean", "mean_entropy", "variance", "ks_wigner", "ks_poisson",

@@ -107,22 +107,23 @@ class Analysis:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """``draws`` draws of ``source`` from ``master_seed``, each analysed by each of
+    ``analyses``; the one flag, ``include_wrap``, keeps the spacings' wrap gap."""
+
     source: InteractionGraph | ReferenceEnsemble
     draws: int
     master_seed: int
     analyses: tuple[Analysis, ...]
     dim_cap: int = DEFAULT_DIM_CAP
     include_wrap: bool = True
-    weighted_projection: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "analyses", tuple(self.analyses))
         object.__setattr__(self, "draws", _integer(self.draws, "draws", 1))
         object.__setattr__(self, "dim_cap", _integer(self.dim_cap, "dim_cap", 1))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, _U64))
-        for flag in ("include_wrap", "weighted_projection"):
-            if not isinstance(getattr(self, flag), bool):
-                raise ValueError(f"{flag} must be True or False, got {getattr(self, flag)!r}")
+        if not isinstance(self.include_wrap, bool):
+            raise ValueError(f"include_wrap must be True or False, got {self.include_wrap!r}")
         kinds = [a.kind for a in self.analyses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("each analysis kind may be requested once")
@@ -268,12 +269,13 @@ def _keep_set(spec: EnsembleSpec, analysis: Analysis) -> list[int]:
     return sorted(set(analysis.arg or range(1, len(spec.source.dims) // 2 + 1)))
 
 
-def _projection_stats(vectors: np.ndarray, dims, particle: int,
-                      weighted: bool) -> np.ndarray:
-    """(T, 3): per draw of a (T, N, M) stack of eigenvector columns, the mean
-    entropy and purity (weight-weighted by default) of the first remaining particle
-    over the columns' slices at ``particle``'s basis states, and the count of null
-    slices (weight <= 1e-14), each made the first basis state with weight 0."""
+def _projection_stats(vectors: np.ndarray, dims, particle: int) -> np.ndarray:
+    """(T, 5): per draw of a (T, N, M) stack of eigenvector columns, the entropy
+    and purity of the first remaining particle over the columns' slices at
+    ``particle``'s basis states, averaged with the slices' weights (columns 0, 1),
+    the count of null slices (weight <= 1e-14; column 2), and the same entropy and
+    purity averaged uniformly over the non-null slices (columns 3, 4). A null
+    slice is made the first basis state and weighs 0 in both means."""
     rest_dims = [d for p, d in enumerate(dims, start=1) if p != particle]
     psi = np.swapaxes(vectors, -1, -2).reshape((len(vectors), -1) + tuple(dims))
     slices = np.moveaxis(psi, particle + 1, 2).reshape(len(vectors), -1, prod(rest_dims))
@@ -284,9 +286,9 @@ def _projection_stats(vectors: np.ndarray, dims, particle: int,
                       slices / np.sqrt(np.where(null, 1.0, weights))[..., None])
     weights[null] = 0.0
     values = np.stack(ent.reduced_entropies(normed.reshape(-1, slices.shape[-1]), rest_dims, [0]))
-    w = weights if weighted else (~null).astype(float)
-    means = (w * values.reshape((2,) + w.shape)).sum(axis=-1) / w.sum(axis=-1)
-    return np.column_stack([*means, null.sum(axis=1)])
+    weighted, uniform = ((w * values.reshape((2,) + w.shape)).sum(axis=-1) / w.sum(axis=-1)
+                         for w in (weights, (~null).astype(float)))
+    return np.column_stack([*weighted, null.sum(axis=1), *uniform])
 
 
 def _no_parameter(spec: EnsembleSpec, analysis: Analysis) -> str | None:
@@ -345,7 +347,7 @@ def _scalar_summary(values: np.ndarray) -> dict:
 
 
 def _pair_summary(values: np.ndarray) -> dict:
-    """Summary of a (D, 2 or 3) array: each draw's entropy, purity, ..."""
+    """Summary of a (D, >= 2) array: each draw's entropy, purity, ..."""
     ent_mean, ent_se = _mean_se(values[:, 0])
     pur_mean, pur_se = _mean_se(values[:, 1])
     return {"draws": len(values), "mean_entropy": ent_mean, "entropy_se": ent_se,
@@ -408,7 +410,8 @@ def _projection_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarr
     return {"particle": particle, "dim_a": dim_a, "dim_c": dim_c,
             **_pair_summary(values), **_page_references(dim_a, dim_c),
             "skipped_slices": int(values[:, 2].sum()),
-            "weighted": spec.weighted_projection}
+            **{f"unweighted_{key}": value
+               for key, value in _pair_summary(values[:, 3:]).items() if key != "draws"}}
 
 
 def _trace_moments_summary(spec: EnsembleSpec, analysis: Analysis,
@@ -486,9 +489,8 @@ ANALYSES = {
         _entanglement_summary),
     "projection": AnalysisKind(
         "eigensystem", True, _projection_check,
-        # all T M eigenvectors' slices in one call; a null slice weighs 0 in both means
-        lambda spec, a, us, data: _projection_stats(
-            data.vectors, spec.source.dims, a.arg[0], spec.weighted_projection),
+        # all T M eigenvectors' slices in one call; both outcome weightings per draw
+        lambda spec, a, us, data: _projection_stats(data.vectors, spec.source.dims, a.arg[0]),
         _projection_summary),
     "state_sample": AnalysisKind(
         "state", True, _state_sample_check,

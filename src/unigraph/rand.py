@@ -266,29 +266,32 @@ def haar_unitary(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.
     return q[0] if single else q
 
 
+def _phases(dim: int, generators) -> np.ndarray:
+    """(B, dim) phase factors exp(i theta), theta uniform on [0, 2pi), a row per generator."""
+    return np.exp(1j * np.array([g.uniform(0.0, 2.0 * np.pi, dim) for g in generators]))
+
+
 def random_phases_diagonal(dim: int, stream: RandomStream | Sequence[RandomStream]
                            ) -> np.ndarray:
     """Diagonal unitary with independent phases uniform on [0, 2pi): the
     Poissonian reference ensemble; a stack for a sequence, as haar_unitary."""
     dim = _integer(dim, "matrix dimension", 1, error=DimensionZero)
     single, streams = as_streams(stream)
-    phases = np.array([g.uniform(0.0, 2.0 * np.pi, dim) for g in _generators(streams)])
     u = np.zeros((len(streams), dim, dim), dtype=complex)
-    u[:, np.arange(dim), np.arange(dim)] = np.exp(1j * phases)
+    u[:, np.arange(dim), np.arange(dim)] = _phases(dim, _generators(streams))
     return u[0] if single else u
 
 
 def sample_composed(dim: int, stream: RandomStream | Sequence[RandomStream]) -> np.ndarray:
     """Two independent Poissonian diagonals mixed through a Haar rotation:
     P1 @ X @ P2 @ X†. Substreams 0, 1, 2 feed P1, P2, X respectively, seeded
-    from one key array; a sequence of streams gives a stack, multiplied and
-    checked in single calls."""
+    from one key array; P1 and P2 scale X's rows and columns, so a sequence
+    of streams gives a stack formed by one product and checked in one call."""
     dim = _integer(dim, "matrix dimension", 1, error=DimensionZero)
     single, streams = as_streams(stream)
     generators = _generators(streams, [(0,), (1,), (2,)])
-    p1 = random_phases_diagonal(dim, generators[:, 0])
-    p2 = random_phases_diagonal(dim, generators[:, 1])
+    p1, p2 = (_phases(dim, generators[:, k]) for k in (0, 1))
     x = haar_unitary(dim, generators[:, 2])
-    u = p1 @ x @ p2 @ np.swapaxes(x.conj(), -1, -2)
+    u = (p1[:, :, None] * x * p2[:, None, :]) @ np.swapaxes(x.conj(), -1, -2)
     require_unitary(u)
     return u[0] if single else u

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from unigraph.cli import build_parser, main
-from unigraph.graph import ring_graph, serialize_graph
+from unigraph.cli import _parse_analyses, _provenance_comment, build_parser, main
+from unigraph.ensemble import EnsembleSpec, run_ensemble
+from unigraph.graph import chain_graph, ring_graph, serialize_graph
 
 
 def read(path):
@@ -152,6 +153,32 @@ class TestRun:
             "bin_left,bin_right,count,density")
         assert not os.path.exists(out / "spacing.csv")
 
+    def test_csv_histogram_files_are_the_report_text(self, tmp_path):
+        # each sibling file is the provenance comment, then the histogram's
+        # to_csv(), byte for byte; the json format embeds the same text
+        analyses = "spacing,phase_density,element_entropy,state_sample"
+        argv = ["run", "--chain", "3", "--n", "2", "--draws", "6", "--seed", "5",
+                "--analyses", analyses]
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "j"), "--format", "json"]) == 0
+        doc = json.loads(read(tmp_path / "c" / "report.json"))
+        embedded = json.loads(read(tmp_path / "j" / "report.json"))["analyses"]
+        report = run_ensemble(EnsembleSpec(chain_graph(3, 2), 6, 5, _parse_analyses(analyses)))
+        for name, result in report.analyses.items():
+            text = result["histogram"].to_csv()
+            assert doc["analyses"][name]["histogram"] == f"{name}.csv"
+            assert (tmp_path / "c" / f"{name}.csv").read_bytes() \
+                == (_provenance_comment(doc["provenance"]) + text).encode()
+            assert embedded[name]["histogram"] == text
+
+    def test_removed_projection_flag_exits_2(self, tmp_path, capsys):
+        # a projection report carries both weightings, so no flag picks one
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--chain", "3", "--n", "2", "--draws", "2", "--analyses",
+                  "projection:2", "--out", str(tmp_path), "--unweighted-projection"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_incompatible_analysis_exits_2(self, tmp_path, capsys):
         assert main(["run", "--cue", "8", "--draws", "2", "--analyses",
                      "entanglement:1", "--out", str(tmp_path)]) == 2
@@ -188,7 +215,11 @@ class TestRun:
                      "--out", str(out)]) == 0
         doc = json.loads(read(out / "report.json"))
         assert doc["analyses"]["projection"]["particle"] == 2
-        assert doc["analyses"]["projection"]["weighted"] is True
+        projection = doc["analyses"]["projection"]
+        assert "weighted" not in projection
+        assert list(projection)[-5:] == [
+            "skipped_slices", "unweighted_mean_entropy", "unweighted_entropy_se",
+            "unweighted_mean_purity", "unweighted_purity_se"]
         assert doc["draws"] == 10
 
     def test_phase_density_without_chi_square(self, tmp_path, capsys):
@@ -211,17 +242,15 @@ class TestRun:
         da.pop("wall_seconds"), db.pop("wall_seconds")
         assert da == db
 
-    def test_unweighted_projection_and_strict_spacing_replay(self, tmp_path, capsys):
+    def test_strict_spacing_replay(self, tmp_path, capsys):
         out, again = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--chain", "3", "--n", "2", "--draws", "4", "--analyses",
                      "spacing,projection:2", "--seed", "5", "--out", str(out),
-                     "--unweighted-projection", "--strict-paper-spacing"]) == 0
+                     "--strict-paper-spacing"]) == 0
         doc = json.loads(read(out / "report.json"))
-        assert doc["analyses"]["projection"]["weighted"] is False
         assert doc["analyses"]["spacing"]["count"] == (8 - 1) * 4
         command = next(l for l in capsys.readouterr().out.splitlines()
                        if l.startswith("re-run: "))[len("re-run: "):]
-        assert "--unweighted-projection" in command
         assert "--strict-paper-spacing" in command
         assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
         replayed = json.loads(read(again / "report.json"))
@@ -283,7 +312,7 @@ def shell_words(command: str) -> list[str]:
 EVERY_FLAG = {
     "gen": ["--format", "json"],
     "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json",
-            "--bits", "--strict-paper-spacing", "--unweighted-projection"],
+            "--bits", "--strict-paper-spacing"],
     "bench": ["--draws", "1"],
 }
 

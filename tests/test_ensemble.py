@@ -383,10 +383,11 @@ def oracle_values(spec, u):
             "state_sample": (von_neumann_entropy(sigma), purity(sigma))}
 
 
-def projection_per_draw(vectors, dims, particle, weighted):
-    """One draw's projection row, (entropy, purity, skipped), as the campaign
-    computed it draw by draw: the null slices of the (N, M) eigenvector
-    columns are dropped before one reduced_entropies call on the rest."""
+def projection_per_draw(vectors, dims, particle):
+    """One draw's projection row, (entropy, purity, skipped, uniform entropy,
+    uniform purity), as the campaign computed it draw by draw: the null slices
+    of the (N, M) eigenvector columns are dropped before one reduced_entropies
+    call on the rest, which is averaged with the slices' weights and with 1s."""
     b0 = particle - 1
     nvec = vectors.shape[1]
     rest_dims = [d for p, d in enumerate(dims) if p != b0]
@@ -396,9 +397,9 @@ def projection_per_draw(vectors, dims, particle, weighted):
     valid = weights > 1e-14
     normed = slices[valid] / np.sqrt(weights[valid])[:, None]
     entropies, purities = ent.reduced_entropies(normed, rest_dims, [0])
-    w = weights[valid] if weighted else np.ones(len(entropies))
-    return (float((w * entropies).sum() / w.sum()),
-            float((w * purities).sum() / w.sum()), int((~valid).sum()))
+    weighted, uniform = ([float((w * x).sum() / w.sum()) for x in (entropies, purities)]
+                         for w in (weights[valid], np.ones(len(entropies))))
+    return (*weighted, int((~valid).sum()), *uniform)
 
 
 class TestStackedRows:
@@ -447,26 +448,28 @@ class TestStackedRows:
             entropies, purities = ent.reduced_entropies(data.vectors.T, dims, [0, 2])
             assert np.array_equal(records["entanglement"][j],
                                   [entropies.mean(), purities.mean()])
-            assert np.array_equal(records["projection"][j], projection_per_draw(
-                data.vectors, dims, 2, spec.weighted_projection))
+            assert np.array_equal(records["projection"][j],
+                                  projection_per_draw(data.vectors, dims, 2))
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_null_slices_weigh_nothing_in_a_stacked_tile(self, weighted):
         # a (2, 12, 12) tile on dims (2, 3, 2): a Haar draw's eigenvectors, and
         # the same with column 0 a (x) e_1 (x) c, whose slices 0 and 2 at
-        # particle 2 are null
+        # particle 2 are null; one weighting's (entropy, purity, skipped)
+        # columns per case
+        columns = [0, 1, 2] if weighted else [3, 4, 2]
         dims = (2, 3, 2)
         vectors = eigendecompose(haar_unitary(12, RandomStream(41, 0))).vectors
         a, c = haar_unitary(2, [RandomStream(41, 1), RandomStream(41, 2)])[:, :, 0]
         spoiled = vectors.copy()
         spoiled[:, 0] = np.kron(np.kron(a, np.eye(3)[1]), c)
         tile = np.stack([vectors, spoiled])
-        got = ensemble._projection_stats(tile, dims, 2, weighted)
-        expected = [projection_per_draw(v, dims, 2, weighted) for v in tile]
-        assert got.shape == (2, 3)
+        got = ensemble._projection_stats(tile, dims, 2)
+        expected = [projection_per_draw(v, dims, 2) for v in tile]
+        assert got.shape == (2, 5)
         assert list(got[:, 2]) == [e[2] for e in expected] == [0, 2]
-        assert np.array_equal(got[0], expected[0])
-        assert np.abs(got[1] - expected[1]).max() <= 1e-14
+        assert np.array_equal(got[0, columns], np.take(expected[0], columns))
+        assert np.abs(got[1, columns] - np.take(expected[1], columns)).max() <= 1e-14
 
     @pytest.mark.parametrize("draws", [1, 3])
     def test_every_row_returns_one_array_per_tile(self, draws):

@@ -306,10 +306,11 @@ class TestReducedEntropies:
             von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))
 
 
-def projection_oracle(vectors, dims, particle, weighted):
+def projection_oracle(vectors, dims, particle):
     """Slice every column with np.take at each basis index of ``particle``,
     then average entropy and purity of the first remaining particle with
-    partial_trace, von_neumann_entropy and purity."""
+    partial_trace, von_neumann_entropy and purity: (probability-weighted
+    entropy, purity, null slices, uniform entropy, purity)."""
     rest = [d for p, d in enumerate(dims, start=1) if p != particle]
     weights, entropies, purities, skipped = [], [], [], 0
     for column in vectors.T:
@@ -321,11 +322,12 @@ def projection_oracle(vectors, dims, particle, weighted):
                 skipped += 1
                 continue
             sigma = partial_trace(slice_ / np.sqrt(weight), rest, keep=(1,))
-            weights.append(weight if weighted else 1.0)
+            weights.append(weight)
             entropies.append(von_neumann_entropy(sigma))
             purities.append(purity(sigma))
     return (np.average(entropies, weights=weights),
-            np.average(purities, weights=weights), skipped)
+            np.average(purities, weights=weights), skipped,
+            np.mean(entropies), np.mean(purities))
 
 
 def product_column():
@@ -340,26 +342,24 @@ class TestProjection:
     @pytest.mark.parametrize("dims, particle", [
         ((2, 3, 2), 1), ((2, 3, 2), 2), ((2, 3, 2), 3), ((3, 2, 2, 2), 2)])
     def test_matches_oracle(self, dims, particle, weighted):
+        # one outcome weighting per case: by probability (columns 0, 1), or
+        # uniform over the slices (columns 3, 4)
+        columns = [0, 1] if weighted else [3, 4]
         total = int(np.prod(dims))
         vectors = eigendecompose(haar_unitary(total, RandomStream(38, total))).vectors
-        got = _projection_stats(vectors[None], dims, particle, weighted)[0]
-        expected = projection_oracle(vectors, dims, particle, weighted)
-        assert abs(got[0] - expected[0]) <= 1e-12
-        assert abs(got[1] - expected[1]) <= 1e-12
+        got = _projection_stats(vectors[None], dims, particle)[0]
+        expected = projection_oracle(vectors, dims, particle)
+        assert np.abs(got[columns] - np.take(expected, columns)).max() <= 1e-12
         assert got[2] == expected[2] == 0
 
     def test_product_state_slice(self):
-        for weighted in (True, False):
-            entropy, purity_, _ = _projection_stats(product_column()[None], (2, 3, 2), 2,
-                                                    weighted)[0]
-            assert abs(entropy) <= 1e-12
-            assert abs(purity_ - 1.0) <= 1e-12
+        got = _projection_stats(product_column()[None], (2, 3, 2), 2)[0]
+        assert np.abs(got[[0, 3]]).max() <= 1e-12
+        assert np.abs(got[[1, 4]] - 1.0).max() <= 1e-12
 
     def test_orthogonal_slice_is_null(self):
         # the two null slices weigh nothing: they are not averaged in as zero states
         column = product_column()
-        for weighted in (True, False):
-            got = _projection_stats(column[None], (2, 3, 2), 2, weighted)[0]
-            assert got[2] == 2
-            assert tuple(got) == pytest.approx(
-                projection_oracle(column, (2, 3, 2), 2, weighted), abs=1e-12)
+        got = _projection_stats(column[None], (2, 3, 2), 2)[0]
+        assert got[2] == 2
+        assert tuple(got) == pytest.approx(projection_oracle(column, (2, 3, 2), 2), abs=1e-12)

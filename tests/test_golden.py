@@ -2,7 +2,7 @@
 
 tests/golden/campaigns.jsonl holds one campaign per line: its full spec (the
 graph's serialize_graph JSON or the reference kind and N, the draws, seed,
-analyses and flags) beside its report, to_dict(include_timing=False) with
+analyses and include_wrap) beside its report, to_dict(include_timing=False) with
 each histogram stored as its edges, counts and overflow. The test reruns
 every spec and compares:
 
@@ -19,7 +19,9 @@ state_sample campaign with an explicit keep set. The test runs at one and
 at two workers, whose reports must also be equal bit for bit. After a
 change that moves
 reports on purpose, one command rebuilds the set, prints the summary against
-the stored table and rewrites it:
+the stored table (campaigns matched by name) and rewrites it, keeping each
+stored value that still passes, so that the table moves only where a value
+fails or a key is added or removed:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -60,8 +62,7 @@ def spec_entry(name: str, spec: EnsembleSpec) -> dict:
                        else {"graph": json.loads(serialize_graph(source))}),
             "draws": spec.draws, "seed": spec.master_seed,
             "analyses": [analysis_text(a) for a in spec.analyses],
-            "include_wrap": spec.include_wrap,
-            "weighted_projection": spec.weighted_projection}
+            "include_wrap": spec.include_wrap}
 
 
 def spec_of(entry: dict) -> EnsembleSpec:
@@ -71,8 +72,7 @@ def spec_of(entry: dict) -> EnsembleSpec:
                 else ReferenceEnsemble(source["kind"], source["dim"])),
         draws=entry["draws"], master_seed=entry["seed"],
         analyses=tuple(Analysis.parse(text) for text in entry["analyses"]),
-        include_wrap=entry["include_wrap"],
-        weighted_projection=entry["weighted_projection"])
+        include_wrap=entry["include_wrap"])
 
 
 def report_of(entry: dict, workers: int = 1) -> dict:
@@ -99,8 +99,8 @@ def compare(got, stored, path: list, worst: dict, problems: list) -> None:
     elif isinstance(stored, dict):
         if list(got) != list(stored):
             problems.append(f"{where}: keys {list(got)} != stored {list(stored)}")
-        else:
-            for k in stored:
+        for k in stored:  # the shared keys' deviations are reported either way
+            if k in got:
                 compare(got[k], stored[k], path + [k], worst, problems)
     elif isinstance(stored, list):
         if len(got) != len(stored):
@@ -215,18 +215,44 @@ def campaign_set() -> list[dict]:
     return entries
 
 
+def keep_passing(got, stored):
+    """``got`` with every value that passes ``compare`` against ``stored``
+    replaced by the stored one, so that a rewritten table moves only where a
+    value fails or a key is new; a key not in ``got`` is dropped."""
+    if isinstance(got, dict) and isinstance(stored, dict):
+        return {k: keep_passing(v, stored[k]) if k in stored else v for k, v in got.items()}
+    if isinstance(got, list) and isinstance(stored, list) and len(got) == len(stored):
+        return [keep_passing(a, b) for a, b in zip(got, stored)]
+    problems = []
+    compare(got, stored, [], {}, problems)
+    return got if problems else stored
+
+
 def regenerate() -> None:
+    """Rerun the set, match its campaigns to the stored table by name, print
+    the summary and each mismatch, the spec changes and the added and
+    removed campaigns, and rewrite the table with keep_passing reports."""
     entries = [{**entry, "report": report_of(entry)} for entry in campaign_set()]
     stored = {old["name"]: old for old in load_table()} if TABLE.exists() else {}
-    kept = [entry for entry in entries if entry["name"] in stored
-            and {**stored[entry["name"]], "report": None} == {**entry, "report": None}]
-    worst, problems = check(kept, [stored[entry["name"]] for entry in kept])
-    print(summary(worst, len(entries), problems))
+    known = [entry for entry in entries if entry["name"] in stored]
+    worst, problems = check(known, [stored[entry["name"]] for entry in known])
+    print(summary(worst, len(known), problems))
     for line in problems:
         print(line)
-    new = len(entries) - len(kept)
-    if new:
-        print(f"{new} campaigns are new or changed their spec")
+    changed: dict[str, list[str]] = {}
+    for entry in known:
+        old = stored[entry["name"]]
+        fields = [k for k in {**old, **entry} if k != "report" and old.get(k) != entry.get(k)]
+        if fields:
+            changed.setdefault(", ".join(fields), []).append(entry["name"])
+        entry["report"] = keep_passing(entry["report"], old["report"])
+    for fields, names in changed.items():
+        print(f"spec {fields} changed in {len(names)} campaigns: {' '.join(names)}")
+    names = {entry["name"] for entry in entries}
+    for name in [entry["name"] for entry in entries if entry["name"] not in stored]:
+        print(f"{name}: added")
+    for name in [name for name in stored if name not in names]:
+        print(f"{name}: removed")
     TABLE.parent.mkdir(exist_ok=True)
     with open(TABLE, "w", encoding="utf-8") as handle:
         handle.writelines(json.dumps(entry) + "\n" for entry in entries)

@@ -352,8 +352,7 @@ INTEGER_INPUTS = {
     "phase_bins": (lambda v: phase_uniformity(np.linspace(0, 6, 320), bins=v), 8,
                    [1, 0, -3], lambda x: x),
 }
-FLAG_INPUTS = {"include_wrap": lambda v: small_spec(include_wrap=v),
-               "weighted_projection": lambda v: small_spec(weighted_projection=v)}
+FLAG_INPUTS = {"include_wrap": lambda v: small_spec(include_wrap=v)}
 ONE_RULE_CASES = (
     [(entry, np.int64(valid)) for entry, (_, valid, _, _) in INTEGER_INPUTS.items()]
     + [(entry, value) for entry, (_, _, out_of_range, _) in INTEGER_INPUTS.items()

@@ -453,4 +453,7 @@ class TestSampleComposed:
         p1 = random_phases_diagonal(5, s.substream(0))
         p2 = random_phases_diagonal(5, s.substream(1))
         x = haar_unitary(5, s.substream(2))
-        assert np.array_equal(u, p1 @ x @ p2 @ x.conj().T)
+        # P1 and P2 scale X's rows and columns before the one product with X†
+        assert np.array_equal(u, (np.diag(p1)[:, None] * x * np.diag(p2)[None, :]) @ x.conj().T)
+        # and the dense product, as an independent oracle
+        assert np.allclose(u, p1 @ x @ p2 @ x.conj().T, rtol=0, atol=1e-14)
