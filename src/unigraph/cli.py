@@ -95,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="csv: sibling histogram files; json: embed in report")
     run.add_argument("--bits", action="store_true",
                      help="display entropies in bits (files stay in nats)")
-    run.add_argument("--strict-paper-spacing", action="store_true",
-                     help="drop the circular wrap gap (N-1 spacings per draw)")
 
     bench = sub.add_parser("bench", help="time structured vs CUE generation")
     _add_source_args(bench, references=False)
@@ -262,20 +260,19 @@ def _display(value: float, bits: bool) -> str:
 def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
     spec = EnsembleSpec(
         source=source, draws=args.draws, master_seed=seed,
-        analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args),
-        include_wrap=not args.strict_paper_spacing)
+        analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args))
     doc = {**run_ensemble(spec).to_dict(), "provenance": prov}
     paths = []
     if args.format == "csv":
-        # each histogram's text, made once by to_dict, moves to a sibling file
+        # each histogram's text, made once by to_dict, moves to <kind>[_<prefix>].csv
         for name, entry in doc["analyses"].items():
-            if "histogram" not in entry:
-                continue
-            paths.append(os.path.join(args.out, f"{name}.csv"))
-            with open(paths[-1], "w", encoding="utf-8") as handle:
-                handle.write(_provenance_comment(prov))
-                handle.write(entry["histogram"])
-            entry["histogram"] = f"{name}.csv"
+            for key in [key for key in entry if key.endswith("histogram")]:
+                filename = "_".join([name, *key.split("_")[:-1]]) + ".csv"
+                paths.append(os.path.join(args.out, filename))
+                with open(paths[-1], "w", encoding="utf-8") as handle:
+                    handle.write(_provenance_comment(prov))
+                    handle.write(entry[key])
+                entry[key] = filename
     paths.append(_write_json(os.path.join(args.out, "report.json"), doc))
 
     for name, result in doc["analyses"].items():

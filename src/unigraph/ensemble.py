@@ -108,22 +108,26 @@ class Analysis:
 @dataclass(frozen=True)
 class EnsembleSpec:
     """``draws`` draws of ``source`` from ``master_seed``, each analysed by each of
-    ``analyses``; the one flag, ``include_wrap``, keeps the spacings' wrap gap."""
+    ``analyses``; a bad value raises here, before any draw (a source over ``dim_cap``
+    DimensionCapExceeded, any other ValueError)."""
 
     source: InteractionGraph | ReferenceEnsemble
     draws: int
     master_seed: int
     analyses: tuple[Analysis, ...]
     dim_cap: int = DEFAULT_DIM_CAP
-    include_wrap: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "analyses", tuple(self.analyses))
         object.__setattr__(self, "draws", _integer(self.draws, "draws", 1))
         object.__setattr__(self, "dim_cap", _integer(self.dim_cap, "dim_cap", 1))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, _U64))
-        if not isinstance(self.include_wrap, bool):
-            raise ValueError(f"include_wrap must be True or False, got {self.include_wrap!r}")
+        if not isinstance(self.source, (InteractionGraph, ReferenceEnsemble)):
+            raise ValueError("source must be an InteractionGraph or a ReferenceEnsemble, "
+                             f"got {self.source!r}")
+        for analysis in self.analyses:
+            if not isinstance(analysis, Analysis):
+                raise ValueError(f"analyses must be Analysis values, got {analysis!r}")
         kinds = [a.kind for a in self.analyses]
         if len(set(kinds)) != len(kinds):
             raise ValueError("each analysis kind may be requested once")
@@ -138,6 +142,7 @@ class EnsembleSpec:
             message = kind.check(self, analysis)
             if message:
                 raise IncompatibleAnalysis(message)
+        _check_cap(self.dim, self.dim_cap)
 
     @property
     def dim(self) -> int:
@@ -195,12 +200,12 @@ def _draw_matrices(source: InteractionGraph | ReferenceEnsemble,
     draw order, max(1, TILE_AMPLITUDES // N**2) draws each. A graph's blocks
     are drawn and folded once for the stack, and a tile is built from its
     slice of them by one evolution_unitary call; a reference source's sampler
-    is called once on each tile's slice of the streams."""
+    is called once on each tile's slice of the streams. A graph over ``dim_cap``
+    raises; a reference source is checked by its EnsembleSpec."""
     if isinstance(source, InteractionGraph):
         draws = _folded_blocks(source, streams, dim_cap)
         build = partial(evolution_unitary, source)
     else:
-        _check_cap(source.dim, dim_cap)
         draws = streams
         build = partial({"cue": haar_unitary, "composed": sample_composed,
                          "diagonal": random_phases_diagonal}[source.kind], source.dim)
@@ -369,7 +374,9 @@ def _element_entropy_summary(spec: EnsembleSpec, analysis: Analysis,
     return {**_scalar_summary(values), "histogram": Histogram.from_samples(values, edges)}
 
 
-def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
+def _spacing_stats(values: np.ndarray) -> dict:
+    """The pooled count, mean, SE of the draws' means, variance, KS distances to
+    Wigner and Poisson, and histogram of a (D, M) array of M spacings per draw."""
     pooled = values.ravel()
     _, mean_se = _mean_se(values.mean(axis=1))
     return {"count": int(pooled.size), "mean": float(pooled.mean()), "mean_se": mean_se,
@@ -379,6 +386,13 @@ def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray)
             "ks_poisson": spectral.ks_statistic(
                 pooled, lambda s: spectral.reference_cdf("poisson", s)),
             "histogram": Histogram.from_samples(pooled, DEFAULT_SPACING_EDGES)}
+
+
+def _spacing_summary(spec: EnsembleSpec, analysis: Analysis, values: np.ndarray) -> dict:
+    """_spacing_stats of the (D, N) wrap-inclusive spacings (mean exactly 1), then,
+    prefixed ``interior_``, of the paper's N-1 interior gaps: the first N-1 columns."""
+    return {**_spacing_stats(values),
+            **{f"interior_{key}": value for key, value in _spacing_stats(values[:, :-1]).items()}}
 
 
 def _phase_density_summary(spec: EnsembleSpec, analysis: Analysis,
@@ -458,8 +472,7 @@ class AnalysisKind(NamedTuple):
 ANALYSES = {
     "spacing": AnalysisKind(
         "phases", False, _spectrum_check,
-        lambda spec, a, us, data: spectral.spacings(
-            data.phases, include_wrap=spec.include_wrap),
+        lambda spec, a, us, data: spectral.spacings(data.phases),
         _spacing_summary),
     "phase_density": AnalysisKind(
         "phases", False, _spectrum_check,

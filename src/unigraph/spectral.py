@@ -241,22 +241,16 @@ def product_eigenphases(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
     return phases, _traces_match(traces, phases)
 
 
-def spacings(phases: np.ndarray, include_wrap: bool = True) -> np.ndarray:
+def spacings(phases: np.ndarray) -> np.ndarray:
     """Nearest-neighbour spacings of sorted phases, scaled by N/(2pi); for a
-    (B, N) stack, those of each row.
-
-    With include_wrap (default) the circular gap from the last phase back to
-    the first is appended, giving N spacings with mean exactly 1. Without it
-    only the N-1 interior gaps are returned (strict-paper mode).
-    """
+    (B, N) stack, those of each row: the N-1 interior gaps, then the circular
+    gap from the last phase back to the first, N spacings with mean exactly 1."""
     phases = np.asarray(phases, dtype=float)
     n = phases.shape[-1]
     if n < 2:
         raise FewerThanTwoPhases(f"need at least two phases, got {n}")
-    gaps = np.diff(phases)
-    if include_wrap:
-        gaps = np.concatenate([gaps, phases[..., :1] + TWO_PI - phases[..., -1:]], axis=-1)
-    return gaps * (n / TWO_PI)
+    wrap = phases[..., :1] + TWO_PI - phases[..., -1:]
+    return np.concatenate([np.diff(phases), wrap], axis=-1) * (n / TWO_PI)
 
 
 def _check_nonnegative(s) -> np.ndarray:

@@ -164,12 +164,31 @@ class TestRun:
         doc = json.loads(read(tmp_path / "c" / "report.json"))
         embedded = json.loads(read(tmp_path / "j" / "report.json"))["analyses"]
         report = run_ensemble(EnsembleSpec(chain_graph(3, 2), 6, 5, _parse_analyses(analyses)))
+        files = []
         for name, result in report.analyses.items():
-            text = result["histogram"].to_csv()
-            assert doc["analyses"][name]["histogram"] == f"{name}.csv"
-            assert (tmp_path / "c" / f"{name}.csv").read_bytes() \
-                == (_provenance_comment(doc["provenance"]) + text).encode()
-            assert embedded[name]["histogram"] == text
+            # spacing's interior_histogram goes to spacing_interior.csv
+            for key, filename in [("histogram", f"{name}.csv"),
+                                  ("interior_histogram", f"{name}_interior.csv")]:
+                if key not in result:
+                    continue
+                text = result[key].to_csv()
+                assert doc["analyses"][name][key] == filename
+                assert (tmp_path / "c" / filename).read_bytes() \
+                    == (_provenance_comment(doc["provenance"]) + text).encode()
+                assert embedded[name][key] == text
+                files.append(filename)
+        assert "spacing_interior.csv" in files
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) \
+            == sorted(files + ["report.json"])
+
+    def test_removed_strict_spacing_flag_exits_2(self, tmp_path, capsys):
+        # a spacing report carries both the wrap-inclusive and the interior keys
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--cue", "8", "--draws", "2", "--analyses", "spacing",
+                  "--out", str(tmp_path), "--strict-paper-spacing"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_removed_projection_flag_exits_2(self, tmp_path, capsys):
         # a projection report carries both weightings, so no flag picks one
@@ -243,19 +262,21 @@ class TestRun:
         assert da == db
 
     def test_strict_spacing_replay(self, tmp_path, capsys):
+        # the paper's interior gaps, N-1 per draw, and their histogram file replay
         out, again = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--chain", "3", "--n", "2", "--draws", "4", "--analyses",
-                     "spacing,projection:2", "--seed", "5", "--out", str(out),
-                     "--strict-paper-spacing"]) == 0
+                     "spacing,projection:2", "--seed", "5", "--out", str(out)]) == 0
         doc = json.loads(read(out / "report.json"))
-        assert doc["analyses"]["spacing"]["count"] == (8 - 1) * 4
+        assert doc["analyses"]["spacing"]["interior_count"] == (8 - 1) * 4
+        assert doc["analyses"]["spacing"]["interior_histogram"] == "spacing_interior.csv"
         command = next(l for l in capsys.readouterr().out.splitlines()
                        if l.startswith("re-run: "))[len("re-run: "):]
-        assert "--strict-paper-spacing" in command
         assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
         replayed = json.loads(read(again / "report.json"))
         doc.pop("wall_seconds"), replayed.pop("wall_seconds")
         assert replayed == doc
+        for name in ("spacing.csv", "spacing_interior.csv"):
+            assert read(again / name) == read(out / name)
         capsys.readouterr()
 
     def test_bits_flag_changes_display_only(self, tmp_path, capsys):
@@ -274,7 +295,7 @@ class TestRun:
         assert build_parser() is build_parser()
         base = ["run", "--chain", "3", "--n", "2", "--draws", "4", "--seed", "5",
                 "--analyses", "spacing,evec_entropy"]
-        runs = (base + ["--bits", "--strict-paper-spacing"], base)
+        runs = (base + ["--bits"], base)
 
         def outputs(fresh: bool, name: str) -> list:
             got = []
@@ -285,6 +306,7 @@ class TestRun:
                 assert main(argv + ["--out", str(out)]) == 0
                 doc = json.loads(read(out / "report.json"))
                 doc.pop("wall_seconds")
+                assert doc["analyses"]["spacing"]["interior_count"] == (8 - 1) * 4
                 shown = [l for l in capsys.readouterr().out.splitlines()
                          if not l.startswith("wrote ")]
                 got.append((doc, shown))
@@ -312,7 +334,7 @@ def shell_words(command: str) -> list[str]:
 EVERY_FLAG = {
     "gen": ["--format", "json"],
     "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json",
-            "--bits", "--strict-paper-spacing"],
+            "--bits"],
     "bench": ["--draws", "1"],
 }
 

@@ -17,7 +17,8 @@ from unigraph.rand import (RandomStream, UnitarityError, haar_unitary,
                            random_phases_diagonal, sample_composed, unitarity_defects,
                            unitarity_tolerance)
 from unigraph.spectral import SpectralData, eigendecompose
-from unigraph.tensor import DimensionCapExceeded, evolution_factors, evolution_unitary
+from unigraph.tensor import (DEFAULT_DIM_CAP, DimensionCapExceeded, evolution_factors,
+                             evolution_unitary)
 
 
 def pair_graph(n):
@@ -183,6 +184,26 @@ class TestSpecValidation:
             EnsembleSpec(source=ReferenceEnsemble("cue", 4), draws=0,
                          master_seed=0, analyses=(Analysis("spacing"),))
 
+    @pytest.mark.parametrize("source, analyses, named", [
+        (ring_graph(4, 2), ("spacing",), "'spacing'"),
+        (ring_graph(4, 2), (Analysis("spacing"), "phase_density"), "'phase_density'"),
+        ("ring", (Analysis("spacing"),), "'ring'"),
+    ], ids=["analysis_text", "second_analysis_text", "source_text"])
+    def test_malformed_spec_names_the_value(self, source, analyses, named):
+        # an analysis that is not an Analysis, or a source that is neither a
+        # graph nor a reference ensemble, raised AttributeError
+        with pytest.raises(ValueError, match=named):
+            EnsembleSpec(source, 2, 1, analyses)
+
+    @pytest.mark.parametrize("source, dim_cap", [
+        (ring_graph(14, 2), DEFAULT_DIM_CAP), (ReferenceEnsemble("cue", 5000), DEFAULT_DIM_CAP),
+        (ReferenceEnsemble("composed", 16), 8), (chain_graph(3, 2), 7),
+    ], ids=["graph", "reference", "reference_own_cap", "graph_own_cap"])
+    def test_source_over_its_cap_is_refused_by_the_spec(self, source, dim_cap):
+        # the spec was accepted, and only run_ensemble raised
+        with pytest.raises(DimensionCapExceeded):
+            EnsembleSpec(source, 2, 1, (Analysis("spacing"),), dim_cap=dim_cap)
+
 
 class TestRunEnsemble:
     def test_single_cue2_draw(self):
@@ -277,17 +298,31 @@ class TestRunEnsemble:
         assert abs(result["variance"] - 1.0) < 0.1
         assert result["ks_poisson"] < result["ks_wigner"]
 
-    def test_failed_draw_aborts(self):
-        spec = EnsembleSpec(source=ring_graph(4, 2), draws=2, master_seed=0,
-                            analyses=(Analysis("spacing"),), dim_cap=8)
-        with pytest.raises(DimensionCapExceeded):
+    def test_failed_draw_aborts(self, monkeypatch):
+        # N=64: stacks of 32 and 8 draws, solved in tiles of 2; a draw of the
+        # second stack fails, and the campaign raises with no report
+        solve, tiles = spectral.eigenphases, []
+
+        def fail_late(us):
+            tiles.append(len(us))
+            if len(tiles) == 17:
+                raise spectral.ConvergenceFailure("injected")
+            return solve(us)
+        monkeypatch.setattr(spectral, "eigenphases", fail_late)
+        spec = EnsembleSpec(source=ReferenceEnsemble("cue", 64), draws=40, master_seed=0,
+                            analyses=(Analysis("spacing"),))
+        with pytest.raises(spectral.ConvergenceFailure, match="injected"):
             run_ensemble(spec)
+        assert tiles == [2] * 17
 
     def test_strict_paper_mode_drops_wrap(self):
+        # the interior_* keys are the paper's convention: N-1 gaps per draw
         spec = EnsembleSpec(source=ReferenceEnsemble("cue", 16), draws=3,
-                            master_seed=13, analyses=(Analysis("spacing"),),
-                            include_wrap=False)
-        assert run_ensemble(spec).analyses["spacing"]["count"] == 15 * 3
+                            master_seed=13, analyses=(Analysis("spacing"),))
+        result = run_ensemble(spec).analyses["spacing"]
+        assert (result["count"], result["interior_count"]) == (16 * 3, 15 * 3)
+        assert result["interior_histogram"].counts.sum() \
+            + result["interior_histogram"].overflow == 15 * 3
 
     def test_entanglement_matches_spec_ops(self):
         # batched analysis must agree with partial_trace + entropy per column
@@ -376,7 +411,8 @@ def oracle_values(spec, u):
     keep = [a.arg for a in spec.analyses if a.kind == "state_sample"][0] \
         or range(1, len(spec.source.dims) // 2 + 1)
     sigma = partial_trace(u[:, 0], spec.source.dims, keep)
-    return {"spacing": spectral.spacings(phases, include_wrap=spec.include_wrap),
+    return {"spacing": spectral.spacings(phases),
+            "interior": np.diff(phases) * (len(phases) / spectral.TWO_PI),
             "phase_density": phases,
             "element_entropy": ent.element_entropy(u),
             "trace_moments": _moments_from_eigvals(np.exp(1j * phases), 3),
@@ -411,7 +447,7 @@ class TestStackedRows:
     @pytest.mark.parametrize("wrap,keep", [(True, ()), (False, (2, 4))])
     def test_rows_equal_the_single_matrix_oracle(self, dims, draws, wrap, keep):
         graph = brick_graph(dims)
-        spec = EnsembleSpec(source=graph, draws=draws, master_seed=17, include_wrap=wrap,
+        spec = EnsembleSpec(source=graph, draws=draws, master_seed=17,
                             analyses=(Analysis("spacing"), Analysis("phase_density"),
                                       Analysis("element_entropy"),
                                       Analysis("trace_moments", (3,)),
@@ -420,10 +456,17 @@ class TestStackedRows:
         records = phases_records(spec, us)
         assert {kind: len(values) for kind, values in records.items()} \
             == dict.fromkeys(records, draws)
+        # wrap: the N wrap-inclusive spacings; else the paper's N-1 interior
+        # gaps, the row's first N-1 columns, which the interior_* keys read
+        spacing = records["spacing"] if wrap else records["spacing"][:, :-1]
+        summary = _aggregate(spec, [records])["spacing"]
+        assert summary["count" if wrap else "interior_count"] == spacing.size \
+            == (prod(dims) - (not wrap)) * draws
         keep0 = [p - 1 for p in (keep or range(1, len(dims) // 2 + 1))]
         for j, u in enumerate(us):
             expected = oracle_values(spec, u)
-            for kind in ("spacing", "phase_density", "element_entropy", "trace_moments"):
+            assert np.array_equal(spacing[j], expected["spacing" if wrap else "interior"])
+            for kind in ("phase_density", "element_entropy", "trace_moments"):
                 assert np.array_equal(records[kind][j], expected[kind]), kind
             # partial_trace symmetrizes its reduced state, which moves the
             # entropy and purity by rounding; the draw's state alone, as a
@@ -899,10 +942,12 @@ class TestFactoredChecks:
         assert_reports_close(got, full_matrix_report(spec))
 
     def test_cap_is_the_whole_dimension(self):
-        spec = EnsembleSpec(source=self.graph, draws=2, master_seed=0,
-                            analyses=PHASE_ANALYSES, dim_cap=16)
+        # N = 36 over a cap of 16 that each component (4 and 9) is within
         with pytest.raises(DimensionCapExceeded):
-            run_ensemble(spec)
+            EnsembleSpec(source=self.graph, draws=2, master_seed=0,
+                         analyses=PHASE_ANALYSES, dim_cap=16)
+        with pytest.raises(DimensionCapExceeded):
+            evolution_factors(self.graph, [RandomStream(0, 0)], dim_cap=16)
 
 
 class TestOneStackPipeline:

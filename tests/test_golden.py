@@ -1,8 +1,8 @@
 """Golden campaign table: the reports of a fixed set of campaigns must not move.
 
 tests/golden/campaigns.jsonl holds one campaign per line: its full spec (the
-graph's serialize_graph JSON or the reference kind and N, the draws, seed,
-analyses and include_wrap) beside its report, to_dict(include_timing=False) with
+graph's serialize_graph JSON or the reference kind and N, the draws, seed and
+analyses) beside its report, to_dict(include_timing=False) with
 each histogram stored as its edges, counts and overflow. The test reruns
 every spec and compares:
 
@@ -13,11 +13,11 @@ every spec and compares:
 It prints the largest deviation per key, |got - stored| / max(1, |stored|).
 
 The set: every campaign of the three benchmark workloads at seeds 1 and 23;
-cue, composed and diagonal at N = 16, 54 and 64 with five analyses, with and
-without the wrap gap; a disconnected graph with eigenvector analyses; and a
-state_sample campaign with an explicit keep set. The test runs at one and
-at two workers, whose reports must also be equal bit for bit. After a
-change that moves
+cue, composed and diagonal at N = 16, 54 and 64 with five analyses (each
+spacing report holds both the wrap-inclusive and the interior statistics); a
+disconnected graph with eigenvector analyses; and a state_sample campaign
+with an explicit keep set. The test runs at one and at two workers, whose
+reports must also be equal bit for bit. After a change that moves
 reports on purpose, one command rebuilds the set, prints the summary against
 the stored table (campaigns matched by name) and rewrites it, keeping each
 stored value that still passes, so that the table moves only where a value
@@ -61,8 +61,7 @@ def spec_entry(name: str, spec: EnsembleSpec) -> dict:
                        if isinstance(source, ReferenceEnsemble)
                        else {"graph": json.loads(serialize_graph(source))}),
             "draws": spec.draws, "seed": spec.master_seed,
-            "analyses": [analysis_text(a) for a in spec.analyses],
-            "include_wrap": spec.include_wrap}
+            "analyses": [analysis_text(a) for a in spec.analyses]}
 
 
 def spec_of(entry: dict) -> EnsembleSpec:
@@ -71,8 +70,7 @@ def spec_of(entry: dict) -> EnsembleSpec:
         source=(parse_graph_spec(json.dumps(source["graph"])) if "graph" in source
                 else ReferenceEnsemble(source["kind"], source["dim"])),
         draws=entry["draws"], master_seed=entry["seed"],
-        analyses=tuple(Analysis.parse(text) for text in entry["analyses"]),
-        include_wrap=entry["include_wrap"])
+        analyses=tuple(Analysis.parse(text) for text in entry["analyses"]))
 
 
 def report_of(entry: dict, workers: int = 1) -> dict:
@@ -199,12 +197,9 @@ def campaign_set() -> list[dict]:
                     entries.append(spec_entry(name, spec))
     for kind in ("cue", "composed", "diagonal"):
         for dim in (16, 54, 64):
-            for wrap in (True, False):
-                spec = EnsembleSpec(
-                    source=ReferenceEnsemble(kind, dim), draws=100, master_seed=1,
-                    analyses=tuple(map(Analysis.parse, REFERENCE_ANALYSES)),
-                    include_wrap=wrap)
-                entries.append(spec_entry(f"{kind}{dim}{'' if wrap else '-nowrap'}", spec))
+            entries.append(spec_entry(f"{kind}{dim}", EnsembleSpec(
+                source=ReferenceEnsemble(kind, dim), draws=100, master_seed=1,
+                analyses=tuple(map(Analysis.parse, REFERENCE_ANALYSES)))))
     entries.append(spec_entry("two-components-eigensystem", EnsembleSpec(
         source=parse_graph_spec(json.dumps(TWO_COMPONENTS)), draws=40, master_seed=1,
         analyses=tuple(map(Analysis.parse, ("spacing", "evec_entropy", "entanglement:1,3",

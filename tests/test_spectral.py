@@ -396,9 +396,12 @@ class TestSpacings:
         assert abs(spacings(phases).mean() - 1.0) <= 1e-9
 
     def test_strict_mode_drops_wrap_gap(self):
+        # the paper's 63 interior gaps are the first 63 spacings; the wrap gap ends them
         phases = np.sort(np.random.default_rng(6).uniform(0, TWO_PI, 64))
-        assert len(spacings(phases, include_wrap=False)) == 63
-        assert len(spacings(phases)) == 64
+        s = spacings(phases)
+        assert len(s) == 64
+        assert np.array_equal(s[:-1], np.diff(phases) * (64 / TWO_PI))
+        assert s[-1] == (phases[0] + TWO_PI - phases[-1]) * (64 / TWO_PI)
 
     def test_rejects_single_phase(self):
         with pytest.raises(FewerThanTwoPhases):
