@@ -1,8 +1,8 @@
 """Command-line surface: gen, run, bench, validate.
 
-Emits plot-ready CSV/JSON only; every output embeds provenance (the
-reconstructed command line, seed, and graph hash) so that re-running the
-printed command reproduces the file, timing fields aside.
+``gen`` writes its unitary exactly (``unitary.npy`` and a ``unitary.json``),
+``run`` plot-ready CSV/JSON. Provenance (command line, seed, graph hash) in each
+JSON and CSV lets the printed command reproduce every file, timing aside.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="sample one evolution unitary and write it")
     _add_source_args(gen, references=False)
     _add_common_args(gen)
-    gen.add_argument("--format", choices=("csv", "json"), default="csv")
 
     run = sub.add_parser("run", help="run a Monte Carlo campaign and write a report")
     _add_source_args(run, references=True)
@@ -125,7 +124,13 @@ def _resolve_seed(raw: str | None) -> int:
         return DEFAULT_SEED
     if raw == "random":
         return int(np.random.SeedSequence().entropy % (1 << 64))
-    return int(raw, 0)
+    try:
+        seed = int(raw, 0)
+    except ValueError:
+        seed = -1  # refused below
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"--seed must be an integer in [0, 2**64) or 'random', got {raw!r}")
+    return seed
 
 
 def _parse_groups(text: str) -> list[tuple[int, ...]]:
@@ -235,26 +240,10 @@ def _write_json(path: str, doc: dict) -> str:
 
 def _cmd_gen(args, graph: InteractionGraph, seed: int, prov: dict) -> list[str]:
     u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=_dim_cap(args))
-    if args.format == "json":
-        doc = {"provenance": prov, "dim": int(u.shape[0]),
-               "re": u.real.tolist(), "im": u.imag.tolist()}
-        return [_write_json(os.path.join(args.out, "unitary.json"), doc)]
-    path = os.path.join(args.out, "unitary.csv")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_provenance_comment(prov))
-        handle.write(f"# dim: {u.shape[0]}\n")
-        handle.write("row,col,re,im\n")
-        for i in range(u.shape[0]):
-            for j in range(u.shape[1]):
-                handle.write(
-                    f"{i},{j},{float(u[i, j].real)!r},{float(u[i, j].imag)!r}\n")
-    return [path]
-
-
-def _display(value: float, bits: bool) -> str:
-    if bits:
-        return f"{nats_to_bits(value):.6f} bits"
-    return f"{value:.6f} nats"
+    matrix = os.path.join(args.out, "unitary.npy")
+    np.save(matrix, u)
+    doc = {"provenance": prov, "dim": int(u.shape[0]), "matrix": "unitary.npy"}
+    return [matrix, _write_json(os.path.join(args.out, "unitary.json"), doc)]
 
 
 def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
@@ -284,7 +273,8 @@ def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
                 if result[key] is None:  # e.g. chi-square skipped on too few phases
                     summary.append(f"{key}=n/a")
                 elif key in entropy_keys:
-                    summary.append(f"{key}={_display(result[key], args.bits)}")
+                    shown = nats_to_bits(result[key]) if args.bits else result[key]
+                    summary.append(f"{key}={shown:.6f} {'bits' if args.bits else 'nats'}")
                 else:
                     summary.append(f"{key}={result[key]:.6g}")
         if name == "trace_moments":

@@ -77,6 +77,14 @@ class ReferenceEnsemble:
         object.__setattr__(self, "dim", _integer(self.dim, "reference dimension", 1))
 
 
+def _items(value, expected: str) -> tuple:
+    """``value``'s items; a str (whose items are its characters) or a
+    non-iterable raises ValueError: ``expected``, got ``value``."""
+    if isinstance(value, str) or not isinstance(value, Iterable):
+        raise ValueError(f"{expected}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class Analysis:
     """One requested statistic; ``arg`` carries its parameters
@@ -88,11 +96,11 @@ class Analysis:
     def __post_init__(self):
         if self.kind not in ANALYSES:
             raise ValueError(f"unknown analysis {self.kind!r}")
+        expected = f"analysis {self.kind!r}: parameters are integers in a sequence"
         try:
-            arg = tuple(_integer(p, "parameter") for p in self.arg)
+            arg = tuple(_integer(p, "parameter") for p in _items(self.arg, expected))
         except ValueError:
-            raise ValueError(
-                f"analysis {self.kind!r}: parameters are integers, got {self.arg}") from None
+            raise ValueError(f"{expected}, got {self.arg!r}") from None
         object.__setattr__(self, "arg", arg)
 
     @classmethod
@@ -118,7 +126,8 @@ class EnsembleSpec:
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "analyses", tuple(self.analyses))
+        object.__setattr__(self, "analyses", _items(
+            self.analyses, "analyses must be a sequence of Analysis values"))
         object.__setattr__(self, "draws", _integer(self.draws, "draws", 1))
         object.__setattr__(self, "dim_cap", _integer(self.dim_cap, "dim_cap", 1))
         object.__setattr__(self, "master_seed", _integer(self.master_seed, "master_seed", 0, _U64))

@@ -4,11 +4,14 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from unigraph.cli import _parse_analyses, _provenance_comment, build_parser, main
 from unigraph.ensemble import EnsembleSpec, run_ensemble
 from unigraph.graph import chain_graph, ring_graph, serialize_graph
+from unigraph.rand import RandomStream
+from unigraph.tensor import evolution_unitary
 
 
 def read(path):
@@ -16,27 +19,68 @@ def read(path):
         return handle.read()
 
 
+GEN_FILES = ("unitary.json", "unitary.npy")
+
+
+def gen_bytes(out) -> list[bytes]:
+    """The bytes of the two files ``gen`` writes to ``out``, which holds no other."""
+    assert sorted(p.name for p in out.iterdir()) == list(GEN_FILES)
+    return [(out / name).read_bytes() for name in GEN_FILES]
+
+
 class TestGen:
     def test_ring_writes_unitary_and_provenance(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["gen", "--ring", "4", "--n", "2", "--seed", "7",
                      "--out", str(out)]) == 0
-        text = read(out / "unitary.csv")
-        assert text.startswith("# command: unigraph gen --ring 4 --n 2 --seed 7")
-        assert "# seed: 7" in text
-        assert "# spec_hash: " in text
-        assert "# versions: " in text
-        assert "row,col,re,im" in text
-        # 16x16 entries follow the header comment block
-        rows = [l for l in text.splitlines() if l and not l.startswith("#")]
-        assert len(rows) == 1 + 16 * 16
-        assert "seed: 7" in capsys.readouterr().out
+        gen_bytes(out)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "seed: 7"
+        assert [l for l in printed if l.startswith("wrote ")] == [
+            f"wrote {out / 'unitary.npy'}", f"wrote {out / 'unitary.json'}"]
+        prov = json.loads(read(out / "unitary.json"))["provenance"]
+        assert prov["command"] == "unigraph gen --ring 4 --n 2 --seed 7"
+        assert prov["seed"] == 7
+        assert prov["spec_hash"] and prov["versions"]["numpy"] == np.__version__
+
+    def test_matrix_is_the_evolution_unitary_bit_for_bit(self, tmp_path, capsys):
+        assert main(["gen", "--chain", "3", "--n", "3", "--seed", "12",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        u = np.load(tmp_path / "unitary.npy")
+        expected = evolution_unitary(chain_graph(3, 3), RandomStream(12, 0))
+        assert u.dtype == np.complex128 and u.shape == (27, 27)
+        assert u.tobytes() == expected.tobytes()
+        doc = json.loads(read(tmp_path / "unitary.json"))
+        assert doc["dim"] == 27
+        assert doc["matrix"] == "unitary.npy"
+        assert doc["provenance"]["command"] == "unigraph gen --chain 3 --n 3 --seed 12"
 
     def test_rerun_is_bit_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["gen", "--ring", "4", "--n", "2", "--seed", "9", "--out", str(a)])
         main(["gen", "--ring", "4", "--n", "2", "--seed", "9", "--out", str(b)])
-        assert read(a / "unitary.csv") == read(b / "unitary.csv")
+        assert gen_bytes(a) == gen_bytes(b)
+
+    def test_removed_format_flag_exits_2(self, tmp_path, capsys):
+        # gen writes one exact binary matrix, so no flag picks a text format
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "--ring", "4", "--n", "2", "--format", "json",
+                  "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", ["1.5", "abc", "0x", "-1", str(2**64)])
+    def test_bad_seed_exits_2_naming_the_flag(self, tmp_path, capsys, seed):
+        # refused before --out is made, naming the flag, not the library's master_seed
+        assert main(["gen", "--ring", "4", "--n", "2", "--seed", seed,
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert err == ("error: --seed must be an integer in [0, 2**64) or 'random', "
+                       f"got {seed!r}\n")
+        assert out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -58,10 +102,9 @@ class TestGen:
     def test_ring_ten_at_default_cap(self, tmp_path):
         out = tmp_path / "o"
         assert main(["gen", "--ring", "10", "--n", "2", "--seed", "1",
-                     "--out", str(out), "--format", "json"]) == 0
-        doc = json.loads(read(out / "unitary.json"))
-        assert doc["dim"] == 1024
-        assert len(doc["re"]) == 1024
+                     "--out", str(out)]) == 0
+        assert json.loads(read(out / "unitary.json"))["dim"] == 1024
+        assert np.load(out / "unitary.npy").shape == (1024, 1024)
 
     def test_env_var_overrides_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
@@ -69,7 +112,7 @@ class TestGen:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, written", [
-        (["gen", "--ring", "4", "--n", "2", "--format", "json"], "unitary.json"),
+        (["gen", "--ring", "4", "--n", "2"], "unitary.json"),
         (["run", "--ring", "4", "--n", "2", "--draws", "2", "--analyses", "spacing"],
          "report.json"),
         (["bench", "--ring", "4", "--n", "2", "--draws", "1"], "bench.json"),
@@ -332,7 +375,7 @@ def shell_words(command: str) -> list[str]:
 
 # every optional flag at a value other than its default
 EVERY_FLAG = {
-    "gen": ["--format", "json"],
+    "gen": [],
     "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json",
             "--bits"],
     "bench": ["--draws", "1"],
@@ -367,11 +410,12 @@ class TestSourceReplay:
             return
 
         # gen replays byte for byte, and the replayed flags name the same graph
+        first, again = tmp_path / "gen-a", tmp_path / "gen-b"
         assert main(["gen", *source, "--seed", "11", "--out", str(first)]) == 0
         replay = rerun_command(capsys.readouterr().out)
         assert main(replay + ["--out", str(again)]) == 0
         capsys.readouterr()
-        assert read(first / "unitary.csv") == read(again / "unitary.csv")
+        assert gen_bytes(first) == gen_bytes(again)
         replayed_source = replay[1:replay.index("--seed")]
         outputs = []
         for flags in (source, replayed_source):
@@ -394,7 +438,7 @@ class TestSourceReplay:
         assert words[:2 + len(source)] == ["unigraph", "gen", *source]
         assert main(words[1:] + ["--out", str(again)]) == 0
         capsys.readouterr()
-        assert read(first / "unitary.csv") == read(again / "unitary.csv")
+        assert gen_bytes(first) == gen_bytes(again)
 
     @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
     def test_every_flag_replays(self, tmp_path, capsys, command):
@@ -489,12 +533,12 @@ class TestLocalDimension:
     @pytest.mark.parametrize("flags, dim", [([], 16), (["--n", "3"], 81)])
     def test_builder_n_defaults_to_two_and_is_replayed_only_if_given(
             self, tmp_path, capsys, flags, dim):
-        assert main(["gen", "--ring", "4", *flags, "--seed", "1", "--format", "json",
+        assert main(["gen", "--ring", "4", *flags, "--seed", "1",
                      "--out", str(tmp_path)]) == 0
         doc = json.loads(read(tmp_path / "unitary.json"))
         assert doc["dim"] == dim
         assert doc["provenance"]["command"] == shlex.join(
-            ["unigraph", "gen", "--ring", "4", *flags, "--seed", "1", "--format", "json"])
+            ["unigraph", "gen", "--ring", "4", *flags, "--seed", "1"])
         capsys.readouterr()
 
     def test_reference_rerun_line_has_no_n(self, tmp_path, capsys):

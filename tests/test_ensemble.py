@@ -184,16 +184,24 @@ class TestSpecValidation:
             EnsembleSpec(source=ReferenceEnsemble("cue", 4), draws=0,
                          master_seed=0, analyses=(Analysis("spacing"),))
 
-    @pytest.mark.parametrize("source, analyses, named", [
-        (ring_graph(4, 2), ("spacing",), "'spacing'"),
-        (ring_graph(4, 2), (Analysis("spacing"), "phase_density"), "'phase_density'"),
-        ("ring", (Analysis("spacing"),), "'ring'"),
-    ], ids=["analysis_text", "second_analysis_text", "source_text"])
-    def test_malformed_spec_names_the_value(self, source, analyses, named):
-        # an analysis that is not an Analysis, or a source that is neither a
-        # graph nor a reference ensemble, raised AttributeError
+    @pytest.mark.parametrize("make, args, named", [
+        (EnsembleSpec, (ring_graph(4, 2), 2, 1, ("spacing",)), "got 'spacing'$"),
+        (EnsembleSpec, (ring_graph(4, 2), 2, 1, (Analysis("spacing"), "phase_density")),
+         "got 'phase_density'$"),
+        (EnsembleSpec, ("ring", 2, 1, (Analysis("spacing"),)), "got 'ring'$"),
+        (EnsembleSpec, (ring_graph(4, 2), 2, 1, "spacing"), "sequence .* got 'spacing'$"),
+        (EnsembleSpec, (ring_graph(4, 2), 2, 1, None), "sequence .* got None$"),
+        (EnsembleSpec, (ring_graph(4, 2), 2, 1, 5), "sequence .* got 5$"),
+        (Analysis, ("trace_moments", 3), "sequence, got 3$"),
+        (Analysis, ("trace_moments", "12"), "sequence, got '12'$"),
+    ], ids=["analysis_text", "second_analysis_text", "source_text", "analyses_text",
+            "analyses_none", "analyses_int", "arg_int", "arg_text"])
+    def test_malformed_spec_names_the_value(self, make, args, named):
+        # a malformed value is named in a ValueError: not an AttributeError,
+        # not a character of a str given as a sequence, and not a TypeError
+        # from iterating a non-iterable
         with pytest.raises(ValueError, match=named):
-            EnsembleSpec(source, 2, 1, analyses)
+            make(*args)
 
     @pytest.mark.parametrize("source, dim_cap", [
         (ring_graph(14, 2), DEFAULT_DIM_CAP), (ReferenceEnsemble("cue", 5000), DEFAULT_DIM_CAP),
