@@ -47,7 +47,6 @@ def _add_source_args(parser: argparse.ArgumentParser, references: bool) -> None:
     group.add_argument("--graph", metavar="PATH", help="graph spec JSON file")
     group.add_argument("--ring", type=int, metavar="K", help="two-color ring of K particles")
     group.add_argument("--chain", type=int, metavar="K", help="stepwise chain of K particles")
-    group.add_argument("--square", action="store_true", help="square graph (ring of 4)")
     group.add_argument("--bond-vertex", metavar="BONDS/VERTICES",
                        help="bond/vertex builder, e.g. '1,2;3,4/2,3;1,4' "
                             "(cliques ';'-separated, particles ','-separated)")
@@ -58,8 +57,8 @@ def _add_source_args(parser: argparse.ArgumentParser, references: bool) -> None:
         group.add_argument("--diagonal", type=int, metavar="N",
                            help="random-phase diagonal matrices of size N")
     parser.add_argument("--n", type=int, default=None, metavar="DIM",
-                        help="local dimension for --ring, --chain, --square and "
-                             "--bond-vertex (default 2)")
+                        help="local dimension for --ring, --chain and --bond-vertex "
+                             "(default 2)")
 
 
 def _add_common_args(parser: argparse.ArgumentParser) -> None:
@@ -155,15 +154,12 @@ def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
             raise GraphSpecError(
                 "--bond-vertex needs BONDS/VERTICES, e.g. '1,2;3,4/2,3;1,4'")
         graph = from_bond_vertex_graph(_parse_groups(bonds), _parse_groups(vertices), n=n)
-    elif args.square:
-        graph = ring_graph(4, n)
     else:
         kind = "graph" if args.graph is not None else next(
             k for k in REFERENCE_KINDS if getattr(args, k) is not None)
         if args.n is not None:
             raise GraphSpecError(f"--n does not apply to --{kind}, which sets its own "
-                                 "dimensions; --n is for --ring, --chain, --square "
-                                 "and --bond-vertex")
+                                 "dimensions; --n is for --ring, --chain and --bond-vertex")
         if kind != "graph":
             source = ReferenceEnsemble(kind, getattr(args, kind))
             return source, f"{kind}:{source.dim}"
@@ -171,19 +167,15 @@ def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
     return graph, graph_hash(graph)
 
 
-def _dim_cap(args) -> int:
-    """--dim-cap (which main fills in from UNIGRAPH_DIM_CAP), else the default."""
-    return DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
-
-
-def _resolve_dim_cap(args) -> None:
-    """Fill --dim-cap from UNIGRAPH_DIM_CAP when the flag is absent, so that
-    the re-run line carries it; refuse a cap that is not an integer >= 1."""
+def _resolve_dim_cap(args) -> int:
+    """The cap: --dim-cap, else UNIGRAPH_DIM_CAP, which fills in --dim-cap so
+    that the re-run line carries it, else the default; refuse a cap that is
+    not an integer >= 1."""
     name, value = "--dim-cap", args.dim_cap
     if value is None and os.environ.get("UNIGRAPH_DIM_CAP"):
         name, value = "UNIGRAPH_DIM_CAP", os.environ["UNIGRAPH_DIM_CAP"]
     if value is None:
-        return
+        return DEFAULT_DIM_CAP
     try:
         cap = int(value)
     except ValueError:
@@ -191,6 +183,7 @@ def _resolve_dim_cap(args) -> None:
     if cap < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     args.dim_cap = cap
+    return cap
 
 
 def _command(args, seed: int) -> str:
@@ -231,38 +224,45 @@ def _provenance_comment(prov: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_json(path: str, doc: dict) -> str:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
-    return path
+def _write(out: str | None, files: list[tuple[str, object]]) -> list[str]:
+    """Write each (name, content) pair under ``out`` and return the paths:
+    an array as .npy, a dict as JSON, a str as text. The only code that makes
+    ``out`` or opens an output file, so a refused command writes nothing."""
+    if out is None:
+        return []
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, name) for name, _ in files]
+    for path, (_, content) in zip(paths, files):
+        if isinstance(content, np.ndarray):
+            np.save(path, content)
+            continue
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(content, indent=1) + "\n"
+                         if isinstance(content, dict) else content)
+    return paths
 
 
-def _cmd_gen(args, graph: InteractionGraph, seed: int, prov: dict) -> list[str]:
-    u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=_dim_cap(args))
-    matrix = os.path.join(args.out, "unitary.npy")
-    np.save(matrix, u)
-    doc = {"provenance": prov, "dim": int(u.shape[0]), "matrix": "unitary.npy"}
-    return [matrix, _write_json(os.path.join(args.out, "unitary.json"), doc)]
+def _cmd_gen(args, graph: InteractionGraph, seed: int, dim_cap: int, prov: dict) -> list:
+    u = evolution_unitary(graph, RandomStream(seed, 0), dim_cap=dim_cap)
+    return [("unitary.npy", u),
+            ("unitary.json", {"provenance": prov, "dim": int(u.shape[0]),
+                              "matrix": "unitary.npy"})]
 
 
-def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
+def _cmd_run(args, source, seed: int, dim_cap: int, prov: dict) -> list:
     spec = EnsembleSpec(
         source=source, draws=args.draws, master_seed=seed,
-        analyses=_parse_analyses(args.analyses), dim_cap=_dim_cap(args))
+        analyses=_parse_analyses(args.analyses), dim_cap=dim_cap)
     doc = {**run_ensemble(spec).to_dict(), "provenance": prov}
-    paths = []
+    files = []
     if args.format == "csv":
         # each histogram's text, made once by to_dict, moves to <kind>[_<prefix>].csv
         for name, entry in doc["analyses"].items():
             for key in [key for key in entry if key.endswith("histogram")]:
                 filename = "_".join([name, *key.split("_")[:-1]]) + ".csv"
-                paths.append(os.path.join(args.out, filename))
-                with open(paths[-1], "w", encoding="utf-8") as handle:
-                    handle.write(_provenance_comment(prov))
-                    handle.write(entry[key])
+                files.append((filename, _provenance_comment(prov) + entry[key]))
                 entry[key] = filename
-    paths.append(_write_json(os.path.join(args.out, "report.json"), doc))
+    files.append(("report.json", doc))
 
     for name, result in doc["analyses"].items():
         entropy_keys = _ENTROPY_KEYS.get(name, ())
@@ -281,19 +281,15 @@ def _cmd_run(args, source, seed: int, prov: dict) -> list[str]:
             summary.append(f"mean_tr_u={result['mean_real'][0]:.4g}"
                            f"{result['mean_imag'][0]:+.4g}j")
         print(f"{name}: " + ", ".join(summary))
-    return paths
+    return files
 
 
-def _cmd_bench(args, graph: InteractionGraph, seed: int, prov: dict) -> list[str]:
-    result = benchmark_generation(graph, args.draws, master_seed=seed,
-                                  dim_cap=_dim_cap(args))
+def _cmd_bench(args, graph: InteractionGraph, seed: int, dim_cap: int, prov: dict) -> list:
+    result = benchmark_generation(graph, args.draws, master_seed=seed, dim_cap=dim_cap)
     _print_bench_table(result, len(graph.layers))
-    if args.out is None:
-        return []
-    doc = {"provenance": prov, "dim": result.dim, "draws": result.draws,
-           "structured_seconds": result.structured_seconds,
-           "cue_seconds": result.cue_seconds, "ratio": result.ratio}
-    return [_write_json(os.path.join(args.out, "bench.json"), doc)]
+    return [("bench.json", {"provenance": prov, "dim": result.dim, "draws": result.draws,
+                            "structured_seconds": result.structured_seconds,
+                            "cue_seconds": result.cue_seconds, "ratio": result.ratio})]
 
 
 def _print_bench_table(result: BenchmarkResult, num_layers: int) -> None:
@@ -324,16 +320,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return _cmd_validate(args)
-        # gen, run and bench: the seed is printed before any work can fail
+        # gen, run and bench: the seed is printed before any work can fail, and
+        # only _write, after the body's last refusal, touches --out
         seed = _resolve_seed(args.seed)
         print(f"seed: {seed}")
-        _resolve_dim_cap(args)
+        dim_cap = _resolve_dim_cap(args)
         source, spec_hash = _source(args)
         command = _command(args, seed)
-        if args.out is not None:
-            os.makedirs(args.out, exist_ok=True)
         body = {"gen": _cmd_gen, "run": _cmd_run, "bench": _cmd_bench}[args.command]
-        for path in body(args, source, seed, _provenance(command, seed, spec_hash)):
+        files = body(args, source, seed, dim_cap, _provenance(command, seed, spec_hash))
+        for path in _write(args.out, files):
             print(f"wrote {path}")
         print(f"re-run: {command}")
         return EXIT_OK

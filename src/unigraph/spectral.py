@@ -13,7 +13,7 @@ eigenpair's residual. eigenphases is the phases-only path for a stack:
 eigvalsh, checked by the trace identities sum_j e^{i m theta_j} = Tr U^m
 (m = 1, 2) in place of the eigenpair residual. Campaigns reading only
 phases (spacing, phase_density, trace_moments) take this path; their
-reports differ from the eigendecompose phases by at most ~1e-13.
+phases differ from eigendecompose's by rounding within _solve's pole budget.
 product_eigenphases solves a disconnected graph's draws from their
 tensor.evolution_factors stacks' phases, with the same trace identities
 checked on the Kronecker product.
@@ -101,8 +101,9 @@ def _solve(us: np.ndarray, with_vectors: bool):
 
     The first attempt solves the whole stack's Cayley transforms at
     alpha = 0. A matrix is refused if its I + W is singular, if some
-    |tan((theta + alpha)/2)| exceeds 4N (an eigenvalue close to the pole
-    -e^{-i alpha}), or if it fails its check: with vectors (eigh), the
+    |tan((theta + alpha)/2)| exceeds the pole budget max(4N, 1000) (an
+    eigenvalue so close to the pole -e^{-i alpha} that the phases could be off
+    by more than ~4e-13), or if it fails its check: with vectors (eigh), the
     eigenpair residual and norm checks; without (eigvalsh), the trace
     identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2.
     Only the refused matrices are solved again, each with its pole in the
@@ -110,7 +111,7 @@ def _solve(us: np.ndarray, with_vectors: bool):
     after a singular solve; a third attempt covers a singular first solve
     whose blind alpha = 1 lands on another eigenvalue. A gap-placed pole is
     at least pi/N, less the refused phases' error, from every eigenvalue, so
-    |tan| <= cot(pi/2N) < 2N/pi passes the 4N guard. A matrix refused three
+    |tan| <= cot(pi/2N) < 2N/pi is within the budget. A matrix refused three
     times raises ConvergenceFailure. alpha depends only on U, so the result
     is deterministic.
     """
@@ -124,7 +125,9 @@ def _solve(us: np.ndarray, with_vectors: bool):
         # rebinding found_vectors frees the unsorted columns before a retry
         found, found_vectors = _sorted(2.0 * np.arctan(tangents) - alphas[todo, None],
                                        found_vectors)
-        accepted = np.abs(tangents).max(axis=-1) <= 4 * dim  # False on a singular row
+        # the pole budget: a phase's error is at most about 2 eps max|tan|, so
+        # up to max(4N, 1000) the accepted phases are within ~4e-13 of exact
+        accepted = np.abs(tangents).max(axis=-1) <= max(4 * dim, 1000)  # False if singular
         passed = slice(None) if accepted.all() else accepted  # views when all pass
         accepted[passed] = (
             _eigenpairs_pass(stack[passed], found[passed], found_vectors[passed])
@@ -289,11 +292,15 @@ def reference_cdf(which: str, s):
 def ks_statistic(sample: np.ndarray, cdf) -> float:
     """Sup-norm distance between the sample's empirical CDF and ``cdf``."""
     sample = np.sort(np.asarray(sample, dtype=float))
-    n = len(sample)
-    if n == 0:
+    if len(sample) == 0:
         raise EmptySample("cannot compute a KS distance of an empty sample")
-    ref = np.asarray(cdf(sample), dtype=float)
-    steps = np.arange(n + 1) / n
+    return _ks_distance(np.asarray(cdf(sample), dtype=float))
+
+
+def _ks_distance(ref: np.ndarray) -> float:
+    """The KS distance of a sorted sample whose reference CDF values are ``ref``:
+    the largest gap between ``ref`` and the empirical CDF's steps."""
+    steps = np.arange(len(ref) + 1) / len(ref)
     return float(max((steps[1:] - ref).max(), (ref - steps[:-1]).max()))
 
 

@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from unigraph.cli import _parse_analyses, _provenance_comment, build_parser, main
+from unigraph.cli import _parse_analyses, _provenance_comment, _write, build_parser, main
 from unigraph.ensemble import EnsembleSpec, run_ensemble
 from unigraph.graph import chain_graph, ring_graph, serialize_graph
-from unigraph.rand import RandomStream
+from unigraph.rand import DEFAULT_SEED, RandomStream
 from unigraph.tensor import evolution_unitary
 
 
@@ -256,7 +256,7 @@ class TestRun:
 
     def test_analyses_with_multi_particle_args(self, tmp_path):
         out = tmp_path / "r"
-        assert main(["run", "--square", "--n", "2", "--draws", "5", "--analyses",
+        assert main(["run", "--ring", "4", "--n", "2", "--draws", "5", "--analyses",
                      "spacing,entanglement:1,2,trace_moments:3", "--seed", "8",
                      "--out", str(out)]) == 0
         doc = json.loads(read(out / "report.json"))
@@ -295,7 +295,7 @@ class TestRun:
         assert "p_value=n/a" in capsys.readouterr().out
 
     def test_reports_reproduce_modulo_timing(self, tmp_path):
-        args = ["run", "--square", "--n", "2", "--draws", "4", "--analyses",
+        args = ["run", "--ring", "4", "--n", "2", "--draws", "4", "--analyses",
                 "spacing,element_entropy", "--seed", "6"]
         main(args + ["--out", str(tmp_path / "a")])
         main(args + ["--out", str(tmp_path / "b")])
@@ -359,6 +359,55 @@ class TestRun:
         assert shared[0] != shared[1]
 
 
+class TestRefusalWritesNothing:
+    """A command refused after parsing keeps its exit code and message, and
+    no --out is made: every file goes through the one writer, after the last
+    refusal."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["run", "--cue", "8", "--draws", "2", "--analyses", "entanglement:1"], 2,
+         "entanglement needs a graph source (reference ensembles carry no particle "
+         "structure)"),
+        (["gen", "--ring", "14"], 3,
+         "total dimension 16384 exceeds the configured cap 4096; raise the cap to proceed"),
+        (["bench", "--ring", "4", "--draws", "0"], 2, "draws must be >= 1, got 0"),
+        (["run", "--cue", "8", "--draws", "2", "--analyses", "spacing", "--dim-cap", "0"],
+         2, "--dim-cap must be an integer >= 1, got 0"),
+        (["gen", "--graph", "{spec}"], 2, "particle 2 is not covered by any clique"),
+    ], ids=["run", "gen", "bench", "dim_cap", "spec"])
+    def test_refused_command_makes_no_out(self, tmp_path, monkeypatch, capsys,
+                                          argv, code, message):
+        monkeypatch.delenv("UNIGRAPH_DIM_CAP", raising=False)
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"dims": [2,2], "layers": [{"cliques": [[1]]}]}')
+        argv = [str(spec) if arg == "{spec}" else arg for arg in argv]
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == code
+        assert capsys.readouterr() == (f"seed: {DEFAULT_SEED}\n", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_removed_square_flag_exits_2(self, tmp_path, capsys):
+        # each graph has one flag: the square graph is --ring 4
+        with pytest.raises(SystemExit) as exit_:
+            main(["gen", "--square", "--out", str(tmp_path / "o")])
+        assert exit_.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_write_round_trips_each_kind(self, tmp_path):
+        u = np.exp(1j * np.arange(12.0)).reshape(3, 4) / 3.0
+        doc = {"a": [1, 2.5, None], "b": {"c": "d"}}
+        names = ["m.npy", "doc.json", "t.csv"]
+        out = tmp_path / "new" / "dir"
+        paths = _write(str(out), list(zip(names, [u, doc, "x,y\n1,2\n"])))
+        assert paths == [str(out / name) for name in names]
+        loaded = np.load(out / "m.npy")
+        assert loaded.dtype == u.dtype and loaded.tobytes() == u.tobytes()
+        assert read(out / "doc.json") == json.dumps(doc, indent=1) + "\n"
+        assert json.loads(read(out / "doc.json")) == doc
+        assert read(out / "t.csv") == "x,y\n1,2\n"
+        assert _write(None, [("never.json", doc)]) == []
+
+
 def rerun_command(out: str) -> list[str]:
     """The arguments of the printed ``re-run:`` command, without ``unigraph``."""
     line = next(l for l in out.splitlines() if l.startswith("re-run: "))
@@ -383,7 +432,6 @@ EVERY_FLAG = {
 
 
 GRAPH_SOURCES = [["--ring", "4", "--n", "2"], ["--chain", "3", "--n", "2"],
-                 ["--square", "--n", "2"],
                  ["--bond-vertex", "1,2;3,4/2,3;1,4", "--n", "2"], ["--graph", "{spec}"]]
 REFERENCE_SOURCES = [["--cue", "8"], ["--composed", "8"], ["--diagonal", "8"]]
 
@@ -473,7 +521,7 @@ class TestBenchAndValidate:
         assert f"re-run: {doc['provenance']['command']}" in capsys.readouterr().out.splitlines()
 
     def test_bench_single_draw(self, capsys):
-        assert main(["bench", "--square", "--n", "2", "--draws", "1"]) == 0
+        assert main(["bench", "--ring", "4", "--n", "2", "--draws", "1"]) == 0
         capsys.readouterr()
 
     def test_validate_good_spec(self, tmp_path, capsys):

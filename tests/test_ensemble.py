@@ -332,6 +332,32 @@ class TestRunEnsemble:
         assert result["interior_histogram"].counts.sum() \
             + result["interior_histogram"].overflow == 15 * 3
 
+    @pytest.mark.parametrize("draws, dim", [(1, 2), (20, 16), (7, 64)])
+    def test_one_cdf_pass_equals_two_stats_passes(self, draws, dim):
+        # the oracle: two _spacing_stats passes, each set sorted and its CDFs
+        # evaluated on its own, each KS distance also from ks_statistic; tied values
+        rng = np.random.default_rng(draws * dim)
+        values = np.round(rng.exponential(size=(draws, dim)), 2)
+        values[:, ::3] = values[:, :1]
+        oracle = {}
+        for prefix, v in (("", values), ("interior_", values[:, :-1])):
+            laws = ("wigner", "poisson")
+            stats = ensemble._spacing_stats(
+                v, {law: spectral.reference_cdf(law, v).ravel() for law in laws},
+                np.argsort(v, axis=None))
+            for law in laws:
+                assert stats[f"ks_{law}"] == spectral.ks_statistic(
+                    v.ravel(), lambda s: spectral.reference_cdf(law, s))
+            oracle.update({prefix + key: value for key, value in stats.items()})
+        got = ensemble._spacing_summary(None, None, values)
+        assert list(got) == list(oracle)
+        for key, value in got.items():
+            if key.endswith("histogram"):
+                assert np.array_equal(value.counts, oracle[key].counts)
+                assert value.overflow == oracle[key].overflow
+            else:
+                assert value == oracle[key], key
+
     def test_entanglement_matches_spec_ops(self):
         # batched analysis must agree with partial_trace + entropy per column
         graph = ring_graph(4, 2)

@@ -169,7 +169,7 @@ class TestEigendecompose:
     ], ids=["minus_one_and_seam", "wrapping_gap"])
     def test_pole_next_to_an_eigenvalue(self, monkeypatch, phases, gap_middle):
         # -1 is the Cayley pole at alpha = 0, so the first attempt is refused
-        # (|tan| > 4N); the retry puts the pole -e^{-i alpha}, at phase
+        # (|tan| past the pole budget); the retry puts the pole -e^{-i alpha}, at phase
         # pi - alpha, in the middle of the widest gap between the refused
         # attempt's phases (which are only good to ~1e-3 in the first case)
         u = with_phases(phases, 5)
@@ -288,15 +288,27 @@ class TestEigenphases:
     @pytest.mark.parametrize("dim, count", [(2, 64), (16, 64), (36, 20), (64, 8)])
     def test_haar_stack_needs_no_fallback(self, monkeypatch, dim, count):
         us = haar_unitary(dim, [RandomStream(31, t) for t in range(count)])
+        # draw 0 turned to put an eigenvalue 1e-4 from -1, past the pole
+        # budget (|tan| ~ 2e4), as a draw of a larger stack would be
+        us[0] *= np.exp(1j * (np.pi - 1e-4 - eigendecompose(us[0]).phases[0]))
         phases, solves = self.solve(us, monkeypatch)
         self.assert_matches_eigendecompose(us, phases)
-        # some draws have an eigenvalue within 1/(2N) of -1: only they are
-        # solved again, each at its own alpha, and none a third time
+        # the draws with an eigenvalue that close to -1 are solved again,
+        # each at its own alpha, and none a third time
         assert np.array_equal(solves[0][0], us) and solves[0][1] == [0.0] * count
         assert len(solves) == 2 and 0 < len(solves[1][0]) < count
         assert all(alpha != 0.0 for alpha in solves[1][1])
         for u, row in zip(us, phases):
             assert np.array_equal(eigenphases(u[None])[0], row)
+
+    @pytest.mark.parametrize("dim, bound", [(16, 0.02), (64, 0.08)])
+    def test_pole_budget_refuses_few_haar_draws(self, monkeypatch, dim, bound):
+        # the budget max(4N, 1000) refuses 1 of 200 seed-1 CUE draws at alpha = 0
+        # at N = 16 and 9 at N = 64, where a 4N guard refused 25 and 30
+        us = haar_unitary(dim, [RandomStream(1, t) for t in range(200)])
+        _, solves = self.solve(us, monkeypatch)
+        refused = len(solves[1][0]) if len(solves) > 1 else 0
+        assert refused / len(us) < bound
 
     @pytest.mark.parametrize("u", [
         np.eye(8, dtype=complex),
