@@ -32,7 +32,7 @@ EXIT_OK = 0
 EXIT_SPEC_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
-# report values that are entropies in nats; converted for display under --bits
+# report values that are entropies in nats; each is shown in nats and in bits
 _ENTROPY_KEYS = {
     "evec_entropy": ("mean",),
     "element_entropy": ("mean",),
@@ -66,7 +66,7 @@ def _add_common_args(parser: argparse.ArgumentParser) -> None:
                         help=f"master seed (default {DEFAULT_SEED:#x}; 'random' draws one)")
     parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
     parser.add_argument("--dim-cap", type=int, default=None, metavar="N",
-                        help="total-dimension cap (default 4096, or UNIGRAPH_DIM_CAP)")
+                        help="total-dimension cap (default 4096)")
 
 
 @functools.cache
@@ -91,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(analysis parameters follow a colon)")
     run.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="csv: sibling histogram files; json: embed in report")
-    run.add_argument("--bits", action="store_true",
-                     help="display entropies in bits (files stay in nats)")
 
     bench = sub.add_parser("bench", help="time structured vs CUE generation")
     _add_source_args(bench, references=False)
@@ -167,25 +165,6 @@ def _source(args) -> tuple[InteractionGraph | ReferenceEnsemble, str]:
     return graph, graph_hash(graph)
 
 
-def _resolve_dim_cap(args) -> int:
-    """The cap: --dim-cap, else UNIGRAPH_DIM_CAP, which fills in --dim-cap so
-    that the re-run line carries it, else the default; refuse a cap that is
-    not an integer >= 1."""
-    name, value = "--dim-cap", args.dim_cap
-    if value is None and os.environ.get("UNIGRAPH_DIM_CAP"):
-        name, value = "UNIGRAPH_DIM_CAP", os.environ["UNIGRAPH_DIM_CAP"]
-    if value is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = 0  # refused below
-    if cap < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    args.dim_cap = cap
-    return cap
-
-
 def _command(args, seed: int) -> str:
     """The shell-quoted command line that reproduces this output: every given
     flag in parser order, with the resolved seed and without --out. Each flag
@@ -222,6 +201,18 @@ def _provenance_comment(prov: dict) -> str:
     versions = ", ".join(f"{k} {v}" for k, v in prov["versions"].items())
     lines.append(f"# versions: {versions}")
     return "\n".join(lines) + "\n"
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse an ``out`` that _write could not make: one that is, or lies
+    under, an existing path that is not a directory."""
+    if out is None:
+        return
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise NotADirectoryError(f"--out {out}: {path} is not a directory")
 
 
 def _write(out: str | None, files: list[tuple[str, object]]) -> list[str]:
@@ -273,8 +264,8 @@ def _cmd_run(args, source, seed: int, dim_cap: int, prov: dict) -> list:
                 if result[key] is None:  # e.g. chi-square skipped on too few phases
                     summary.append(f"{key}=n/a")
                 elif key in entropy_keys:
-                    shown = nats_to_bits(result[key]) if args.bits else result[key]
-                    summary.append(f"{key}={shown:.6f} {'bits' if args.bits else 'nats'}")
+                    summary.append(f"{key}={result[key]:.6f} nats "
+                                   f"({nats_to_bits(result[key]):.6f} bits)")
                 else:
                     summary.append(f"{key}={result[key]:.6g}")
         if name == "trace_moments":
@@ -324,10 +315,11 @@ def main(argv=None) -> int:
         # only _write, after the body's last refusal, touches --out
         seed = _resolve_seed(args.seed)
         print(f"seed: {seed}")
-        dim_cap = _resolve_dim_cap(args)
+        _check_out(args.out)
         source, spec_hash = _source(args)
         command = _command(args, seed)
         body = {"gen": _cmd_gen, "run": _cmd_run, "bench": _cmd_bench}[args.command]
+        dim_cap = DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
         files = body(args, source, seed, dim_cap, _provenance(command, seed, spec_hash))
         for path in _write(args.out, files):
             print(f"wrote {path}")

@@ -293,7 +293,7 @@ def chain_graph(k: int, n: int) -> InteractionGraph:
 # Spec files (JSON)
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"dims", "n", "k", "layers"}
+_TOP_KEYS = {"dims", "layers"}
 _LAYER_KEYS = {"color", "cliques", "singletons"}
 
 
@@ -310,18 +310,10 @@ def parse_graph_spec(text: str) -> InteractionGraph:
     if unknown:
         raise GraphSpecError(f"unknown keys in graph spec: {sorted(unknown)}")
 
-    if "dims" in doc:
-        if "n" in doc or "k" in doc:
-            raise GraphSpecError("give either dims or the n/k shorthand, not both")
-        dims = doc["dims"]
-        if not isinstance(dims, list):
-            raise InvalidDimension("dims must be a list of integers")
-        system = ParticleSystem(tuple(dims))
-    elif "n" in doc and "k" in doc:
-        system = None
-        n, k = (_integer(doc[key], key, 1, error=InvalidDimension) for key in ("n", "k"))
-    else:
-        raise GraphSpecError("graph spec needs dims, or both n and k")
+    dims = doc.get("dims")
+    if not isinstance(dims, list):
+        raise InvalidDimension("graph spec needs dims, a list of integers")
+    system = ParticleSystem(tuple(dims))
 
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -345,13 +337,6 @@ def parse_graph_spec(text: str) -> InteractionGraph:
         layers.append(Layer(color,
                             tuple(Clique(tuple(c)) for c in entry["cliques"]),
                             entry.get("singletons", "haar")))
-    if system is None:
-        # every layer lists each particle once: refuse a k past the first
-        # layer's count before anything of size k is built
-        listed = sum(len(clique.particles) for clique in layers[0].cliques)
-        if k > listed:
-            raise GraphSpecError(f"k = {k} exceeds the particle count of layer 1 ({listed})")
-        system = ParticleSystem((n,) * k)
     return InteractionGraph(system, tuple(layers))
 
 

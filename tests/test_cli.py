@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from unigraph import cli
 from unigraph.cli import _parse_analyses, _provenance_comment, _write, build_parser, main
 from unigraph.ensemble import EnsembleSpec, run_ensemble
 from unigraph.graph import chain_graph, ring_graph, serialize_graph
@@ -88,11 +89,15 @@ class TestGen:
         assert main(["gen", "--graph", str(bad), "--out", str(tmp_path)]) == 2
         assert "particle 2" in capsys.readouterr().err
 
-    def test_shorthand_k_past_the_listed_particles_exits_2(self, tmp_path, capsys):
+    def test_shorthand_spec_exits_2(self, tmp_path, capsys):
+        # a spec file gives its dimensions as a dims list only
         bad = tmp_path / "bad.json"
-        bad.write_text('{"n": 2, "k": 1000000000000, "layers": [{"cliques": [[1]]}]}')
-        assert main(["validate", "--graph", str(bad)]) == 2
-        assert "exceeds the particle count of layer 1" in capsys.readouterr().err
+        bad.write_text('{"n": 2, "k": 4, "layers": [{"cliques": [[1, 2], [3, 4]]}]}')
+        for argv in (["validate", "--graph", str(bad)],
+                     ["gen", "--graph", str(bad), "--out", str(tmp_path / "o")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: unknown keys in graph spec: ['k', 'n']\n"
+        assert not (tmp_path / "o").exists()
 
     def test_cap_exceeded_exits_3(self, tmp_path, capsys):
         assert main(["gen", "--ring", "10", "--n", "2", "--dim-cap", "512",
@@ -106,10 +111,13 @@ class TestGen:
         assert json.loads(read(out / "unitary.json"))["dim"] == 1024
         assert np.load(out / "unitary.npy").shape == (1024, 1024)
 
-    def test_env_var_overrides_cap(self, tmp_path, monkeypatch, capsys):
+    def test_dim_cap_env_var_is_not_read(self, tmp_path, monkeypatch, capsys):
+        # the cap is --dim-cap or the default: an N = 16 graph runs under the
+        # default cap, and the re-run line has no --dim-cap
         monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
-        assert main(["gen", "--ring", "4", "--n", "2", "--out", str(tmp_path)]) == 3
-        capsys.readouterr()
+        assert main(["gen", "--ring", "4", "--out", str(tmp_path)]) == 0
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("re-run: ")]
+        assert line == f"re-run: unigraph gen --ring 4 --seed {DEFAULT_SEED}"
 
     @pytest.mark.parametrize("argv, written", [
         (["gen", "--ring", "4", "--n", "2"], "unitary.json"),
@@ -117,41 +125,33 @@ class TestGen:
          "report.json"),
         (["bench", "--ring", "4", "--n", "2", "--draws", "1"], "bench.json"),
     ])
-    def test_raised_dim_cap_is_replayed(self, tmp_path, monkeypatch, capsys, argv, written):
-        # a cap of 16 given as a flag, or only by the environment, is in the
-        # command, so it replays where UNIGRAPH_DIM_CAP=8 would refuse N=16
-        for case, env_cap, flags in (("flag", "8", ["--dim-cap", "16"]),
-                                     ("environment", "16", [])):
-            monkeypatch.setenv("UNIGRAPH_DIM_CAP", env_cap)
-            first, again = tmp_path / case / "a", tmp_path / case / "b"
-            assert main(argv + ["--seed", "7", *flags, "--out", str(first)]) == 0
-            command = json.loads(read(first / written))["provenance"]["command"]
-            assert "--dim-cap 16" in command
-            printed = [l for l in capsys.readouterr().out.splitlines()
-                       if l.startswith("re-run: ")]
-            assert printed in ([], [f"re-run: {command}"])
-            monkeypatch.setenv("UNIGRAPH_DIM_CAP", "8")
-            assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
-            capsys.readouterr()
+    def test_raised_dim_cap_is_replayed(self, tmp_path, capsys, argv, written):
+        # a cap of 16 given as a flag is in the command, so the replay of an
+        # N = 16 graph runs under it
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert main(argv + ["--seed", "7", "--dim-cap", "16", "--out", str(first)]) == 0
+        command = json.loads(read(first / written))["provenance"]["command"]
+        assert "--dim-cap 16" in command
+        printed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("re-run: ")]
+        assert printed in ([], [f"re-run: {command}"])
+        assert main(shlex.split(command)[1:] + ["--out", str(again)]) == 0
+        capsys.readouterr()
 
-    @pytest.mark.parametrize("flags, env_cap, named", [
-        (["--dim-cap", "0"], None, "--dim-cap"),
-        (["--dim-cap", "-5"], None, "--dim-cap"),
-        ([], "abc", "UNIGRAPH_DIM_CAP"),
-        ([], "0", "UNIGRAPH_DIM_CAP"),
-    ], ids=["flag_0", "flag_-5", "env_abc", "env_0"])
-    def test_cap_below_one_or_not_an_integer_exits_2(self, tmp_path, monkeypatch, capsys,
-                                                     flags, env_cap, named):
-        if env_cap is None:
-            monkeypatch.delenv("UNIGRAPH_DIM_CAP", raising=False)
-        else:
-            monkeypatch.setenv("UNIGRAPH_DIM_CAP", env_cap)
+    @pytest.mark.parametrize("cap", ["0", "-5"], ids=["flag_0", "flag_-5"])
+    def test_cap_below_one_or_not_an_integer_exits_2(self, tmp_path, capsys, cap):
+        # the library refuses the cap, before any draw; argparse refuses a
+        # --dim-cap that is not an integer
         assert main(["run", "--cue", "8", "--draws", "2", "--analyses", "spacing",
-                     *flags, "--out", str(tmp_path)]) == 2
-        out, err = capsys.readouterr()
-        assert out.startswith("seed: ")
-        assert f"{named} must be an integer >= 1" in err
+                     "--dim-cap", cap, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (f"seed: {DEFAULT_SEED}\n",
+                                       f"error: dim_cap must be >= 1, got {cap}\n")
         assert not os.path.exists(tmp_path / "report.json")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--cue", "8", "--draws", "2", "--analyses", "spacing",
+                  "--dim-cap", "abc", "--out", str(tmp_path)])
+        assert exit_.value.code == 2
+        assert "--dim-cap: invalid int value: 'abc'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_failed_gen_still_prints_its_seed(self, tmp_path, capsys):
         assert main(["gen", "--ring", "10", "--dim-cap", "512", "--seed", "random",
@@ -322,15 +322,29 @@ class TestRun:
             assert read(again / name) == read(out / name)
         capsys.readouterr()
 
-    def test_bits_flag_changes_display_only(self, tmp_path, capsys):
+    def test_entropy_lines_show_nats_and_bits(self, tmp_path, capsys):
         out = tmp_path / "r"
-        main(["run", "--cue", "8", "--draws", "4", "--analyses", "evec_entropy",
-              "--seed", "7", "--out", str(out), "--bits"])
-        assert "bits" in capsys.readouterr().out
-        doc = json.loads(read(out / "report.json"))
-        # file keeps nats: reference is the harmonic sum for N=8
-        assert abs(doc["analyses"]["evec_entropy"]["reference_mean"]
+        assert main(["run", "--chain", "3", "--draws", "4", "--seed", "7", "--analyses",
+                     "spacing,evec_entropy,entanglement:1,projection:2", "--out", str(out)]) == 0
+        shown = dict(l.partition(": ")[::2] for l in capsys.readouterr().out.splitlines())
+        doc = json.loads(read(out / "report.json"))["analyses"]
+        for name, key in [("evec_entropy", "mean"), ("entanglement", "mean_entropy"),
+                          ("projection", "mean_entropy")]:
+            nats = doc[name][key]  # the file keeps nats
+            assert f"{key}={nats:.6f} nats ({nats / np.log(2):.6f} bits)" in shown[name]
+        assert "bits" not in shown["spacing"]
+        # reference for the file: the harmonic sum for N = 8, in nats
+        assert abs(doc["evec_entropy"]["reference_mean"]
                    - sum(1 / j for j in range(2, 9))) < 1e-12
+
+    def test_removed_bits_flag_exits_2(self, tmp_path, capsys):
+        # every entropy line shows both units, so no flag picks one
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--cue", "8", "--draws", "2", "--analyses", "evec_entropy",
+                  "--out", str(tmp_path / "o"), "--bits"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --bits" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_one_parser_per_process_keeps_no_state(self, tmp_path, capsys):
         # flags of one call must not reach the next: each report and its
@@ -338,7 +352,7 @@ class TestRun:
         assert build_parser() is build_parser()
         base = ["run", "--chain", "3", "--n", "2", "--draws", "4", "--seed", "5",
                 "--analyses", "spacing,evec_entropy"]
-        runs = (base + ["--bits"], base)
+        runs = (base + ["--format", "json"], base)
 
         def outputs(fresh: bool, name: str) -> list:
             got = []
@@ -372,12 +386,10 @@ class TestRefusalWritesNothing:
          "total dimension 16384 exceeds the configured cap 4096; raise the cap to proceed"),
         (["bench", "--ring", "4", "--draws", "0"], 2, "draws must be >= 1, got 0"),
         (["run", "--cue", "8", "--draws", "2", "--analyses", "spacing", "--dim-cap", "0"],
-         2, "--dim-cap must be an integer >= 1, got 0"),
+         2, "dim_cap must be >= 1, got 0"),
         (["gen", "--graph", "{spec}"], 2, "particle 2 is not covered by any clique"),
     ], ids=["run", "gen", "bench", "dim_cap", "spec"])
-    def test_refused_command_makes_no_out(self, tmp_path, monkeypatch, capsys,
-                                          argv, code, message):
-        monkeypatch.delenv("UNIGRAPH_DIM_CAP", raising=False)
+    def test_refused_command_makes_no_out(self, tmp_path, capsys, argv, code, message):
         spec = tmp_path / "bad.json"
         spec.write_text('{"dims": [2,2], "layers": [{"cliques": [[1]]}]}')
         argv = [str(spec) if arg == "{spec}" else arg for arg in argv]
@@ -385,6 +397,27 @@ class TestRefusalWritesNothing:
         assert main(argv + ["--out", str(out)]) == code
         assert capsys.readouterr() == (f"seed: {DEFAULT_SEED}\n", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, body", [
+        (["run", "--cue", "64", "--draws", "400", "--analyses", "spacing"], "run_ensemble"),
+        (["gen", "--ring", "4"], "evolution_unitary"),
+    ], ids=["run", "gen"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_draw(
+            self, tmp_path, monkeypatch, capsys, argv, body, under):
+        # an --out that is, or lies under, an existing file is refused before
+        # the body runs, not after the campaign
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{body} was called")
+        monkeypatch.setattr(cli, body, refuse)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            f"seed: {DEFAULT_SEED}\n", f"error: --out {out}: {blocker} is not a directory\n")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "kept\n"
 
     def test_removed_square_flag_exits_2(self, tmp_path, capsys):
         # each graph has one flag: the square graph is --ring 4
@@ -425,8 +458,7 @@ def shell_words(command: str) -> list[str]:
 # every optional flag at a value other than its default
 EVERY_FLAG = {
     "gen": [],
-    "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json",
-            "--bits"],
+    "run": ["--draws", "2", "--analyses", "spacing,projection:2", "--format", "json"],
     "bench": ["--draws", "1"],
 }
 

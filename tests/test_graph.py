@@ -246,18 +246,17 @@ class TestSpecFiles:
         g = parse_graph_spec(spec)
         assert [c.particles for c in g.layers[0].cliques] == [(1, 3), (2, 4)]
 
-    def test_uniform_shorthand(self):
-        g = parse_graph_spec('{"n": 2, "k": 4, "layers": [{"cliques":[[1,2],[3,4]]}]}')
-        assert g.dims == (2, 2, 2, 2)
-
-    def test_shorthand_k_past_the_listed_particles_is_refused_unbuilt(self):
-        # (2,) * 10**12 could not be allocated: the refusal comes first
-        spec = '{"n": 2, "k": 1000000000000, "layers": [{"cliques": [[1]]}]}'
-        with pytest.raises(GraphSpecError, match=r"exceeds the particle count of layer 1 \(1\)"):
+    @pytest.mark.parametrize("k", [4, 1000000000000])
+    def test_shorthand_keys_are_unknown(self, k):
+        # the dimensions are a dims list only; nothing of size k is built
+        spec = f'{{"n": 2, "k": {k}, "layers": [{{"cliques": [[1, 2], [3, 4]]}}]}}'
+        with pytest.raises(GraphSpecError, match=r"^unknown keys in graph spec: \['k', 'n'\]$"):
             parse_graph_spec(spec)
-        with pytest.raises(MissingParticle):
-            parse_graph_spec('{"n": 2, "k": 2, "layers": [{"cliques": [[1, 2]]}, '
-                             '{"cliques": [[1]]}]}')
+
+    @pytest.mark.parametrize("dims", ["", '"dims": 4, ', '"dims": null, '])
+    def test_spec_without_a_dims_list_is_refused(self, dims):
+        with pytest.raises(InvalidDimension, match="graph spec needs dims, a list of integers"):
+            parse_graph_spec(f'{{{dims}"layers": [{{"cliques": [[1, 2]]}}]}}')
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(GraphSpecError):
@@ -317,8 +316,7 @@ INTEGER_INPUTS = {
     "ring_n": (lambda v: ring_graph(4, v), 2, [0], lambda g: g.dims),
     "chain_k": (lambda v: chain_graph(v, 2), 3, [0, 1], lambda g: g.dims),
     "chain_n": (lambda v: chain_graph(3, v), 2, [0], lambda g: g.dims),
-    "spec_file_n": (lambda v: two_particle_spec_file(n=v, k=2), 3, [0], lambda g: g.dims),
-    "spec_file_k": (lambda v: two_particle_spec_file(n=2, k=v), 2, [0, 3], lambda g: g.dims),
+    "spec_file_dims": (lambda v: two_particle_spec_file(dims=[2, v]), 3, [0], lambda g: g.dims),
     "haar_dim": (lambda v: haar_unitary(v, RandomStream(1, 0)), 3, [0, -1],
                  lambda u: u.shape),
     "diagonal_dim": (lambda v: random_phases_diagonal(v, RandomStream(1, 0)), 3, [0],
