@@ -1,19 +1,27 @@
 """Eigenphases, level spacings, reference spacing laws, and distances.
 
-Unitary matrices are normal, so the Cayley transform of a rotated unitary
-W = e^{i alpha} U, H = i (I + W)^{-1} (I - W), is Hermitian with the same
-eigenvectors and eigenvalues tan((theta + alpha)/2). One checked solver
-(_solve) serves a stack of unitaries: at most three Cayley attempts per
-matrix, each retry only for the matrices the attempt before refused; a
-matrix refused three times raises ConvergenceFailure. Phases live in
-[0, 2pi) and spacings are scaled by N/(2pi) so the mean spacing is one.
+Unitary matrices are normal, so a Hermitian matrix built from U has its
+eigenvectors. One checked solver (_solve) serves a stack of unitaries, with
+at most three attempts per matrix, each retry only for the matrices the
+attempt before refused; a matrix refused three times raises
+ConvergenceFailure. Phases live in [0, 2pi) and spacings are scaled by
+N/(2pi) so the mean spacing is one.
 
-eigendecompose solves one matrix or a stack with eigh and checks each
-eigenpair's residual. eigenphases is the phases-only path for a stack:
-eigvalsh, checked by the trace identities sum_j e^{i m theta_j} = Tr U^m
-(m = 1, 2) in place of the eigenpair residual. Campaigns reading only
-phases (spacing, phase_density, trace_moments) take this path; their
-phases differ from eigendecompose's by rounding within _solve's pole budget.
+eigendecompose solves one matrix or a stack. Its first attempt is eigh of
+A = (W + W^dagger)/2, W = e^{-i phi} U, whose eigenvalues are
+cos(theta - phi); a Rayleigh-Ritz step separates eigenvectors that A does
+not (folded pairs theta_a + theta_b = 2 phi, degeneracies), and the phases
+are Rayleigh quotients, from the one U V product that the eigenpair residual
+check reads too. eigenphases is the phases-only path for a stack: its first
+attempt is eigvalsh of the Cayley transform H = i (I + W)^{-1} (I - W),
+W = e^{i alpha} U at alpha = 0, whose eigenvalues are
+tan((theta + alpha)/2), checked by the trace identities
+sum_j e^{i m theta_j} = Tr U^m (m = 1, 2) in place of the eigenpair
+residual. Every retry, on either path, is a Cayley attempt with its pole
+away from the refused phases. Campaigns reading only phases (spacing,
+phase_density, trace_moments) take the phases-only path; its phases differ
+from eigendecompose's by rounding within the Cayley pole budget (~4e-13),
+and eigendecompose's are within ~1e-14 of exact.
 product_eigenphases solves a disconnected graph's draws from their
 tensor.evolution_factors stacks' phases, with the same trace identities
 checked on the Kronecker product.
@@ -73,15 +81,19 @@ class SpectralData:
 
 def eigendecompose(u: np.ndarray) -> SpectralData:
     """Full eigensystem of a unitary matrix, or of each matrix of a (B, N, N)
-    stack with the bits of its solve alone: one _solve call.
+    stack with the bits of its solve alone: one _solve call. Its first
+    attempt is eigh of the Hermitian part of e^{-i phi} U with a
+    Rayleigh-Ritz step on close eigenvalues and Rayleigh-quotient phases (no
+    LU solve; phase errors second order in eigh's ~2e-12 mixing); a matrix
+    it refuses gets the checked Cayley retries.
 
     Inside an exactly degenerate eigenspace (identity-singleton layers,
     tensor products with an identity factor, diagonal sources) any
     orthonormal basis is an eigenbasis, and which one is returned depends
     on the solver: basis-dependent statistics of such sources, such as the
     eigenvector entropy, differ between solvers by more than rounding.
-    Raises ConvergenceFailure, naming the matrix, if one is refused on every
-    Cayley attempt (a defective, non-unitary matrix is).
+    Raises ConvergenceFailure, naming the matrix, if one is refused on all
+    three attempts (a defective, non-unitary matrix is).
     """
     phases, vectors = _solve(u if u.ndim == 3 else u[None], with_vectors=True)
     return SpectralData(phases, vectors) if u.ndim == 3 else SpectralData(phases[0], vectors[0])
@@ -99,21 +111,25 @@ def _solve(us: np.ndarray, with_vectors: bool):
     """Sorted phases in [0, 2pi), (B, N), of each unitary of a (B, N, N)
     stack, and with_vectors their eigenvector columns, (B, N, N), else None.
 
-    The first attempt solves the whole stack's Cayley transforms at
-    alpha = 0. A matrix is refused if its I + W is singular, if some
-    |tan((theta + alpha)/2)| exceeds the pole budget max(4N, 1000) (an
-    eigenvalue so close to the pole -e^{-i alpha} that the phases could be off
-    by more than ~4e-13), or if it fails its check: with vectors (eigh), the
-    eigenpair residual and norm checks; without (eigvalsh), the trace
-    identities |sum_j e^{i m theta_j} - Tr U^m| <= TRACE_TOL * N for m = 1, 2.
-    Only the refused matrices are solved again, each with its pole in the
-    middle of the widest gap between its refused phases, or at alpha = 1
-    after a singular solve; a third attempt covers a singular first solve
-    whose blind alpha = 1 lands on another eigenvalue. A gap-placed pole is
-    at least pi/N, less the refused phases' error, from every eigenvalue, so
-    |tan| <= cot(pi/2N) < 2N/pi is within the budget. A matrix refused three
-    times raises ConvergenceFailure. alpha depends only on U, so the result
-    is deterministic.
+    The first attempt differs by path. With vectors it is _axis_eigen: eigh
+    of the Hermitian part of e^{-i phi} U, a Rayleigh-Ritz step on each run
+    of close eigenvalues, and the phases as Rayleigh quotients, with no LU
+    solve. Without vectors it is the Cayley transform at alpha = 0. Each
+    attempt is checked: with vectors, the eigenpair residual and norm checks
+    (on the first attempt they read the one U V it computed); without
+    (eigvalsh), the trace identities |sum_j e^{i m theta_j} - Tr U^m| <=
+    TRACE_TOL * N for m = 1, 2. A Cayley attempt is also refused if its
+    I + W is singular or some |tan((theta + alpha)/2)| exceeds the pole
+    budget max(4N, 1000) (an eigenvalue so close to the pole -e^{-i alpha}
+    that the phases could be off by more than ~4e-13).
+    Only the refused matrices are solved again, by a Cayley attempt with its
+    pole in the middle of the widest gap between the refused phases, or at
+    alpha = 1 if they are NaN (a singular solve); a third attempt covers a
+    singular solve whose blind alpha = 1 lands on another eigenvalue. A
+    gap-placed pole is at least pi/N, less the refused phases' error, from
+    every eigenvalue, so |tan| <= cot(pi/2N) < 2N/pi is within the budget.
+    A matrix refused three times raises ConvergenceFailure. Every step
+    depends only on U, so the result is deterministic.
     """
     dim = us.shape[-1]
     traces = None if with_vectors else _traces(us)
@@ -121,17 +137,27 @@ def _solve(us: np.ndarray, with_vectors: bool):
     todo = np.arange(len(us))
     stack = us  # a whole stack is solved without a copy
     for attempt in range(3):
-        tangents, found_vectors = _cayley_eigen(stack, alphas[todo], with_vectors)
-        # rebinding found_vectors frees the unsorted columns before a retry
-        found, found_vectors = _sorted(2.0 * np.arctan(tangents) - alphas[todo, None],
-                                       found_vectors)
-        # the pole budget: a phase's error is at most about 2 eps max|tan|, so
-        # up to max(4N, 1000) the accepted phases are within ~4e-13 of exact
-        accepted = np.abs(tangents).max(axis=-1) <= max(4 * dim, 1000)  # False if singular
-        passed = slice(None) if accepted.all() else accepted  # views when all pass
-        accepted[passed] = (
-            _eigenpairs_pass(stack[passed], found[passed], found_vectors[passed])
-            if with_vectors else _traces_match(traces[todo[passed]], found[passed]))
+        if with_vectors and not attempt:
+            found, found_vectors, uv = _axis_eigen(stack)
+            accepted = _eigenpairs_pass(uv, found, found_vectors)
+            del uv
+            found, found_vectors = _sorted(found, found_vectors)
+        else:
+            tangents, found_vectors = _cayley_eigen(stack, alphas[todo], with_vectors)
+            # rebinding found_vectors frees the unsorted columns before a retry
+            found, found_vectors = _sorted(2.0 * np.arctan(tangents) - alphas[todo, None],
+                                           found_vectors)
+            # the pole budget: a phase's error is at most about 2 eps max|tan|, so
+            # up to max(4N, 1000) the accepted phases are within ~4e-13 of exact.
+            # _axis_eigen's budget: outside a run eigh mixes eigenvectors by at
+            # most eps ||A|| / _RUN_GAP ~ 2e-12, and a Rayleigh quotient's phase
+            # error is second order in that, far inside ~4e-13
+            accepted = np.abs(tangents).max(axis=-1) <= max(4 * dim, 1000)  # False if singular
+            passed = slice(None) if accepted.all() else accepted  # views when all pass
+            accepted[passed] = (
+                _eigenpairs_pass(stack[passed] @ found_vectors[passed], found[passed],
+                                 found_vectors[passed])
+                if with_vectors else _traces_match(traces[todo[passed]], found[passed]))
         if attempt == 0:
             phases, vectors = found, found_vectors
         else:
@@ -147,8 +173,56 @@ def _solve(us: np.ndarray, with_vectors: bool):
         middle = np.take_along_axis(refused + 0.5 * gaps, gaps.argmax(axis=-1)[:, None], -1)
         alphas[todo] = np.where(np.isnan(middle[:, 0]), 1.0, np.pi - middle[:, 0])
         stack = us if len(todo) == len(us) else us[todo]
-    raise ConvergenceFailure(f"stack rows {todo.tolist()} are refused on all three "
-                             "Cayley attempts")
+    raise ConvergenceFailure(f"stack rows {todo.tolist()} are refused on all three attempts")
+
+
+#: the axis phi of _axis_eigen: A = (W + W^dagger)/2, W = e^{-i phi} U, has
+#: eigenvalues cos(theta - phi), so e^{i(phi + d)} and e^{i(phi - d)} fold onto
+#: one eigenvalue of A. 1 rad is no multiple of pi/2, so the conjugate pairs
+#: e^{+-i theta} of a real or conjugation-symmetric spectrum do not fold.
+_AXIS = 1.0
+#: eigenvalues of A closer than this form a run that _axis_eigen refines by
+#: Rayleigh-Ritz: folded pairs, neighbours of the fold points phi and
+#: phi + pi, degeneracies; the gap bounds eigh's mixing everywhere else
+_RUN_GAP = 1e-4
+
+
+def _axis_eigen(us: np.ndarray):
+    """(phases, vectors, uv) of each unitary of a (B, N, N) stack, unsorted:
+    orthonormal eigenvector columns, uv = U @ vectors, and the phases
+    angle(v_j^dagger (U v)_j) in (-pi, pi].
+
+    The vectors are those of eigh(A), A the Hermitian part of e^{-i phi} U:
+    U is normal, so A has its eigenvectors. Each maximal run of consecutive
+    eigenvalues of A with gaps below _RUN_GAP spans (up to eigh's rounding)
+    an invariant subspace of U, in which eigh's basis is arbitrary; the run's
+    columns are rotated by the orthonormalised eigenvectors of
+    V_c^dagger (U V)_c, a Rayleigh-Ritz step, in vectors and uv alike. As
+    in _cayley_eigen, a stacked eigh that fails (a non-finite U) is redone
+    matrix by matrix, and a failed matrix's arrays are NaN."""
+    a = np.exp(-1j * _AXIS) * us
+    a += np.swapaxes(a.conj(), -1, -2)
+    a *= 0.5
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError:
+        if len(us) == 1:
+            return (np.full(us.shape[:-1], np.nan), np.full(us.shape, np.nan, dtype=complex),
+                    np.full(us.shape, np.nan, dtype=complex))
+        return tuple(map(np.concatenate, zip(*[_axis_eigen(us[k:k + 1])
+                                               for k in range(len(us))])))
+    del a
+    uv = us @ vectors
+    close = np.diff(values, axis=-1) < _RUN_GAP
+    for row in np.flatnonzero(close.any(axis=-1)):
+        # +1 where a run of close gaps starts, -1 after its last gap
+        edges = np.diff(close[row].astype(np.int8), prepend=0, append=0)
+        for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+            run = (row, slice(None), slice(start, stop + 1))
+            ritz = np.linalg.qr(np.linalg.eig(vectors[run].conj().T @ uv[run])[1])[0]
+            vectors[run] = vectors[run] @ ritz
+            uv[run] = uv[run] @ ritz
+    return np.angle((vectors.conj() * uv).sum(axis=-2)), vectors, uv
 
 
 def _cayley_hermitian(us: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -186,11 +260,19 @@ def _cayley_eigen(us: np.ndarray, alphas: np.ndarray, with_vectors: bool):
         return np.concatenate(tangents), np.concatenate(vectors) if with_vectors else None
 
 
+def _wrapped(phases: np.ndarray) -> np.ndarray:
+    """Phases mapped to [0, 2pi): np.mod returns exactly 2pi for
+    -4.4e-16 < phase < 0, which is 0 to rounding."""
+    phases = np.mod(phases, TWO_PI)
+    phases[phases == TWO_PI] = 0.0
+    return phases
+
+
 def _sorted(phases: np.ndarray, vectors: np.ndarray | None):
     """Each row of ``phases`` mapped to [0, 2pi) and sorted, with its
     matrix's eigenvector columns in the same order (None stays None), each
     matrix column-major as one matrix's vectors[:, order] is."""
-    phases = np.mod(phases, TWO_PI)
+    phases = _wrapped(phases)
     order = np.argsort(phases, axis=-1, kind="stable")
     rows = np.arange(len(phases))[:, None]
     if vectors is not None:
@@ -198,13 +280,13 @@ def _sorted(phases: np.ndarray, vectors: np.ndarray | None):
     return phases[rows, order], vectors
 
 
-def _eigenpairs_pass(us: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack: is every eigenpair residual
-    ||U v_j - e^{i theta_j} v_j|| within RESIDUAL_TOL * N, and every column
-    norm within 1e-12 of one?"""
-    residual = np.linalg.norm(us @ vectors - vectors * np.exp(1j * phases)[:, None, :], axis=-2)
+def _eigenpairs_pass(uv: np.ndarray, phases: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, given uv = U @ vectors: is every eigenpair
+    residual ||U v_j - e^{i theta_j} v_j|| within RESIDUAL_TOL * N, and every
+    column norm within 1e-12 of one?"""
+    residual = np.linalg.norm(uv - vectors * np.exp(1j * phases)[:, None, :], axis=-2)
     norm_defect = np.abs(np.linalg.norm(vectors, axis=-2) - 1.0)
-    return ((residual.max(axis=-1) <= RESIDUAL_TOL * us.shape[-1])
+    return ((residual.max(axis=-1) <= RESIDUAL_TOL * uv.shape[-1])
             & (norm_defect.max(axis=-1) <= 1e-12))
 
 
@@ -240,7 +322,7 @@ def product_eigenphases(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.n
     for us in factors:
         phases = (phases[:, :, None] + eigenphases(us)[:, None, :]).reshape(len(us), -1)
         traces *= _traces(us)
-    phases = np.sort(np.mod(phases, TWO_PI))
+    phases = np.sort(_wrapped(phases))
     return phases, _traces_match(traces, phases)
 
 

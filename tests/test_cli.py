@@ -656,14 +656,18 @@ for argv in (
 with open(out + "/phases/report.json", encoding="utf-8") as handle:
     probes = {"p_value": json.load(handle)["analyses"]["phase_density"]["p_value"]}
 
-# every Cayley attempt refused: the solve raises, with no other solver to try
+# every attempt refused: the solves raise, with no other solver to try
 spectral._cayley_eigen = lambda us, alphas, with_vectors: (
     np.full(us.shape[:-1], np.nan),
     np.full(us.shape, np.nan, dtype=complex) if with_vectors else None)
-try:
-    spectral.eigendecompose(haar_unitary(12, RandomStream(5, 0)))
-except spectral.ConvergenceFailure as exc:
-    probes["failure"] = str(exc)
+axis = spectral._axis_eigen
+spectral._axis_eigen = lambda us: (np.full(us.shape[:-1], np.nan), *axis(us)[1:])
+u = haar_unitary(12, RandomStream(5, 0))
+for solve in (spectral.eigendecompose, spectral.eigenphases):
+    try:
+        solve(u[None])
+    except spectral.ConvergenceFailure as exc:
+        probes[solve.__name__] = str(exc)
 probes["scipy"] = [name for name, module in sys.modules.items()
                    if name.startswith("scipy") and module is not None]
 print(json.dumps(probes))
@@ -673,13 +677,14 @@ print(json.dumps(probes))
 def test_every_command_runs_without_scipy(tmp_path):
     # numpy is the only runtime dependency: a fresh interpreter in which
     # scipy cannot be imported runs gen, every analysis (the phase_density
-    # p-value included) and bench, and a matrix refused on every Cayley
-    # attempt raises ConvergenceFailure
+    # p-value included) and bench, and a matrix refused on every attempt
+    # raises ConvergenceFailure, from eigendecompose and eigenphases alike
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", COLD_START_PROBES, str(tmp_path)],
                          capture_output=True, text=True, check=True, env=env)
     probes = json.loads(out.stdout)
     assert 0.0 < probes["p_value"] <= 1.0
-    assert probes["failure"] == "stack rows [0] are refused on all three Cayley attempts"
+    for solve in ("eigendecompose", "eigenphases"):
+        assert probes[solve] == "stack rows [0] are refused on all three attempts"
     assert probes["scipy"] == []

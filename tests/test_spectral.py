@@ -7,12 +7,13 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unigraph import spectral
-from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem
+from unigraph import ensemble, spectral
+from unigraph.ensemble import Analysis, EnsembleSpec, run_ensemble
+from unigraph.graph import Clique, InteractionGraph, Layer, ParticleSystem, ring_graph
 from unigraph.rand import RandomStream, haar_unitary, random_phases_diagonal
 from unigraph.spectral import (ConvergenceFailure, EmptySample, FewerThanTwoPhases,
                                Histogram, InsufficientData, NegativeArgument,
-                               eigendecompose, eigenphases, ks_statistic, phase_uniformity,
+                               SpectralData, eigendecompose, eigenphases, ks_statistic, phase_uniformity,
                                reference_cdf, spacings)
 from unigraph.tensor import evolution_unitary
 
@@ -117,6 +118,15 @@ class TestEigendecompose:
         with pytest.raises(ConvergenceFailure):
             eigendecompose(jordan)
 
+    def test_non_finite_matrix_is_refused_by_name(self):
+        # eigh fails on a NaN matrix: that row is refused, not the stack,
+        # and after the Cayley retries fail too, it is named
+        us = haar_unitary(4, [RandomStream(37, t) for t in range(3)])
+        us[1, 0, 0] = np.nan
+        for solve in (eigendecompose, eigenphases):
+            with pytest.raises(ConvergenceFailure, match=r"stack rows \[1\] are refused"):
+                solve(us)
+
     @given(st.integers(2, 64), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_haar_matches_schur_oracle(self, n, seed):
@@ -146,19 +156,107 @@ class TestEigendecompose:
         for u in (haar_unitary(12, RandomStream(0, 8)), -np.eye(4, dtype=complex)):
             assert eigendecompose(u).vectors.flags.f_contiguous
 
+    @pytest.mark.parametrize("u", [
+        # fold partners e^{i(phi +- d)}, phi = 1, share the eigenvalue cos(d) of A
+        with_phases([1.3, 0.7, 0.2, 2.4, 3.3, 4.6, 5.8], 11),
+        with_phases([1 + 1e-9, 1 - 1e-9, 0.2, 2.4, 3.3, 4.6, 5.8], 11),
+        with_phases([1.0, 1.0, 0.2, 2.4, 3.3, 4.6, 5.8], 11),
+        # eigenvalues on the fold points phi and phi + pi
+        with_phases([1.0, 1.0 + np.pi, 0.2, 2.4, 3.3, 5.8], 12),
+        np.linalg.qr(np.random.default_rng(2).normal(size=(9, 9)))[0],
+        np.eye(8, dtype=complex),
+        -np.eye(8, dtype=complex),
+        np.diag([1.0, -1.0, 1j]),
+        np.kron(haar_unitary(4, RandomStream(36, 0)), np.eye(2)),
+        haar_unitary(1, RandomStream(36, 1)),
+        haar_unitary(2, RandomStream(36, 2)),
+    ], ids=["fold_0.3", "fold_1e-9", "fold_0", "on_fold_points", "real_orthogonal",
+            "identity", "minus_identity", "parity", "identity_singleton", "n1", "n2"])
+    def test_first_attempt_is_accepted(self, monkeypatch, u):
+        # eigendecompose's first attempt (eigh of the Hermitian part of
+        # e^{-i phi} U, Rayleigh-Ritz on each run of close eigenvalues) is
+        # accepted on folds and degeneracies alike: no Cayley attempt
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == []
+        assert_matches_oracle(u, data)
+        assert data.vectors.flags.f_contiguous
+
+    def test_real_spectrum_does_not_fold(self, monkeypatch):
+        # phi = 1 rad is no multiple of pi/2, so the conjugate pairs
+        # e^{+-i theta} of a real orthogonal matrix have distinct eigenvalues
+        # cos(theta -+ 1) in A: no run needs a Rayleigh-Ritz step (at phi = 0,
+        # every pair would)
+        q = np.linalg.qr(np.random.default_rng(2).normal(size=(9, 9)))[0]
+        eig, runs = np.linalg.eig, []
+        monkeypatch.setattr(np.linalg, "eig", lambda m: runs.append(len(m)) or eig(m))
+        assert_matches_oracle(q)
+        assert runs == []
+
+    def test_first_attempt_stack_rows_equal_each_matrix_alone(self, monkeypatch):
+        # folds and degeneracies beside Haar draws in one stack: each row keeps
+        # the bits of its solve alone
+        us = np.stack([
+            haar_unitary(8, RandomStream(35, 0)),
+            with_phases([1.3, 0.7, 0.2, 2.4, 3.3, 4.6, 5.8, 6.0], 13),
+            with_phases([1 + 1e-9, 1 - 1e-9, 0.2, 2.4, 3.3, 4.6, 5.8, 6.0], 13),
+            with_phases([1.0, 1.0, 1.0 + np.pi, 2.4, 3.3, 4.6, 5.8, 6.0], 13),
+            -np.eye(8, dtype=complex),
+            np.kron(haar_unitary(4, RandomStream(35, 1)), np.eye(2)),
+            haar_unitary(8, RandomStream(35, 2))])
+        data, alphas = self.attempts(eigendecompose, us, monkeypatch)
+        assert alphas == []
+        for u, phases, vectors in zip(us, data.phases, data.vectors):
+            alone = assert_matches_oracle(u)
+            assert np.array_equal(phases, alone.phases)
+            assert np.array_equal(vectors, alone.vectors)
+            assert vectors.strides == alone.vectors.strides
+
+    def test_ring8_campaign_makes_no_cayley_attempt(self, monkeypatch):
+        # the seed-1 vectors_ring8 benchmark campaign: 30 draws at N = 256
+        spec = EnsembleSpec(ring_graph(8, 2), draws=30, master_seed=1, analyses=tuple(
+            Analysis.parse(text) for text in
+            ("spacing", "evec_entropy", "entanglement:1,2,3,4", "projection:1")))
+        calls = []
+        cayley = spectral._cayley_eigen
+        monkeypatch.setattr(spectral, "_cayley_eigen",
+                            lambda *args: calls.append(len(args[0])) or cayley(*args))
+        run_ensemble(spec)
+        assert calls == []
+
     @staticmethod
-    def attempts(solve, u, monkeypatch):
-        """solve(u) for one matrix, and the alpha of each Cayley attempt."""
+    def attempts(solve, us, monkeypatch):
+        """solve(us), and the alpha of each Cayley attempt (one per call, so
+        a stack's calls are flattened only where it has one matrix)."""
         alphas = []
         cayley = spectral._cayley_eigen
-        def spy(us, stack_alphas, with_vectors):
-            assert len(us) == 1
-            alphas.append(float(stack_alphas[0]))
-            return cayley(us, stack_alphas, with_vectors)
+        def spy(stack, stack_alphas, with_vectors):
+            alphas.extend(stack_alphas.tolist())
+            return cayley(stack, stack_alphas, with_vectors)
         monkeypatch.setattr(spectral, "_cayley_eigen", spy)
-        found = solve(u)
+        found = solve(us)
         monkeypatch.undo()
         return found, alphas
+
+    @staticmethod
+    def refuse_first(monkeypatch, how, hit=lambda u: True):
+        """Make eigendecompose's first attempt, _axis_eigen, refuse each matrix
+        u with hit(u), and return the list of its calls' stack sizes. "nan"
+        turns the matrix's phases to NaN, as a singular Cayley solve's are, so
+        its first retry is at alpha = 1; "rolled" rolls its vectors by one
+        column, so the residual check fails while the Rayleigh-quotient phases
+        stay right, and its first retry's pole is in their widest gap."""
+        axis, calls = spectral._axis_eigen, []
+        def refused(us):
+            calls.append(len(us))
+            phases, vectors, uv = axis(us)
+            rows = np.array([hit(u) for u in us])
+            if how == "nan":
+                phases[rows] = np.nan
+            else:
+                vectors[rows] = np.roll(vectors[rows], 1, axis=-1)
+            return phases, vectors, uv
+        monkeypatch.setattr(spectral, "_axis_eigen", refused)
+        return calls
 
     @pytest.mark.parametrize("phases, gap_middle", [
         # within 1e-12 of -1, with phases on both sides of the 0/2pi seam
@@ -168,96 +266,164 @@ class TestEigendecompose:
         ([np.pi - 2e-6, 0.9, 1.5, 2.2, 4.0, 4.6, 5.2, 5.6], (5.6 + 0.9 + TWO_PI) / 2),
     ], ids=["minus_one_and_seam", "wrapping_gap"])
     def test_pole_next_to_an_eigenvalue(self, monkeypatch, phases, gap_middle):
-        # -1 is the Cayley pole at alpha = 0, so the first attempt is refused
-        # (|tan| past the pole budget); the retry puts the pole -e^{-i alpha}, at phase
-        # pi - alpha, in the middle of the widest gap between the refused
-        # attempt's phases (which are only good to ~1e-3 in the first case)
+        # -1 is the Cayley pole at alpha = 0, eigenphases' first attempt, so
+        # that attempt is refused (|tan| past the pole budget); the retry puts
+        # the pole -e^{-i alpha}, at phase pi - alpha, in the middle of the
+        # widest gap between the refused attempt's phases (which are only good
+        # to ~1e-3 in the first case). eigendecompose's first attempt has no
+        # pole and is accepted; refused, its retry's pole is in the same gap
         u = with_phases(phases, 5)
-        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
-        assert_matches_oracle(u, data)
-        assert circular_distance(data.phases, phases) <= 1e-12
+        found, alphas = self.attempts(eigenphases, u[None], monkeypatch)
+        assert circular_distance(found[0], schur_phases(u)) <= 1e-12
+        assert circular_distance(found[0], phases) <= 1e-12
         assert len(alphas) == 2 and alphas[0] == 0.0
         assert abs(np.angle(np.exp(1j * (np.pi - alphas[1] - gap_middle)))) <= 0.01
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == []
+        assert_matches_oracle(u, data)
+        assert circular_distance(data.phases, phases) <= 1e-12
+        self.refuse_first(monkeypatch, "rolled")
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert len(alphas) == 1
+        assert abs(np.angle(np.exp(1j * (np.pi - alphas[0] - gap_middle)))) <= 0.01
+        assert_matches_oracle(u, data)
+        assert circular_distance(data.phases, phases) <= 1e-12
 
     @pytest.mark.parametrize("u", [-np.eye(4, dtype=complex), np.diag([1.0, -1.0, 1j])],
                              ids=["minus_identity", "parity"])
     def test_singular_solve_retries_at_alpha_one(self, monkeypatch, u):
-        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        # eigenphases' alpha = 0 solve is singular, so its retry is at
+        # alpha = 1, as is eigendecompose's after a first attempt with NaN
+        # phases (accepted when not forced to refuse)
+        found, alphas = self.attempts(eigenphases, u[None], monkeypatch)
         assert alphas == [0.0, 1.0]
+        assert circular_distance(found[0], schur_phases(u)) <= 1e-12
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == []
+        assert_matches_oracle(u, data)
+        self.refuse_first(monkeypatch, "nan")
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == [1.0]
         assert_matches_oracle(u, data)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-4])
     def test_singular_solve_then_pole_on_an_eigenvalue(self, monkeypatch, eps):
-        # -1 makes the alpha = 0 solve singular, and the blind alpha = 1 retry
-        # puts the pole -e^{-i} on (or 1e-4 from) the eigenvalue
-        # e^{i(pi - 1 + eps)}: the third attempt, with its pole in the middle
-        # of the widest gap (0.3 to 2.0) of the second's phases, is accepted
+        # -1 makes eigenphases' alpha = 0 solve singular, and the blind
+        # alpha = 1 retry puts the pole -e^{-i} on (or 1e-4 from) the
+        # eigenvalue e^{i(pi - 1 + eps)}: the third attempt, with its pole in
+        # the middle of the widest gap (0.3 to 2.0) of the second's phases, is
+        # accepted. eigendecompose, its first attempt refused with NaN phases,
+        # takes the same two Cayley attempts and gets eigenphases' bits
         diagonal = np.array([-1.0, *np.exp(1j * np.array([np.pi - 1 + eps, 0.3, 2.0, 4.0, 5.5]))])
         u = np.diag(diagonal)
         expected = np.sort(np.mod(np.angle(diagonal), TWO_PI))
-        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
         phases, phase_alphas = self.attempts(eigenphases, u[None], monkeypatch)
-        assert alphas[:2] == [0.0, 1.0] and len(alphas) == 3
-        assert abs(alphas[2] - (np.pi - 1.15)) <= 1e-9
-        assert phase_alphas == alphas
+        assert phase_alphas[:2] == [0.0, 1.0] and len(phase_alphas) == 3
+        assert abs(phase_alphas[2] - (np.pi - 1.15)) <= 1e-9
+        assert np.abs(phases[0] - expected).max() <= 1e-15
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == []
+        assert_matches_oracle(u, data)
+        assert np.abs(data.phases - expected).max() <= 1e-15
+        self.refuse_first(monkeypatch, "nan")
+        data, alphas = self.attempts(eigendecompose, u, monkeypatch)
+        assert alphas == phase_alphas[1:]
         assert_matches_oracle(u, data)
         assert np.abs(data.phases - expected).max() <= 1e-15
         assert np.array_equal(phases[0], data.phases)
 
     @pytest.mark.parametrize("failure", ["singular", "wrong_vectors"])
     def test_refused_on_every_attempt_raises(self, monkeypatch, failure):
+        # every Cayley attempt returns NaN (as a singular solve does) or
+        # rolled eigenvector columns, and eigendecompose's first attempt is
+        # refused the same way: three attempts, then ConvergenceFailure.
+        # eigenphases reads no vectors, so only NaN refuses it
         cayley = spectral._cayley_eigen
         alphas = []
         def broken(us, stack_alphas, with_vectors):
             alphas.extend(stack_alphas.tolist())
             tangents, vectors = cayley(us, stack_alphas, with_vectors)
             if failure == "singular":
-                return np.full_like(tangents, np.nan), np.full_like(vectors, np.nan)
-            return tangents, np.roll(vectors, 1, axis=-1)
+                return (np.full_like(tangents, np.nan),
+                        np.full_like(vectors, np.nan) if with_vectors else None)
+            return tangents, np.roll(vectors, 1, axis=-1) if with_vectors else None
         monkeypatch.setattr(spectral, "_cayley_eigen", broken)
-        with pytest.raises(ConvergenceFailure, match=r"stack rows \[0\] are refused"):
-            eigendecompose(haar_unitary(24, RandomStream(0, 7)))
-        assert len(alphas) == 3 and alphas[0] == 0.0
+        u = haar_unitary(24, RandomStream(0, 7))
+        refused = r"stack rows \[0\] are refused on all three attempts"
         if failure == "singular":
+            with pytest.raises(ConvergenceFailure, match=refused):
+                eigenphases(u[None])
             assert alphas == [0.0, 1.0, 1.0]
+        else:
+            assert circular_distance(eigenphases(u[None])[0], schur_phases(u)) <= 1e-12
+            assert alphas == [0.0]
+        alphas.clear()
+        first = self.refuse_first(monkeypatch, "nan" if failure == "singular" else "rolled")
+        with pytest.raises(ConvergenceFailure, match=refused):
+            eigendecompose(u)
+        assert first == [1] and len(alphas) == 2 and 0.0 not in alphas
+        if failure == "singular":
+            assert alphas == [1.0, 1.0]
 
     def test_stack_rows_equal_each_matrix_alone(self, monkeypatch):
-        # row 1 has an eigenvalue within 1e-12 of the alpha = 0 pole, so it
-        # needs the retry; row 3's eigenvectors are refused on its first two
-        # attempts, so it needs the third; each row keeps the bits of its
-        # solve alone (row 3's refused alone as in the stack), and a row
-        # refused on all three attempts is named
+        # row 1 has an eigenvalue within 1e-12 of the alpha = 0 pole, so
+        # eigenphases retries it, and eigendecompose's first attempt (which
+        # has no pole) is made to refuse it; row 3 is refused on its first two
+        # attempts (rolled vectors, or for eigenphases a tangent duplicated in
+        # place of another, off the trace identities), so it needs the third;
+        # each row keeps the bits of its solve alone (rows 1 and 3 refused
+        # alone as in the stack), and a row refused on all three attempts is
+        # named
         us = haar_unitary(8, [RandomStream(34, t) for t in range(6)])
         us[1] = with_phases([np.pi - 5e-13, 1e-13, TWO_PI - 1e-13, 1.0, 2.5, 4.0, 5.0, 5.9], 5)
-        cayley = spectral._cayley_eigen
+        axis, cayley = spectral._axis_eigen, spectral._cayley_eigen
         def refuse_row_3(refusals):
             solved = []
-            def spy(stack, alphas, with_vectors):
+            def refused(stack, rows):
+                """Record the rows of us that ``stack`` holds, and mark those
+                of ``rows`` to refuse (row 3 only ``refusals`` times)."""
                 solved.append([k for k, u in enumerate(us)
                                if any(np.array_equal(u, v) for v in stack)])
+                if sum(3 in found for found in solved) > refusals:
+                    rows = rows - {3}
+                return np.array([any(np.array_equal(v, us[k]) for k in rows) for v in stack])
+            def axis_spy(stack):
+                phases, vectors, uv = axis(stack)
+                hit = refused(stack, {1, 3})
+                vectors[hit] = np.roll(vectors[hit], 1, axis=-1)
+                return phases, vectors, uv
+            def cayley_spy(stack, alphas, with_vectors):
                 tangents, vectors = cayley(stack, alphas, with_vectors)
-                hit = np.array([np.array_equal(v, us[3]) for v in stack])
-                if sum(3 in rows for rows in solved) <= refusals:
+                hit = refused(stack, {3})
+                if with_vectors:
                     vectors[hit] = np.roll(vectors[hit], 1, axis=-1)
+                else:
+                    tangents[hit, 0] = tangents[hit, 1]
                 return tangents, vectors
-            monkeypatch.setattr(spectral, "_cayley_eigen", spy)
+            monkeypatch.setattr(spectral, "_axis_eigen", axis_spy)
+            monkeypatch.setattr(spectral, "_cayley_eigen", cayley_spy)
             return solved
-        solved = refuse_row_3(3)
-        with pytest.raises(ConvergenceFailure, match=r"stack rows \[3\] are refused"):
-            eigendecompose(us)
-        assert solved == [list(range(6)), [1, 3], [3]]
-        solved = refuse_row_3(2)
-        data = eigendecompose(us)
-        assert solved == [list(range(6)), [1, 3], [3]]
-        assert data.phases.shape == (6, 8) and data.vectors.shape == (6, 8, 8)
-        for u, phases, vectors in zip(us, data.phases, data.vectors):
-            refuse_row_3(2)
-            alone = eigendecompose(u)
+        for solve in (eigenphases, eigendecompose):
+            solved = refuse_row_3(3)
+            with pytest.raises(ConvergenceFailure, match=r"stack rows \[3\] are refused"):
+                solve(us)
+            assert solved == [list(range(6)), [1, 3], [3]]
+            solved = refuse_row_3(2)
+            found = solve(us)
             monkeypatch.undo()
-            assert np.array_equal(phases, alone.phases)
-            assert np.array_equal(vectors, alone.vectors)
-            assert vectors.strides == alone.vectors.strides
-            assert_matches_oracle(u, alone)
+            assert solved == [list(range(6)), [1, 3], [3]]
+            for k, u in enumerate(us):
+                refuse_row_3(2)
+                alone = solve(u[None])
+                monkeypatch.undo()
+                if solve is eigenphases:
+                    assert np.array_equal(found[k], alone[0])
+                    continue
+                assert np.array_equal(found.phases[k], alone.phases[0])
+                assert np.array_equal(found.vectors[k], alone.vectors[0])
+                assert found.vectors[k].strides == alone.vectors[0].strides
+                assert_matches_oracle(u, SpectralData(alone.phases[0], alone.vectors[0]))
+        assert found.phases.shape == (6, 8) and found.vectors.shape == (6, 8, 8)
 
 
 class TestEigenphases:
@@ -392,6 +558,26 @@ class TestEigenphases:
                            match=r"stack rows \[0, 1, 2, 3, 4\] are refused on all three"):
             eigenphases(us)
         assert calls == [5, 5, 5]
+
+
+def test_an_eigenvalue_at_one_has_phase_zero():
+    # its phase is a rounding error either side of 0, and np.mod alone maps
+    # one within 4.4e-16 below 0 to exactly 2pi: sorted last, it would move
+    # the gap after phase 0 out of the interior spacings and the wrap gap in.
+    # eigendecompose's Rayleigh quotients put every such phase that close to
+    # 0, so its spacing report is the exact phases' report
+    phases = np.array([0.0, 0.5, 1.7, 3.0, 4.2, 5.5])
+    vs = haar_unitary(6, [RandomStream(seed, 0) for seed in range(300)])
+    us = (vs * np.exp(1j * phases)) @ np.swapaxes(vs.conj(), -1, -2)
+    data = eigendecompose(us)
+    for found in (data.phases, eigenphases(us)):
+        assert np.all((found >= 0) & (found < TWO_PI))
+        assert max(circular_distance(row, phases) for row in found) <= 1e-12
+    report = ensemble._spacing_summary(None, None, spacings(data.phases))
+    exact = ensemble._spacing_summary(None, None, spacings(np.tile(phases, (300, 1))))
+    assert np.array_equal(report["interior_histogram"].counts,
+                          exact["interior_histogram"].counts)
+    assert abs(report["interior_mean"] - exact["interior_mean"]) <= 1e-12
 
 
 class TestSpacings:
